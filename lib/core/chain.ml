@@ -280,6 +280,11 @@ let remove c (z : Triple.t) =
 
 let revenue ~with_saturation c = if with_saturation then c.rev_sat else c.rev_nosat
 
+let aggregates c (z : Triple.t) =
+  let j = find c z in
+  if j < 0 || not (Triple.equal c.zs.(j) z) then None
+  else Some (c.mem.(j), c.comp.(j), c.prob.(j))
+
 let prob ~with_saturation c (z : Triple.t) =
   let j = find c z in
   if j < 0 || not (Triple.equal c.zs.(j) z) then None

@@ -44,8 +44,23 @@ val remove : t -> Triple.t -> unit
     Raises [Invalid_argument] if the triple is absent — a phantom removal is
     a bug in the caller, never a silent no-op. *)
 
+val recompute : t -> unit
+(** Rebuild every cached aggregate from the sorted members, in O(L²) —
+    the rebuild {!remove} ends with. The cached floats depend on the
+    order the members were inserted in (each insert folds its factors
+    into the aggregates already there); after [recompute] they are bit
+    for bit those of inserting the same members, with the same [qz], in
+    ascending (time, item) order — the order {!Strategy.copy} rebuilds a
+    chain in. Callers that mutate a strategy in place use it to keep
+    outputs identical to a copy-based path. *)
+
 val revenue : with_saturation:bool -> t -> float
 (** Cached chain revenue, O(1). *)
+
+val aggregates : t -> Triple.t -> (float * float * float) option
+(** A member's cached memory [M], competition product and dynamic
+    adoption probability (with saturation); [None] if the triple is not
+    in the chain. O(log L). For tests and diagnostics. *)
 
 val prob : with_saturation:bool -> t -> Triple.t -> float option
 (** Cached dynamic adoption probability of a member triple; [None] if the

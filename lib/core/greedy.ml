@@ -21,36 +21,41 @@ type stats = { marginal_evaluations : int; pops : int; selected : int; truncated
 
 type trace_point = { z : Triple.t; size : int; revenue : float; evaluations : int }
 
-let run ?(with_saturation = true) ?(heap = `Two_level) ?(lazy_forward = true)
-    ?(lazy_policy = `Celf) ?(evaluator = `Incremental) ?(allowed = fun _ -> true) ?base ?trace
-    ?budget inst =
-  Metrics.span "greedy.run" @@ fun () ->
-  if (not lazy_forward) && heap = `Giant then
-    invalid_arg "Greedy.run: eager refresh requires the two-level heap";
-  let s = match base with Some b -> Strategy.copy b | None -> Strategy.create inst in
+(* The one selection loop. It plans the CSR rows of users [ulo, uhi) of
+   [inst] into [s] in place: candidates are registered, and every per-run
+   array sized, for those rows only, so a row-local replan costs in
+   proportion to its rows rather than to the instance or to |S|. [run]
+   calls it over the instance's whole user range on a fresh (or copied)
+   strategy; [plan_rows] over a caller's range on a live one. *)
+let select ~with_saturation ~heap ~lazy_forward ~lazy_policy ~evaluator ~allowed ?trace ?budget
+    ~users inst s =
   let evals = ref 0 and pops = ref 0 and selected = ref 0 and celf_skips = ref 0 in
   let truncated = ref false in
   (* running revenue total lives in a float-array cell, not a [float ref]:
      a ref stores a fresh boxed float on every [:=], a cell stores unboxed *)
   let running_total = [| 0.0 |] in
-  let num_users = Instance.num_users inst in
   let num_items = Instance.num_items inst in
   let num_classes = Instance.num_classes inst in
   let horizon = Instance.horizon inst in
   let display_limit = Instance.display_limit inst in
+  (* the range's own users and pairs: the per-user mirrors below are
+     indexed by [u - ulo], the per-pair state by [pid - plo] *)
+  let ulo, uhi = users in
+  let plo, phi = Instance.pair_range ~users inst in
   (* Candidates are carried through the heaps as packed integer ids — the
      {e entry id} eid = (pid − plo)·stride + t over the instance's CSR
-     pair ids (pid), with plo the view's first pair — so every per-run
-     array is O(view candidate pairs), never O(num_users · num_items):
+     pair ids (pid), with plo the range's first pair — so every per-run
+     array is O(range candidate pairs), never O(num_users · num_items):
      the dense (u·num_items + i) keying of the previous revision
      materialized 80 GB of per-candidate state at 10^6 users × 10^4
      items. Pair ids are strictly increasing in (user, item) lexicographic
      order, hence eids in (user, item, time) order — exactly the order of
-     the old dense cids — so using eids as heap tie-breakers (and pair
-     ranks as group keys) reproduces every historical tie decision
-     bit-for-bit. A heap element is then an immediate int: popping the
-     root, checking feasibility and calling the oracle touch no heap
-     records, no float boxes, and trigger no GC write barrier. *)
+     the old dense cids. A sub-range's eids are the whole view's shifted
+     by a constant, so using eids as heap tie-breakers (and pair ranks as
+     group keys) reproduces every historical tie decision bit-for-bit,
+     whichever rows are planned. A heap element is then an immediate int:
+     popping the root, checking feasibility and calling the oracle touch
+     no heap records, no float boxes, and trigger no GC write barrier. *)
   let stride = horizon + 1 in
   (* Slate instances fold the ordered slot into the candidate space: the
      entry id becomes eid = ((pid − plo)·stride + t)·nsl + (slot − 1) with
@@ -65,7 +70,6 @@ let run ?(with_saturation = true) ?(heap = `Two_level) ?(lazy_forward = true)
     match Instance.slot_multipliers inst with Some m -> m | None -> [| 1.0 |]
   in
   let estride = stride * nsl in
-  let plo, phi = Instance.pair_range inst in
   let npairs = phi - plo in
   let neid = npairs * estride in
   (* staleness stamp per entry — the chain length at the last evaluation.
@@ -95,7 +99,7 @@ let run ?(with_saturation = true) ?(heap = `Two_level) ?(lazy_forward = true)
   let slot_cls = Array.make (max 1 npairs) 0 in
   let mark = Array.make (max 1 num_classes) 0 in
   let mark_user = Array.make (max 1 num_classes) (-1) in
-  Instance.iter_candidate_pairs inst (fun ~u ~pid ->
+  Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
       let rel = pid - plo in
       let i = Instance.pair_item inst pid in
       pu.(rel) <- u;
@@ -110,14 +114,15 @@ let run ?(with_saturation = true) ?(heap = `Two_level) ?(lazy_forward = true)
       end;
       chain_slot.(rel) <- mark.(cls));
   let chains = Array.make (max 1 !nslots) None in
-  (match base with
-  | None -> ()
-  | Some _ ->
-      for sl = 0 to !nslots - 1 do
-        match Strategy.chain_view s ~u:slot_u.(sl) ~cls:slot_cls.(sl) with
-        | Some _ as c -> chains.(sl) <- c
-        | None -> ()
-      done);
+  (* a non-empty strategy already holds triples: its chains, display fill
+     and holder counts seed this run's caches and mirrors *)
+  let seeded = Strategy.size s > 0 in
+  if seeded then
+    for sl = 0 to !nslots - 1 do
+      match Strategy.chain_view s ~u:slot_u.(sl) ~cls:slot_cls.(sl) with
+      | Some _ as c -> chains.(sl) <- c
+      | None -> ()
+    done;
   let chain_size_slot sl = match chains.(sl) with None -> 0 | Some c -> Chain.length c in
   (* result cell of the oracle and of [Tl.max_key_into]: floats enter and
      leave the per-cycle calls through preallocated cells, because without
@@ -187,20 +192,20 @@ let run ?(with_saturation = true) ?(heap = `Two_level) ?(lazy_forward = true)
   let cap_total = Instance.max_total_cap inst in
   let quota_full () = Strategy.size s >= cap_total in
   (* flat mirrors of the three feasibility facts [Strategy.can_add] would
-     probe hashtables for — display fill per (user, time), the distinct-user
-     holder set and count per item. The strategy remains the source of
-     truth (accept still goes through [Strategy.add]); these are read on
-     every heap pop, where four hashtable probes per cycle dominated the
-     selection loop. The holder set is keyed by pair id (one byte per view
-     pair); a base strategy's out-of-view triples spill into a side table
-     that no popped candidate ever consults — candidates are view pairs by
-     construction. A membership re-check is unnecessary: the heaps hold
-     each candidate at most once and a selected triple is deleted before
-     [accept], so a popped element can never already be in the strategy. *)
+     probe for — display fill per (user, time), the distinct-user holder
+     set and count per item. The strategy remains the source of truth
+     (accept still goes through [Strategy.add]); these are read on every
+     heap pop, where the probes per cycle dominated the selection loop.
+     Display fill is kept for the range's users and the holder set for its
+     pairs (one byte each): candidates are range pairs by construction.
+     A seeded run reads the starting values from the strategy's own flat
+     counts — no walk over its members. A membership re-check is
+     unnecessary: the heaps hold each candidate at most once and a
+     selected triple is deleted before [accept], so a popped element can
+     never already be in the strategy. *)
   let capacity = Array.init num_items (Instance.capacity inst) in
-  let disp = Array.make (num_users * stride) 0 in
+  let disp = Array.make ((uhi - ulo) * stride) 0 in
   let holds = Bytes.make npairs '\000' in
-  let holds_extra = Hashtbl.create 16 in
   let holders = Array.make num_items 0 in
   (* slate-only byte maps (empty on plain instances): [tsel] marks a
      (pair, time) whose triple is already selected in {e some} slot — the
@@ -210,39 +215,41 @@ let run ?(with_saturation = true) ?(heap = `Two_level) ?(lazy_forward = true)
      a run (the strategy only grows, slots never free), so blocked entries
      can be dropped for good, exactly like display/capacity blocks. *)
   let tsel = Bytes.make (if nsl = 1 then 0 else npairs * stride) '\000' in
-  let slot_taken = Bytes.make (if nsl = 1 then 0 else num_users * stride * nsl) '\000' in
-  let note (z : Triple.t) =
-    let dk = (z.u * stride) + z.t in
-    disp.(dk) <- disp.(dk) + 1;
-    let pid = Instance.pair_find inst ~u:z.u ~i:z.i in
-    if pid >= plo && pid < phi then begin
-      if Bytes.get holds (pid - plo) = '\000' then begin
-        Bytes.set holds (pid - plo) '\001';
-        holders.(z.i) <- holders.(z.i) + 1
-      end;
-      if nsl > 1 then Bytes.set tsel (((pid - plo) * stride) + z.t) '\001'
-    end
-    else begin
-      let hk = (z.u * num_items) + z.i in
-      if not (Hashtbl.mem holds_extra hk) then begin
-        Hashtbl.replace holds_extra hk ();
-        holders.(z.i) <- holders.(z.i) + 1
-      end
-    end;
-    if nsl > 1 then
-      match Strategy.slot_of s z with
-      | Some slot -> Bytes.set slot_taken ((dk * nsl) + slot - 1) '\001'
-      | None -> ()
-  in
-  List.iter note (Strategy.to_list s);
+  let slot_taken = Bytes.make (if nsl = 1 then 0 else (uhi - ulo) * stride * nsl) '\000' in
+  if seeded then begin
+    for i = 0 to num_items - 1 do
+      holders.(i) <- Strategy.item_user_count s i
+    done;
+    for u = ulo to uhi - 1 do
+      for t = 1 to horizon do
+        let dk = ((u - ulo) * stride) + t in
+        disp.(dk) <- Strategy.display_count s ~u ~time:t;
+        if nsl > 1 then
+          for slot = 1 to nsl do
+            if Strategy.slot_occupied s (Triple.make ~u ~i:0 ~t) ~slot then
+              Bytes.set slot_taken ((dk * nsl) + slot - 1) '\001'
+          done
+      done
+    done;
+    Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
+        let rel = pid - plo in
+        if Strategy.item_has_user s ~i:pi_arr.(rel) ~u then begin
+          Bytes.set holds rel '\001';
+          if nsl > 1 then
+            for t = 1 to horizon do
+              if Strategy.mem s (Triple.make ~u ~i:pi_arr.(rel) ~t) then
+                Bytes.set tsel ((rel * stride) + t) '\001'
+            done
+        end)
+  end;
   (* feasibility of a popped candidate: candidates always carry their own
-     view pair, so the holder probe is one byte read *)
+     range pair, so the holder probe is one byte read *)
   let feasible rel u i t slot =
-    disp.((u * stride) + t) < display_limit
+    disp.(((u - ulo) * stride) + t) < display_limit
     && (Bytes.get holds rel <> '\000' || holders.(i) < capacity.(i))
     && (nsl = 1
        || Bytes.get tsel ((rel * stride) + t) = '\000'
-          && Bytes.get slot_taken ((((u * stride) + t) * nsl) + slot - 1) = '\000')
+          && Bytes.get slot_taken (((((u - ulo) * stride) + t) * nsl) + slot - 1) = '\000')
   in
   (* the accepted marginal arrives through [res.(0)], not a float argument:
      without flambda a float parameter is boxed at the call boundary, and
@@ -250,7 +257,7 @@ let run ?(with_saturation = true) ?(heap = `Two_level) ?(lazy_forward = true)
   let accept rel u i t slot sl =
     let z = Triple.make ~u ~i ~t in
     if nsl = 1 then Strategy.add s z else Strategy.add ~slot s z;
-    let dk = (u * stride) + t in
+    let dk = ((u - ulo) * stride) + t in
     disp.(dk) <- disp.(dk) + 1;
     if Bytes.get holds rel = '\000' then begin
       Bytes.set holds rel '\001';
@@ -296,7 +303,7 @@ let run ?(with_saturation = true) ?(heap = `Two_level) ?(lazy_forward = true)
          global root before being re-staled; with the coarser user-sized
          groups every event would recompute the whole stale set at once,
          several times more oracle calls for the same trajectory. *)
-      Instance.iter_candidate_pairs inst (fun ~u ~pid ->
+      Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
           let rel = pid - plo in
           let i = pi_arr.(rel) in
           let sl = chain_slot.(rel) in
@@ -433,7 +440,7 @@ let run ?(with_saturation = true) ?(heap = `Two_level) ?(lazy_forward = true)
         by_item.(i) <- []
       in
       let maybe_purge i = if (not item_purged.(i)) && holders.(i) >= capacity.(i) then purge i in
-      Instance.iter_candidate_pairs inst (fun ~u ~pid ->
+      Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
           let rel = pid - plo in
           let i = pi_arr.(rel) in
           let sl = chain_slot.(rel) in
@@ -491,4 +498,26 @@ let run ?(with_saturation = true) ?(heap = `Two_level) ?(lazy_forward = true)
   Metrics.incr c_selected ~by:!selected;
   Metrics.incr c_celf_skips ~by:!celf_skips;
   if !truncated then Metrics.incr c_truncated;
-  (s, { marginal_evaluations = !evals; pops = !pops; selected = !selected; truncated = !truncated })
+  { marginal_evaluations = !evals; pops = !pops; selected = !selected; truncated = !truncated }
+
+let run ?(with_saturation = true) ?(heap = `Two_level) ?(lazy_forward = true)
+    ?(lazy_policy = `Celf) ?(evaluator = `Incremental) ?(allowed = fun _ -> true) ?base ?trace
+    ?budget inst =
+  Metrics.span "greedy.run" @@ fun () ->
+  if (not lazy_forward) && heap = `Giant then
+    invalid_arg "Greedy.run: eager refresh requires the two-level heap";
+  let s = match base with Some b -> Strategy.copy b | None -> Strategy.create inst in
+  let stats =
+    select ~with_saturation ~heap ~lazy_forward ~lazy_policy ~evaluator ~allowed ?trace ?budget
+      ~users:(Instance.user_range inst) inst s
+  in
+  (s, stats)
+
+let plan_rows ?(allowed = fun _ -> true) ?budget s ~users =
+  Metrics.span "greedy.plan_rows" @@ fun () ->
+  let inst = Strategy.instance s in
+  let lo, hi = Instance.user_range inst and ulo, uhi = users in
+  if ulo < lo || uhi > hi || ulo > uhi then
+    invalid_arg "Greedy.plan_rows: user range outside the instance";
+  select ~with_saturation:true ~heap:`Two_level ~lazy_forward:true ~lazy_policy:`Celf
+    ~evaluator:`Incremental ~allowed ?budget ~users inst s

@@ -73,4 +73,41 @@ val run :
     When [budget] is given, evaluation charges accumulate into it (so one
     budget can be shared across several runs) and the run stops as soon as
     the budget is exhausted after a selection; the budgeted run's selection
-    sequence is a prefix of the unbudgeted one's. *)
+    sequence is a prefix of the unbudgeted one's.
+
+    With [base], the run plans on a {!Strategy.copy} of it: exactly
+    {!plan_rows} over the instance's whole user range on that copy. *)
+
+val plan_rows :
+  ?allowed:(Triple.t -> bool) ->
+  ?budget:Revmax_prelude.Budget.t ->
+  Strategy.t ->
+  users:int * int ->
+  stats
+(** [plan_rows s ~users:(lo, hi)] runs the default greedy in place on [s]
+    over the candidate rows of users [lo .. hi - 1] of [s]'s instance —
+    the same selection loop as {!run}, with no copy. A triple's marginal
+    depends only on its own user's same-class chain (§5.1), so a
+    dynamic event needs only the affected users' rows planned again.
+
+    Cost is in proportion to the rows: candidates are registered, and the
+    per-run state sized, for the range's pairs only; the starting display
+    fill and holder counts are read from [s]'s own counts, not from its
+    members. [allowed] is consulted once per candidate, before the first
+    selection. Capacities and the display limit are checked against the
+    whole of [s], so the result stays valid when [s] was.
+
+    {b Tie order.} Entry ids are taken relative to the range's first
+    pair, so they keep the (user, item, time) order of the whole
+    instance's ids and every heap tie falls as in {!run}.
+
+    {b Precondition for bit-identity.} [plan_rows s] selects exactly the
+    triples [run ~allowed ~base:s] would (restricted to the range's
+    users), with the same statistics, when the chains of the range's
+    users are canonical — cached exactly as {!Strategy.copy} rebuilds
+    them. A chain is canonical after it was built in ascending
+    (time, item) order or {!Chain.recompute}d, and stops being so when
+    triples are inserted out of order, as any greedy run does. Callers
+    that replan a live strategy call {!Strategy.recompute_chains} on the
+    users planned since (or, after a whole-instance plan, on every
+    chain). *)

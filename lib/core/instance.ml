@@ -254,7 +254,9 @@ let is_packed t = match t.backend with Heap_b _ -> false | Packed_b _ -> true
 
 let pair_count t = t.row_off.(t.num_users)
 
-let pair_range t = (t.row_off.(t.u_lo), t.row_off.(t.u_hi))
+let pair_range ?users t =
+  let lo, hi = match users with Some r -> r | None -> (t.u_lo, t.u_hi) in
+  (t.row_off.(lo), t.row_off.(hi))
 
 let pair_item t pid =
   match t.backend with Heap_b h -> h.items.(pid) | Packed_b p -> p.item.{pid}
@@ -308,8 +310,9 @@ let pair_user t pid =
 
 let pair_row t u = (t.row_off.(u), t.row_off.(u + 1))
 
-let iter_candidate_pairs t f =
-  for u = t.u_lo to t.u_hi - 1 do
+let iter_candidate_pairs ?users t f =
+  let lo, hi = match users with Some r -> r | None -> (t.u_lo, t.u_hi) in
+  for u = lo to hi - 1 do
     for pid = t.row_off.(u) to t.row_off.(u + 1) - 1 do
       f ~u ~pid
     done

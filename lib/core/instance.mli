@@ -176,9 +176,10 @@ val rating : t -> u:int -> i:int -> float option
 val pair_count : t -> int
 (** Total number of candidate pairs of the full instance. *)
 
-val pair_range : t -> int * int
+val pair_range : ?users:int * int -> t -> int * int
 (** The view's pair-id range [(lo, hi)) — [(0, pair_count t)] for a full
-    instance. *)
+    instance; with [users], the range of those users' rows (see
+    {!iter_candidate_pairs}). *)
 
 val pair_item : t -> int -> int
 (** The item of a pair id. *)
@@ -198,9 +199,11 @@ val pair_row : t -> int -> int * int
 (** [pair_row t u]: the pair-id range [(lo, hi)) of user [u]'s candidate
     row. *)
 
-val iter_candidate_pairs : t -> (u:int -> pid:int -> unit) -> unit
+val iter_candidate_pairs : ?users:int * int -> t -> (u:int -> pid:int -> unit) -> unit
 (** Visit the view's candidate pairs in pair-id order (users ascending,
-    items ascending within a user). *)
+    items ascending within a user) — only the rows of users
+    [lo .. hi - 1] when [users = (lo, hi)], a sub-range of
+    {!user_range}, whose pairs are exactly [pair_range ~users]. *)
 
 val is_packed : t -> bool
 (** Whether the instance is backed by a memory-mapped pack file. *)

@@ -94,7 +94,9 @@ val removal_loss : with_saturation:bool -> Instance.t -> Strategy.t -> u:int -> 
     (user, class) chain. Chains are canonically ordered and per-user, so
     the value is bit-identical whether computed against the merged global
     strategy or against the user's shard-local strategy; {!Hier_greedy}
-    relies on this to rank candidates child-side. *)
+    relies on this to rank candidates child-side, and the serving layer
+    ranks its releases by the same key. It is computed from the chain's
+    members, never from its cached aggregates. *)
 
 val triple_removal_loss : with_saturation:bool -> Instance.t -> Strategy.t -> Triple.t -> float
 (** The quantity-trim ranking key: the revenue lost when one triple leaves

@@ -216,6 +216,19 @@ let remove t z =
 let to_list t =
   Hashtbl.fold (fun z () acc -> z :: acc) t.triples [] |> List.sort Triple.compare
 
+(* ----- row accessors: none of them sorts the strategy ----- *)
+
+let remove_pair t ~u ~i =
+  if pair_reps_count t ~u ~i > 0 then
+    for time = 1 to Instance.horizon t.inst do
+      let z = Triple.make ~u ~i ~t:time in
+      if Hashtbl.mem t.triples z then remove t z
+    done
+
+let item_holders t i =
+  Hashtbl.fold (fun (z : Triple.t) () acc -> if z.i = i then z.u :: acc else acc) t.triples []
+  |> List.sort_uniq Int.compare
+
 let of_list inst l =
   let t = create inst in
   List.iter (add t) l;
@@ -243,6 +256,15 @@ let chain_size t ~u ~cls =
   match chain_view t ~u ~cls with None -> 0 | Some c -> Chain.length c
 
 let iter_chains t f = Hashtbl.iter (fun _ c -> f c) t.chains
+
+let iter_user_chains t ~u f =
+  let nc = Instance.num_classes t.inst in
+  for cls = 0 to nc - 1 do
+    match Hashtbl.find_opt t.chains ((u * nc) + cls) with Some c -> f c | None -> ()
+  done
+
+let recompute_chains ?u t =
+  match u with None -> iter_chains t Chain.recompute | Some u -> iter_user_chains t ~u Chain.recompute
 
 (* the three feasibility probes below run once per heap pop in heap modes
    without their own mirrors; each is a single flat array read *)

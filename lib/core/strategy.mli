@@ -48,7 +48,30 @@ val remove : t -> Triple.t -> unit
     removals are never silently ignored). *)
 
 val to_list : t -> Triple.t list
-(** All triples in [Triple.compare] order. *)
+(** All triples in [Triple.compare] order. It allocates and sorts the
+    whole strategy, O(|S| log |S|); the row accessors below reach one
+    pair's, item's or user's triples without that sort. *)
+
+(** {1 Row accessors}
+
+    Operations on one pair's, one item's or one user's triples of a live
+    strategy, none of which sorts it. *)
+
+val remove_pair : t -> u:int -> i:int -> unit
+(** Remove every member triple of the (user, item) pair, probing its [T]
+    times in ascending order: O(T) probes plus one chain rebuild per
+    removed triple. A no-op when the pair holds nothing. *)
+
+val item_holders : t -> int -> int list
+(** The distinct users holding item [i], ascending: one unordered pass
+    over the members, O(|S|), without the sort of {!to_list}. *)
+
+val recompute_chains : ?u:int -> t -> unit
+(** {!Chain.recompute} every chain, or only user [u]'s: afterwards each
+    chain's cached aggregates are exactly those {!copy} would rebuild. A
+    caller that grows a strategy in place, instead of planning on a
+    copy, calls it on the chains the copy would have rebuilt
+    differently. *)
 
 val of_list : Instance.t -> Triple.t list -> t
 

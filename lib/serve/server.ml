@@ -6,6 +6,7 @@ module Strategy = Revmax.Strategy
 module Triple = Revmax.Triple
 module Greedy = Revmax.Greedy
 module Revenue = Revmax.Revenue
+module Shard_greedy = Revmax.Shard_greedy
 module Io = Revmax.Io
 
 type config = {
@@ -27,10 +28,15 @@ let default_config ~data_dir =
     seed = 0;
   }
 
+(* Which chains may hold cached aggregates a copy-based replan would have
+   rebuilt differently (see [canonicalize]). *)
+type grown = Every_chain | User of int | No_chain
+
 type t = {
   cfg : config;
   inst : Instance.t;
-  mutable strategy_ : Strategy.t;
+  strategy_ : Strategy.t; (* the live strategy: every event mutates it in place *)
+  mutable grown : grown;
   adopted : (int * int, unit) Hashtbl.t;
   organic : int array; (* per-item capacity units consumed outside the plan *)
   stale : (int, unit) Hashtbl.t; (* users whose last replan was truncated *)
@@ -85,37 +91,53 @@ let is_degraded st = Hashtbl.length st.stale > 0
 
 let effective_capacity st i = max 0 (Instance.capacity st.inst i - st.organic.(i))
 
-(* remove every planned triple of the (u, i) pair *)
-let remove_pair st u i =
-  List.iter
-    (fun (z : Triple.t) -> if z.u = u && z.i = i then Strategy.remove st.strategy_ z)
-    (Strategy.to_list st.strategy_)
+(* Chain canonicalization. Chain aggregates are floating-point folds whose
+   bits depend on insertion order. The serving fold's outputs (top-k
+   scores, replan marginals) are defined as those of planning each replan
+   on a fresh [Strategy.copy], which rebuilds every chain in ascending
+   (time, item) order. Replanning in place keeps them bit-identical by
+   recomputing, before each replan, exactly the chains such a copy would
+   have rebuilt differently: every chain after the boot plan (a greedy
+   run inserts out of order), afterwards only the chains of the user the
+   previous replan grew. Removals need nothing: [Chain.remove] ends in the
+   same rebuild. *)
+let canonicalize st =
+  (match st.grown with
+  | Every_chain -> Strategy.recompute_chains st.strategy_
+  | User u -> Strategy.recompute_chains ~u st.strategy_
+  | No_chain -> ());
+  st.grown <- No_chain
 
 (* Replan one user against the committed remainder of the strategy: the
-   PR 5 repair path. Selection is restricted to the user's future slots;
-   adopted pairs are out, and a new (user, item) pair must fit the item's
-   *effective* capacity (instance capacity minus externally consumed
-   units). Because exactly one user is replanned per call, checking the
-   pair-count against the pre-replan strategy is exact. The work cap is a
-   deterministic evaluation budget — wall-clock caps would make live
-   execution and WAL replay diverge; a truncated replan leaves a valid
-   prefix and flags the user for the next Repair event (degraded mode). *)
+   sharded planner's repair path, run in place over the user's own
+   candidate row.
+   Selection is restricted to the user's future slots; adopted pairs are
+   out, and a new (user, item) pair must fit the item's *effective*
+   capacity (instance capacity minus externally consumed units). Because
+   exactly one user is replanned per call, and [allowed] is consulted
+   before the first selection, checking the pair-count against the
+   pre-replan strategy is exact. The work cap is a deterministic
+   evaluation budget — wall-clock caps would make live execution and WAL
+   replay diverge; a truncated replan leaves a valid prefix and flags the
+   user for the next Repair event (degraded mode). *)
 let replan_user st ~capped u =
   let budget =
     if capped then Option.map (fun n -> Budget.create ~max_evaluations:n ()) st.cfg.replan_evals
     else None
   in
-  let base = st.strategy_ in
+  let s = st.strategy_ in
   let allowed (z : Triple.t) =
-    z.u = u && z.t > st.now_
+    z.t > st.now_
     && (not (Hashtbl.mem st.adopted (z.u, z.i)))
-    && (Strategy.item_has_user base ~i:z.i ~u:z.u
-       || Strategy.item_user_count base z.i < effective_capacity st z.i)
+    && (Strategy.item_has_user s ~i:z.i ~u:z.u
+       || Strategy.item_user_count s z.i < effective_capacity st z.i)
   in
-  let s', (gstats : Greedy.stats) =
-    Metrics.span_t t_replan (fun () -> Greedy.run ?budget ~allowed ~base st.inst)
+  let (gstats : Greedy.stats) =
+    Metrics.span_t t_replan (fun () ->
+        canonicalize st;
+        Greedy.plan_rows ?budget ~allowed s ~users:(u, u + 1))
   in
-  st.strategy_ <- s';
+  st.grown <- User u;
   Metrics.incr c_replans;
   if gstats.truncated then begin
     Hashtbl.replace st.stale u ();
@@ -123,32 +145,27 @@ let replan_user st ~capped u =
   end
   else Hashtbl.remove st.stale u
 
-(* removal loss as in Shard_greedy's reconciliation: the chain-revenue
-   delta of dropping the (u, i) pair from the user's affected chain *)
-let removal_loss st ~u ~i =
-  let cls = Instance.class_of st.inst i in
-  let chain = Strategy.chain st.strategy_ ~u ~cls in
-  let keep = List.filter (fun (z : Triple.t) -> z.i <> i) chain in
-  Revenue.chain_revenue st.inst chain -. Revenue.chain_revenue st.inst keep
-
 (* When consumed stock pushes an item's effective capacity below its
    current holder count, release the holders of globally lowest removal
    loss (ties to the lower user id) and replan each — the same
-   deterministic reconciliation contract as the sharded planner's. *)
+   deterministic reconciliation contract, and the same ranking key, as
+   the sharded planner's. The holder count is one array read, so an item
+   within its capacity (the common case) costs O(1). *)
 let reconcile_item st i =
-  let holders =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (z : Triple.t) -> if z.i = i then Some z.u else None)
-         (Strategy.to_list st.strategy_))
-  in
-  let excess = List.length holders - effective_capacity st i in
+  let s = st.strategy_ in
+  let excess = Strategy.item_user_count s i - effective_capacity st i in
   if excess > 0 then begin
-    let ranked = List.sort compare (List.map (fun u -> (removal_loss st ~u ~i, u)) holders) in
+    let holders = Strategy.item_holders s i in
+    let ranked =
+      List.sort compare
+        (List.map
+           (fun u -> (Shard_greedy.removal_loss ~with_saturation:true st.inst s ~u ~i, u))
+           holders)
+    in
     let released =
       List.filteri (fun rank _ -> rank < excess) ranked |> List.map snd |> List.sort compare
     in
-    List.iter (fun u -> remove_pair st u i) released;
+    List.iter (fun u -> Strategy.remove_pair s ~u ~i) released;
     Metrics.incr c_released ~by:excess;
     List.iter (fun u -> replan_user st ~capped:true u) released
   end
@@ -177,7 +194,7 @@ let apply_state st (ev : Journal.event) =
            horizon whether or not the plan had reached them; their planned
            recommendations of the item are now worthless *)
         st.organic.(i) <- min (Instance.capacity st.inst i) (st.organic.(i) + 1);
-        remove_pair st u i;
+        Strategy.remove_pair st.strategy_ ~u ~i;
         reconcile_item st i;
         replan_user st ~capped:true u
       end
@@ -340,6 +357,8 @@ let create cfg inst =
           cfg;
           inst;
           strategy_;
+          (* loaded in sorted order: every chain was built ascending *)
+          grown = No_chain;
           adopted;
           organic;
           stale;
@@ -360,6 +379,7 @@ let create cfg inst =
           cfg;
           inst;
           strategy_;
+          grown = Every_chain;
           adopted = Hashtbl.create 64;
           organic = Array.make (Instance.num_items inst) 0;
           stale = Hashtbl.create 8;

@@ -13,11 +13,15 @@
       not the adopter was a planned recipient), over-subscribed holders
       are released exactly as in {!Revmax.Shard_greedy}'s reconciliation
       (lowest removal-loss first, ties to the lower user id) and each
-      affected user is {e incrementally replanned} via
-      [Greedy.run ~allowed ~base] — selection restricted to the user's
-      future ([t > now]) slots against the committed remainder of the
-      strategy. Realized revenue [p(i, t)] is attributed, split into
-      recommended vs organic adoptions.
+      affected user is {e incrementally replanned} in place via
+      [Greedy.plan_rows] over the user's own candidate row — selection
+      restricted to the user's future ([t > now]) slots against the
+      committed remainder of the strategy. The result is bit-identical
+      to planning on a copy ([Greedy.run ~allowed ~base]): before each
+      replan the server rebuilds exactly the chains such a copy would
+      have rebuilt differently (DESIGN.md §12). Realized revenue
+      [p(i, t)] is attributed, split into recommended vs organic
+      adoptions.
     - [Click (u, i, t)] — attribution only (served→clicked→adopted
       pipeline counters); no planner state change.
     - [Cap (i, delta)] — external inventory adjustment: positive [delta]
@@ -87,6 +91,10 @@ val create : config -> Revmax.Instance.t -> t
 (** {1 State observation (tests, driver)} *)
 
 val strategy : t -> Revmax.Strategy.t
+(** The live strategy itself, not a copy: {!apply} mutates it in place,
+    so a caller that needs the plan as of one event should
+    [Strategy.copy] it. Mutating it from outside breaks the fold. *)
+
 val seq : t -> int64
 (** Events applied so far; event [n] (1-based) carries seq [n]. *)
 
@@ -169,4 +177,6 @@ val serve_unix : t -> path:string -> unit
 
 val topk_of_strategy :
   Revmax.Instance.t -> Revmax.Strategy.t -> u:int -> time:int -> k:int -> (int * float) list
-(** The pure scoring behind {!topk} (for reference checks). *)
+(** The pure scoring behind {!topk} (for reference checks): each of the
+    user's [time] triples scored by price × its chain's cached adoption
+    probability. *)

@@ -326,6 +326,59 @@ let test_marginal_identity_small () =
 
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
 
+(* The canonicalization rule behind in-place replanning (DESIGN.md §5b):
+   a chain's cached floats are folds whose bits depend on insertion order,
+   and [Chain.recompute] brings any insertion order back to exactly the
+   bits of an ascending (time, item) build — the build [Strategy.copy]
+   performs — for plain inserts and slot-scaled [qz] inserts alike. *)
+let prop_chain_recompute_is_canonical =
+  let module Chain = Revmax.Chain in
+  QCheck2.Test.make ~name:"recompute after any insertion order = ascending build, bit for bit"
+    ~count:300 seed_gen (fun seed ->
+      let rng = Rng.create seed in
+      (* one user, one class: every (item, time) shares a single chain *)
+      let inst = random_instance ~max_users:1 ~max_items:5 ~max_horizon:5 ~max_classes:1 rng in
+      let members = ref [] in
+      for i = 0 to Instance.num_items inst - 1 do
+        for t = 1 to Instance.horizon inst do
+          if Rng.bernoulli rng 0.6 then members := triple 0 i t :: !members
+        done
+      done;
+      let ascending = List.sort (fun (a : Triple.t) b -> compare (a.t, a.i) (b.t, b.i)) !members in
+      let shuffled = Array.of_list ascending in
+      Rng.shuffle rng shuffled;
+      let bits = Int64.bits_of_float in
+      let same a b = Int64.equal (bits a) (bits b) in
+      List.for_all
+        (fun scaled ->
+          (* a slate strategy stores a slot-scaled q̃ per member; the same
+             q̃ must travel with the triple whatever the insertion order *)
+          let qz = Hashtbl.create 8 in
+          List.iter
+            (fun (z : Triple.t) ->
+              Hashtbl.replace qz z
+                (Rng.uniform_in rng 0.2 1.0 *. Instance.q inst ~u:z.u ~i:z.i ~time:z.t))
+            ascending;
+          let insert c z =
+            if scaled then Chain.insert ~qz:(Hashtbl.find qz z) c z else Chain.insert c z
+          in
+          let canonical = Chain.create inst in
+          List.iter (insert canonical) ascending;
+          let c = Chain.create inst in
+          Array.iter (insert c) shuffled;
+          Chain.recompute c;
+          List.for_all
+            (fun z ->
+              match (Chain.aggregates canonical z, Chain.aggregates c z) with
+              | Some (m1, c1, p1), Some (m2, c2, p2) -> same m1 m2 && same c1 c2 && same p1 p2
+              | _ -> false)
+            ascending
+          && List.for_all
+               (fun with_saturation ->
+                 same (Chain.revenue ~with_saturation canonical) (Chain.revenue ~with_saturation c))
+               [ true; false ])
+        [ false; true ])
+
 let prop_marginal_identity =
   QCheck2.Test.make ~name:"RevS(z) = Rev(S∪{z}) − Rev(S)" ~count:150 seed_gen (fun seed ->
       let rng = Rng.create seed in
@@ -653,6 +706,7 @@ let () =
           Alcotest.test_case "add/remove" `Quick test_strategy_add_remove;
           Alcotest.test_case "remove exactly one" `Quick test_strategy_remove_exactly_one;
           Alcotest.test_case "chain remove clears tail" `Quick test_chain_remove_clears_tail;
+          QCheck_alcotest.to_alcotest prop_chain_recompute_is_canonical;
           Alcotest.test_case "chain order" `Quick test_strategy_chain_order;
           Alcotest.test_case "display constraint" `Quick test_strategy_constraints;
           Alcotest.test_case "capacity tracking" `Quick test_strategy_capacity_tracking;

@@ -502,6 +502,241 @@ let test_wire_hostile_bytes_never_raise () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* In-place replanning ≡ copy-based replanning                         *)
+(* ------------------------------------------------------------------ *)
+
+module Triple = Revmax.Triple
+module Greedy = Revmax.Greedy
+module Revenue = Revmax.Revenue
+module Budget = Revmax_prelude.Budget
+
+(* A test-local reference of the serving fold as it was defined before
+   replanning went in place: every replan plans on a fresh copy through
+   [Greedy.run ~allowed ~base], and pair removal, reconciliation and
+   top-k all walk the sorted [Strategy.to_list]. The live server must
+   match it bit for bit after every event. *)
+module Copy_fold = struct
+  type t = {
+    inst : Instance.t;
+    replan_evals : int option;
+    mutable s : Strategy.t;
+    adopted : (int * int, unit) Hashtbl.t;
+    organic : int array;
+    stale : (int, unit) Hashtbl.t;
+    mutable now : int;
+    mutable realized_rec : float;
+    mutable realized_org : float;
+    mutable released : int;
+    mutable truncated : int;
+  }
+
+  let create ?replan_evals inst =
+    {
+      inst;
+      replan_evals;
+      s = fst (Greedy.run inst);
+      adopted = Hashtbl.create 16;
+      organic = Array.make (Instance.num_items inst) 0;
+      stale = Hashtbl.create 8;
+      now = 0;
+      realized_rec = 0.0;
+      realized_org = 0.0;
+      released = 0;
+      truncated = 0;
+    }
+
+  let stale_users r = Hashtbl.fold (fun u () acc -> u :: acc) r.stale [] |> List.sort compare
+  let realized r = r.realized_rec +. r.realized_org
+  let effective_capacity r i = max 0 (Instance.capacity r.inst i - r.organic.(i))
+
+  let remove_pair r u i =
+    List.iter
+      (fun (z : Triple.t) -> if z.u = u && z.i = i then Strategy.remove r.s z)
+      (Strategy.to_list r.s)
+
+  let replan_user r ~capped u =
+    let budget =
+      if capped then Option.map (fun n -> Budget.create ~max_evaluations:n ()) r.replan_evals
+      else None
+    in
+    let base = r.s in
+    let allowed (z : Triple.t) =
+      z.u = u && z.t > r.now
+      && (not (Hashtbl.mem r.adopted (z.u, z.i)))
+      && (Strategy.item_has_user base ~i:z.i ~u:z.u
+         || Strategy.item_user_count base z.i < effective_capacity r z.i)
+    in
+    let s', (st : Greedy.stats) = Greedy.run ?budget ~allowed ~base r.inst in
+    r.s <- s';
+    if st.truncated then begin
+      Hashtbl.replace r.stale u ();
+      r.truncated <- r.truncated + 1
+    end
+    else Hashtbl.remove r.stale u
+
+  let removal_loss r ~u ~i =
+    let chain = Strategy.chain r.s ~u ~cls:(Instance.class_of r.inst i) in
+    let keep = List.filter (fun (z : Triple.t) -> z.i <> i) chain in
+    Revenue.chain_revenue r.inst chain -. Revenue.chain_revenue r.inst keep
+
+  let reconcile_item r i =
+    let holders =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun (z : Triple.t) -> if z.i = i then Some z.u else None)
+           (Strategy.to_list r.s))
+    in
+    let excess = List.length holders - effective_capacity r i in
+    if excess > 0 then begin
+      let ranked = List.sort compare (List.map (fun u -> (removal_loss r ~u ~i, u)) holders) in
+      let released =
+        List.filteri (fun rank _ -> rank < excess) ranked |> List.map snd |> List.sort compare
+      in
+      List.iter (fun u -> remove_pair r u i) released;
+      r.released <- r.released + excess;
+      List.iter (fun u -> replan_user r ~capped:true u) released
+    end
+
+  let apply r (ev : Journal.event) =
+    match ev with
+    | Click { t; _ } -> r.now <- max r.now t
+    | Adopt { u; i; t } ->
+        r.now <- max r.now t;
+        if not (Hashtbl.mem r.adopted (u, i)) then begin
+          Hashtbl.replace r.adopted (u, i) ();
+          let price = Instance.price r.inst ~i ~time:t in
+          if Strategy.item_has_user r.s ~i ~u then r.realized_rec <- r.realized_rec +. price
+          else r.realized_org <- r.realized_org +. price;
+          r.organic.(i) <- min (Instance.capacity r.inst i) (r.organic.(i) + 1);
+          remove_pair r u i;
+          reconcile_item r i;
+          replan_user r ~capped:true u
+        end
+    | Cap { i; delta } ->
+        let before = r.organic.(i) in
+        r.organic.(i) <- max 0 (min (Instance.capacity r.inst i) (before + delta));
+        if r.organic.(i) > before then reconcile_item r i
+    | Repair -> List.iter (fun u -> replan_user r ~capped:false u) (stale_users r)
+
+  let topk r ~u ~time ~k =
+    let scored =
+      List.filter_map
+        (fun (z : Triple.t) ->
+          if z.u = u && z.t = time then
+            Some (z.i, Instance.price r.inst ~i:z.i ~time *. Revenue.dynamic_probability_in r.s z)
+          else None)
+        (Strategy.to_list r.s)
+    in
+    List.sort (fun (i1, s1) (i2, s2) -> if s1 <> s2 then compare s2 s1 else compare i1 i2) scored
+    |> List.filteri (fun rank _ -> rank < k)
+end
+
+(* tight capacities, so adoptions and stock shocks force releases *)
+let contended_serve_instance ~seed =
+  let base = Scalability.with_users Scalability.default_config 24 in
+  Scalability.generate
+    {
+      base with
+      Scalability.num_items = 48;
+      num_classes = 4;
+      items_per_user = 10;
+      capacity = Revmax_datagen.Pipeline.Cap_gaussian { mean = 4.0; sigma = 1.0 };
+    }
+    ~seed
+
+let sorted_triples s =
+  List.sort compare (List.map (fun (z : Triple.t) -> (z.u, z.i, z.t)) (Strategy.to_list s))
+
+(* the server's whole observable fold state against the reference: the
+   sorted triples, the stale users, the realized revenue, and every
+   (user, time) top-k answer with its scores compared bit for bit *)
+let check_against_reference ~what inst st (r : Copy_fold.t) =
+  let bits = Int64.bits_of_float in
+  if sorted_triples (Server.strategy st) <> sorted_triples r.s then
+    Alcotest.failf "%s: planned triples differ" what;
+  if Server.stale_users st <> Copy_fold.stale_users r then Alcotest.failf "%s: stale users differ" what;
+  if not (Int64.equal (bits (Server.realized_revenue st)) (bits (Copy_fold.realized r))) then
+    Alcotest.failf "%s: realized revenue differs" what;
+  let k = Instance.display_limit inst + 1 in
+  for u = 0 to Instance.num_users inst - 1 do
+    for time = 1 to Instance.horizon inst do
+      let live, _ = Server.topk st ~u ~time ~k in
+      let expected = Copy_fold.topk r ~u ~time ~k in
+      if
+        List.length live <> List.length expected
+        || not
+             (List.for_all2
+                (fun (i1, s1) (i2, s2) -> i1 = i2 && Int64.equal (bits s1) (bits s2))
+                live expected)
+      then Alcotest.failf "%s: top-k of user %d at time %d differs" what u time
+    done
+  done
+
+let copy_data_dir ~src ~dst =
+  Unix.mkdir dst 0o700;
+  List.iter
+    (fun f ->
+      let from = Filename.concat src f in
+      if Sys.file_exists from then
+        Out_channel.with_open_bin (Filename.concat dst f) (fun oc ->
+            Out_channel.output_string oc (In_channel.with_open_bin from In_channel.input_all)))
+    [ "snapshot.revmax"; "journal.wal" ]
+
+let test_in_place_replan_matches_copy_based () =
+  with_temp_dir @@ fun dir ->
+  let released = ref 0 and truncated = ref 0 and runs = ref 0 in
+  List.iter
+    (fun seed ->
+      let inst = contended_serve_instance ~seed in
+      let events = Driver.synth_workload inst ~seed ~events:150 in
+      let crash_at = 97 in
+      List.iter
+        (fun replan_evals ->
+          incr runs;
+          let data_dir = Filename.concat dir (Printf.sprintf "live-%d" !runs) in
+          let cfg =
+            { (Server.default_config ~data_dir) with Server.snapshot_every = 17; replan_evals }
+          in
+          let st = Server.create cfg inst in
+          let r = Copy_fold.create ?replan_evals inst in
+          let recovered = ref None in
+          List.iteri
+            (fun n ev ->
+              (match Server.apply st ev with Ok _ -> () | Error e -> Err.raise_ e);
+              Copy_fold.apply r ev;
+              let what = Format.asprintf "seed %d, event %d (%a)" seed (n + 1) Journal.pp_event ev in
+              check_against_reference ~what inst st r;
+              (match !recovered with
+              | Some st' -> (
+                  match Server.apply st' ev with Ok _ -> () | Error e -> Err.raise_ e)
+              | None -> ());
+              if n + 1 = crash_at then begin
+                (* a crash image of the live directory, recovered on the
+                   spot: snapshot plus journal tail must rebuild the fold *)
+                let crash_dir = Filename.concat dir (Printf.sprintf "crash-%d" !runs) in
+                copy_data_dir ~src:data_dir ~dst:crash_dir;
+                let st' = Server.create { cfg with Server.data_dir = crash_dir } inst in
+                Alcotest.check outcome_t "recovered mid-run" (Driver.outcome_of_server st)
+                  (Driver.outcome_of_server st');
+                recovered := Some st'
+              end)
+            events;
+          (match !recovered with
+          | Some st' ->
+              (* after the recovered server replanned again, its chains are
+                 canonical exactly where the live ones are *)
+              check_against_reference ~what:(Printf.sprintf "seed %d, recovered" seed) inst st' r;
+              Server.close st'
+          | None -> Alcotest.fail "no crash image was taken");
+          Server.close st;
+          released := !released + r.released;
+          truncated := !truncated + r.truncated)
+        [ None; Some 3 ])
+    [ 1; 2; 3; 4 ];
+  Alcotest.(check bool) "the workloads released over-subscribed holders" true (!released > 0);
+  Alcotest.(check bool) "the capped runs truncated replans" true (!truncated > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Fork/kill/restart driver                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -663,6 +898,8 @@ let () =
           Alcotest.test_case "corrupt snapshot is a typed error" `Quick
             test_corrupt_snapshot_is_typed_error;
           Alcotest.test_case "topk scoring and order" `Quick test_topk_scores_and_order;
+          Alcotest.test_case "in-place replanning matches copy-based" `Quick
+            test_in_place_replan_matches_copy_based;
           Alcotest.test_case "hostile events refused unjournaled" `Quick
             test_invalid_events_refused_without_journaling;
         ] );
