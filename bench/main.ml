@@ -79,12 +79,13 @@ let bench_heap_churn () =
 let bench_two_level_churn () =
   let module Tl = Revmax_pqueue.Two_level_heap in
   Bechamel.Staged.stage (fun () ->
-      let h = Tl.create () in
+      let h = Tl.create ~groups:8 ~width:8 in
+      (* the i-th insert goes to group i mod 8, as its (i / 8)-th entry *)
       for i = 0 to 63 do
-        Tl.insert h ~pair:(i mod 8) ~key:(float_of_int ((i * 37) mod 64)) i
+        Tl.insert h ~key:(float_of_int ((i * 37) mod 64)) (((i mod 8) * 8) + (i / 8))
       done;
       while not (Tl.is_empty h) do
-        ignore (Tl.delete_max h)
+        Tl.drop_max h
       done)
 
 let bench_poisson_binomial () =

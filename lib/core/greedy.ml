@@ -75,8 +75,8 @@ let select ~with_saturation ~heap ~lazy_forward ~lazy_policy ~evaluator ~allowed
   (* staleness stamp per entry — the chain length at the last evaluation.
      Chain lengths are small integers, exact in floating point, so the
      stamp compares exactly. The adoption probability itself is no longer
-     mirrored per entry: [Instance.pair_q] reads the same IEEE double
-     straight from the CSR row (heap array or mmapped pack). *)
+     mirrored per entry: [Instance.pair_q_into] reads the same IEEE
+     double straight from the CSR row (heap array or mmapped pack). *)
   let stamp = Array.make neid 0.0 in
   let cls_arr = Array.init num_items (Instance.class_of inst) in
   let prf = Array.make (num_items * stride) 0.0 in
@@ -157,16 +157,17 @@ let select ~with_saturation ~heap ~lazy_forward ~lazy_policy ~evaluator ~allowed
         match chains.(chain_slot.(eid / estride)) with
         | Some c ->
             let cells = Chain.oracle_cells c in
-            cells.(3) <-
-              mult.(eid mod nsl) *. Instance.pair_q inst ~pid:(plo + (eid / estride)) ~time:t;
+            (* q is read into the cell, not returned: a float result of
+               [Instance.pair_q] is boxed at the call *)
+            Instance.pair_q_into inst ~pid:(plo + (eid / estride)) ~time:t cells 3;
+            cells.(3) <- mult.(eid mod nsl) *. cells.(3);
             cells.(4) <- prf.((i * stride) + t);
             cells.(5) <- beta_arr.(i);
             Chain.marginal_cells ~with_saturation c ~time:t ~res
         | None ->
-            let qz =
-              mult.(eid mod nsl) *. Instance.pair_q inst ~pid:(plo + (eid / estride)) ~time:t
-            in
-            res.(0) <- (if qz <= 0.0 then 0.0 else prf.((i * stride) + t) *. qz))
+            Instance.pair_q_into inst ~pid:(plo + (eid / estride)) ~time:t res 0;
+            res.(0) <- mult.(eid mod nsl) *. res.(0);
+            res.(0) <- (if res.(0) <= 0.0 then 0.0 else prf.((i * stride) + t) *. res.(0)))
   in
   (* boxed-float view of the oracle for the cold paths (initial keys, bulk
      group refreshes) *)
@@ -293,7 +294,7 @@ let select ~with_saturation ~heap ~lazy_forward ~lazy_policy ~evaluator ~allowed
   in
   (match heap with
   | `Two_level ->
-      let h = Tl.create () in
+      let h = Tl.create ~groups:npairs ~width:estride in
       (* Groups are keyed by the paper's (user, item) pair — the view pair
          rank [pid − plo] — so a refresh event touches one pair's
          horizon-bounded lower heap, exactly §5.1's granularity. A
@@ -316,7 +317,7 @@ let select ~with_saturation ~heap ~lazy_forward ~lazy_policy ~evaluator ~allowed
                   let qe = mult.(slot - 1) *. qv in
                   if qe > 0.0 then begin
                     let eid = register rel i t sl ~slot in
-                    Tl.insert h ~pair:rel ~key:(build_key eid u i t qe sl) ~tie:eid eid
+                    Tl.insert h ~key:(build_key eid u i t qe sl) eid
                   end
                 done
             end

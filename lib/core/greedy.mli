@@ -2,8 +2,21 @@
     hill-climber over the whole ground set [U × I × \[T\]] that repeatedly
     adds the feasible triple of largest positive marginal revenue, with the
     paper's two implementation-level optimizations — the two-level heap data
-    structure and Minoux's lazy-forward evaluation, whose soundness rests on
-    the submodularity of [Rev] (Theorem 2).
+    structure and lazy-forward evaluation.
+
+    {b Lazy forward.} Every key carries a stamp: the length of its (user,
+    class) chain when the key was computed. The loop pops the largest key.
+    A root whose stamp is behind its chain has its whole (user, item)
+    group re-evaluated and goes back into the heap; only a root whose key
+    is current is selected, or ends the run when it is non-positive. The
+    paper grounds this in the submodularity of [Rev] (Theorem 2), under
+    which a stale key bounds its fresh marginal from above. That does not
+    hold here (DESIGN.md §5a): a marginal can rise as the strategy grows,
+    so a stale key may under-estimate, and a lazy run may select other
+    triples than an eager one. Within a group re-evaluation, an entry is
+    skipped only when its stamp proves its chain unchanged; the marginal
+    is a pure function of the chain and the candidate, so the skipped call
+    would have returned the stored key bit for bit.
 
     Variants used by the experiments:
     - [~with_saturation:false] is the {b GlobalNo} baseline of §6: marginal
@@ -12,17 +25,15 @@
     - [~heap:`Giant] replaces the two-level structure with one flat heap
       (same output, different constants) — the [abl-heap] ablation;
     - [~lazy_forward:false] eagerly refreshes every affected candidate after
-      each selection (same output, many more marginal evaluations);
-    - [~lazy_policy] picks how a stale two-level root is brought up to date:
-      [`Celf] (default) re-evaluates only the root element and accepts it
-      outright when its fresh marginal still dominates the global runner-up
-      key — sound because every other key is an upper bound on its own fresh
-      marginal (slot marginals are non-increasing, asserted by the
-      conformance suite) — while [`Refresh_pair] is the historical policy
-      that re-evaluates the stale root's whole lower heap. Both produce
-      identical selection sequences; [`Celf] performs strictly fewer
-      marginal evaluations on contended instances. Ignored by [`Giant] and
-      by eager refresh;
+      each selection, so every key is current whenever one is selected
+      (many more marginal evaluations);
+    - [~lazy_policy] picks how a stale two-level root's group is brought
+      up to date: [`Refresh_pair] re-evaluates every entry of the group,
+      while [`Celf] (default) skips the entries whose stamp proves their
+      chain unchanged (see above). Both produce identical selection
+      sequences. Under the (user, item) grouping every entry of a group
+      shares one chain, so the skip never fires and both policies perform
+      the same evaluations. Ignored by [`Giant] and by eager refresh;
     - [~evaluator:`Naive] scores marginals with the O(L²) reference oracle
       {!Revenue.marginal} instead of the O(L) incremental engine
       {!Revenue.marginal_incremental} (same output up to floating-point
@@ -33,8 +44,10 @@
       constraints;
     - [~budget] makes the run {e anytime}: the budget is consulted between
       selections (after at least one), and on expiry the best-so-far prefix
-      — always a valid strategy, by submodularity every greedy prefix is —
-      is returned with [truncated = true] in the statistics. *)
+      is returned with [truncated = true] in the statistics. Every prefix
+      is a valid strategy: each accepted triple passed the feasibility
+      checks against the strategy as it stood, and the strategy only
+      grows. *)
 
 type stats = {
   marginal_evaluations : int;  (** marginal-revenue evaluations *)

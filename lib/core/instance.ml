@@ -266,6 +266,11 @@ let pair_q t ~pid ~time =
   | Heap_b h -> h.qs.(pid).(time - 1)
   | Packed_b p -> p.q.{(pid * t.horizon) + time - 1}
 
+let pair_q_into t ~pid ~time cells k =
+  match t.backend with
+  | Heap_b h -> cells.(k) <- h.qs.(pid).(time - 1)
+  | Packed_b p -> cells.(k) <- p.q.{(pid * t.horizon) + time - 1}
+
 (* binary search for item [i] inside user [u]'s item-ascending row *)
 let pair_find t ~u ~i =
   let res = ref (-1) in

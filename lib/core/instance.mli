@@ -192,6 +192,12 @@ val pair_q : t -> pid:int -> time:int -> float
 (** [q(u,i,t)] addressed by pair id — no bounds or candidacy check beyond
     the array access itself. *)
 
+val pair_q_into : t -> pid:int -> time:int -> float array -> int -> unit
+(** [pair_q_into t ~pid ~time cells k] stores [pair_q t ~pid ~time] into
+    [cells.(k)]. Allocation-free: without flambda the float result of
+    {!pair_q} is boxed at every call, which is why hot loops read q
+    through a cell instead. *)
+
 val pair_find : t -> u:int -> i:int -> int
 (** The pair id of [(u, i)], or [-1] when the pair is not a candidate. *)
 

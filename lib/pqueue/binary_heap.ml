@@ -1,8 +1,6 @@
 module Metrics = Revmax_prelude.Metrics
 
-(* per-operation counters: a single branch each when metrics are disabled.
-   The two-level heap is built on this one, so its structural operations
-   show up here too. *)
+(* per-operation counters: a single branch each when metrics are disabled *)
 let c_inserts = Metrics.counter "binary_heap.inserts"
 
 let c_deletes = Metrics.counter "binary_heap.delete_max"
@@ -193,39 +191,6 @@ let insert t ~key ?(tie = 0) v =
 let find_max t =
   if t.heap_size = 0 then None else Some (t.byval.(t.slots.(0)), t.keys.(0))
 
-(* unboxed root accessors: the greedy hot loop peeks the maximum on every
-   cycle, and the option/tuple of [find_max] would be the only allocation
-   left on that path *)
-let max_elt t =
-  if t.heap_size = 0 then invalid_arg "Binary_heap.max_elt: empty heap";
-  t.byval.(t.slots.(0))
-
-let max_key t =
-  if t.heap_size = 0 then invalid_arg "Binary_heap.max_key: empty heap";
-  t.keys.(0)
-
-(* [max_key] for the float-free hot-loop ABI: the key leaves through a
-   preallocated cell, so no boxed-float result is allocated at the call
-   boundary (without flambda every float crossing a non-inlined call is
-   boxed). *)
-let max_key_into t cell =
-  if t.heap_size = 0 then invalid_arg "Binary_heap.max_key_into: empty heap";
-  cell.(0) <- t.keys.(0)
-
-(* in a max-heap the second-largest key sits in one of the root's children *)
-let second_key_inf t =
-  if t.heap_size < 2 then neg_infinity
-  else begin
-    let last = if arity < t.heap_size - 1 then arity else t.heap_size - 1 in
-    let best = ref t.keys.(1) in
-    for c = 2 to last do
-      if t.keys.(c) > !best then best := t.keys.(c)
-    done;
-    !best
-  end
-
-let second_key t = if t.heap_size < 2 then None else Some (second_key_inf t)
-
 let contains t h = h.owner = t.id && t.gens.(h.sid) = h.gen && t.posof.(h.sid) >= 0
 
 let check t h = if not (contains t h) then invalid_arg "Binary_heap: stale or foreign handle"
@@ -263,13 +228,6 @@ let delete_max t =
     Some (v, k)
   end
 
-let find_max_handle t =
-  if t.heap_size = 0 then None
-  else begin
-    let sid = t.slots.(0) in
-    Some { hvalue = t.byval.(sid); sid; gen = t.gens.(sid); owner = t.id }
-  end
-
 let update_key t h key =
   Metrics.incr c_update_keys;
   check t h;
@@ -277,80 +235,6 @@ let update_key t h key =
   let old = t.keys.(i) in
   t.keys.(i) <- key;
   if key > old then sift_up t i else if key < old then sift_down t i
-
-(* handle-free root operations: identical heap mutations to [update_key] /
-   [remove] applied to the root (a raised key never sifts up from the
-   root; the removal path is shared), so arrangements — and hence pop
-   order and tie-breaking — match the handle forms exactly. *)
-let rekey_root t key =
-  Metrics.incr c_update_keys;
-  if t.heap_size = 0 then invalid_arg "Binary_heap.rekey_root: empty heap";
-  let old = t.keys.(0) in
-  t.keys.(0) <- key;
-  if key < old then sift_down t 0
-
-let remove_root t =
-  Metrics.incr c_deletes;
-  if t.heap_size = 0 then invalid_arg "Binary_heap.remove_root: empty heap";
-  remove_at t 0
-
-(* The fused CELF decision over a two-level (lower, upper) heap pair,
-   placed here so the whole cycle runs inside one module over the raw
-   arrays: the fresh marginal arrives through [cell.(0)] and every callee
-   ([sift_down]) takes only immediates — the decision allocates nothing.
-   [m] beats the lead iff no root child of either heap orders above it in
-   the strict (key, tie rank) order (the lower children compare against
-   the root element's rank, the upper children against the root group's).
-   Returns 0 = root re-keyed to [m] (lost the lead; the mutations of
-   [rekey_root] on both levels), 1 = accepted (lower root removed, upper
-   re-keyed), 2 = finished ([m] leads but is non-positive), 3 = accepted
-   and the lower heap drained (the caller drops the group and the upper
-   root). *)
-let celf_decide lower upper cell =
-  let m = cell.(0) in
-  let beaten = ref false in
-  (if lower.heap_size >= 2 then begin
-     let rtie = lower.tb.(lower.slots.(0)) in
-     let last = if arity < lower.heap_size - 1 then arity else lower.heap_size - 1 in
-     for c = 1 to last do
-       let kc = lower.keys.(c) in
-       if kc > m || (kc = m && lower.tb.(lower.slots.(c)) < rtie) then beaten := true
-     done
-   end);
-  (if (not !beaten) && upper.heap_size >= 2 then begin
-     let utie = upper.tb.(upper.slots.(0)) in
-     let last = if arity < upper.heap_size - 1 then arity else upper.heap_size - 1 in
-     for c = 1 to last do
-       let kc = upper.keys.(c) in
-       if kc > m || (kc = m && upper.tb.(upper.slots.(c)) < utie) then beaten := true
-     done
-   end);
-  if !beaten then begin
-    Metrics.incr c_update_keys;
-    let old = lower.keys.(0) in
-    lower.keys.(0) <- m;
-    if m < old then sift_down lower 0;
-    Metrics.incr c_update_keys;
-    let oldu = upper.keys.(0) in
-    let k = lower.keys.(0) in
-    upper.keys.(0) <- k;
-    if k < oldu then sift_down upper 0;
-    0
-  end
-  else if m <= 0.0 then 2
-  else begin
-    Metrics.incr c_deletes;
-    remove_at lower 0;
-    if lower.heap_size = 0 then 3
-    else begin
-      Metrics.incr c_update_keys;
-      let oldu = upper.keys.(0) in
-      let k = lower.keys.(0) in
-      upper.keys.(0) <- k;
-      if k < oldu then sift_down upper 0;
-      1
-    end
-  end
 
 let key t h =
   check t h;
@@ -361,56 +245,6 @@ let value h = h.hvalue
 let iter t f =
   for i = 0 to t.heap_size - 1 do
     f t.byval.(t.slots.(i)) t.keys.(i)
-  done
-
-(* In-place bulk rekey: recompute every element's key with [f], dropping
-   elements for which it returns [None], then re-heapify. Slot ids — and
-   with them handles, generations and tie ranks — survive, which is what
-   keeps tie-breaking identical across the lazy policies: a rebuilt group
-   orders exactly like an incrementally maintained one. The surviving
-   elements are compacted in heap-array order (write index trails the read
-   index, so the compaction is safe in place), then heapified bottom-up in
-   O(n). No per-element allocation. *)
-let refresh_keys t ~f =
-  let n = t.heap_size in
-  let w = ref 0 in
-  for i = 0 to n - 1 do
-    let sid = t.slots.(i) in
-    match f t.byval.(sid) t.keys.(i) with
-    | Some k' ->
-        t.keys.(!w) <- k';
-        t.slots.(!w) <- sid;
-        t.posof.(sid) <- !w;
-        incr w
-    | None ->
-        t.posof.(sid) <- -1;
-        t.gens.(sid) <- t.gens.(sid) + 1;
-        t.free.(t.free_top) <- sid;
-        t.free_top <- t.free_top + 1;
-        t.byval.(sid) <- Obj.magic 0
-  done;
-  t.heap_size <- !w;
-  for i = (!w - 2) / arity downto 0 do
-    sift_down t i
-  done
-
-(* [refresh_keys] for the keep-every-element case, with the keys travelling
-   through a caller-owned cell instead of boxed floats and options: for each
-   element, [cell.(0)] is loaded with the current key, [f] is called on the
-   value alone (it rewrites [cell.(0)], or leaves it to keep the key), and
-   the cell is stored back. The whole walk allocates nothing — this is the
-   group-refresh step of the greedy steady-state loop. Heapify and element
-   order are exactly those of [refresh_keys] with an all-[Some] callback,
-   so both entry points produce bit-identical arrangements. *)
-let refresh_keys_into t cell ~f =
-  let n = t.heap_size in
-  for i = 0 to n - 1 do
-    cell.(0) <- t.keys.(i);
-    f t.byval.(t.slots.(i));
-    t.keys.(i) <- cell.(0)
-  done;
-  for i = (n - 2) / arity downto 0 do
-    sift_down t i
   done
 
 let of_list l =

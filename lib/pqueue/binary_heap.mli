@@ -41,45 +41,6 @@ val insert : 'a t -> key:float -> ?tie:int -> 'a -> 'a handle
 val find_max : 'a t -> ('a * float) option
 (** Highest-priority element and its key, without removing it; O(1). *)
 
-val find_max_handle : 'a t -> 'a handle option
-(** Handle of the highest-priority element; O(1). *)
-
-val max_elt : 'a t -> 'a
-(** Highest-priority element without the option wrapper; O(1) and
-    allocation-free. Raises [Invalid_argument] on an empty heap. *)
-
-val max_key : 'a t -> float
-(** Key of the highest-priority element; O(1), no wrapper allocation.
-    Raises [Invalid_argument] on an empty heap. *)
-
-val max_key_into : 'a t -> float array -> unit
-(** Store the root key into [cell.(0)] — [max_key] for the float-free
-    hot-loop ABI: no boxed float crosses the call, so the read is
-    allocation-free even without flambda. Raises [Invalid_argument] on an
-    empty heap. *)
-
-val celf_decide : 'a t -> 'b t -> float array -> int
-(** [celf_decide lower upper cell] performs one fused CELF decision for a
-    two-level heap whose top group's lower heap is [lower] and whose upper
-    heap of groups is [upper], against the freshly recomputed root key in
-    [cell.(0)]. The key keeps the global lead iff no root child of either
-    heap orders above [(cell.(0), root tie rank)] — lower children compare
-    against the root element's rank, upper children against the root
-    group's. Returns [0]: lead lost, both roots re-keyed (the mutations of
-    [rekey_root] on each level); [1]: accepted, lower root removed and
-    upper root re-keyed; [2]: the key leads but is non-positive (greedy is
-    finished); [3]: accepted and [lower] drained — the caller must drop
-    the group and the upper root. Allocation-free: the marginal arrives
-    through the cell and every internal call passes only immediates. *)
-
-val second_key : 'a t -> float option
-(** Key of the second-highest-priority element (the largest root child), or
-    [None] with fewer than two elements; O(1). Allocation: one [Some]. *)
-
-val second_key_inf : 'a t -> float
-(** [second_key] without the option: [neg_infinity] stands for "no second
-    element". Allocation-free. *)
-
 val delete_max : 'a t -> ('a * float) option
 (** Remove and return the highest-priority element; O(log n). *)
 
@@ -90,17 +51,6 @@ val update_key : 'a t -> 'a handle -> float -> unit
 val remove : 'a t -> 'a handle -> unit
 (** Remove an arbitrary element; O(log n). Raises [Invalid_argument] if the
     handle is no longer in the heap. *)
-
-val rekey_root : 'a t -> float -> unit
-(** [rekey_root t k] changes the root's key to [k] without needing its
-    handle; the resulting arrangement is exactly that of [update_key] on
-    the root handle. O(log n), allocation-free. Raises [Invalid_argument]
-    on an empty heap. *)
-
-val remove_root : 'a t -> unit
-(** Remove the root without returning it — [delete_max] minus the result
-    allocation; same mutation, bit-identical arrangement. Raises
-    [Invalid_argument] on an empty heap. *)
 
 val contains : 'a t -> 'a handle -> bool
 (** Whether the handle still refers to a stored element of this heap. *)
@@ -116,21 +66,6 @@ val value : 'a handle -> 'a
 val iter : 'a t -> ('a -> float -> unit) -> unit
 (** Visit all stored elements in unspecified order. The callback must not
     modify the heap. *)
-
-val refresh_keys : 'a t -> f:('a -> float -> float option) -> unit
-(** In-place bulk rekey: every element's key is recomputed as [f elt old];
-    [None] removes the element (its handles go stale). The heap is then
-    re-heapified bottom-up in O(n). Elements keep their slots and tie
-    ranks, so equal-key order after the rebuild matches an incrementally
-    maintained heap. No per-element allocation. *)
-
-val refresh_keys_into : 'a t -> float array -> f:('a -> unit) -> unit
-(** {!refresh_keys} for the keep-every-element case, allocation-free: for
-    each element, [cell.(0)] is loaded with its current key, [f elt] may
-    rewrite [cell.(0)] (or leave it to keep the key), and the cell is
-    stored back — no boxed float or option crosses the callback boundary.
-    Re-heapifies bottom-up afterwards; arrangements are bit-identical to
-    [refresh_keys] with an all-[Some] callback. *)
 
 val of_list : (float * 'a) list -> 'a t
 (** Bulk build (heapify) in O(n); all tie ranks default to [0]. *)

@@ -6,225 +6,247 @@ let c_pops = Metrics.counter "two_level_heap.pops"
 
 let c_refresh_pairs = Metrics.counter "two_level_heap.refresh_pairs"
 
-let c_drop_pairs = Metrics.counter "two_level_heap.drop_pairs"
-
 let c_refresh_maxes = Metrics.counter "two_level_heap.refresh_maxes"
 
-(* One group per pair. The upper heap stores the group records themselves
-   (not pair ids), and each group remembers its own upper-heap handle, so
-   every hot-path operation — find_max, delete_max, find_second,
-   refresh_max — walks straight from the upper root to its lower heap
-   without touching a hashtable. The [lower] table only serves the by-pair
-   entry points (insert, refresh_pair, drop_pair, pair_size). *)
-type 'a group = {
-  pair : int;
-  mutable heap : 'a Binary_heap.t;
-  mutable uh : 'a group Binary_heap.handle option;
-}
+(* One flat arena. Group g's lower heap lives in slots
+   [g·width, g·width + size.(g)) of [keys]/[ents], in heap order; the
+   upper heap is three flat arrays over groups — [ukey]/[ugrp] in heap
+   order and [upos], each group's upper position (−1 when absent). Every
+   sift therefore reads and writes unboxed float and int arrays only: no
+   records, handles or options, and no GC write barrier.
 
-type 'a t = {
-  lower : (int, 'a group) Hashtbl.t;
-  upper : 'a group Binary_heap.t;
+   Both levels use 8-ary hole sifts under one strict total order — higher
+   key first, equal keys smaller entry (upper level: smaller group) first,
+   as {!Binary_heap} orders by tie rank — so pop order is a function of
+   the stored (key, entry) pairs alone. Since a group is [e / width], the
+   two-level order is exactly the flat (key, entry) order. *)
+type t = {
+  width : int;
+  keys : float array;
+  ents : int array;
+  size : int array;
+  ukey : float array;
+  ugrp : int array;
+  upos : int array;
+  mutable usize : int;
   mutable total : int;
 }
 
-let create () = { lower = Hashtbl.create 1024; upper = Binary_heap.create (); total = 0 }
+let arity = 8
+
+let create ~groups ~width =
+  if groups < 0 || width < 1 then invalid_arg "Two_level_heap.create: bad dimensions";
+  {
+    width;
+    keys = Array.make (groups * width) 0.0;
+    ents = Array.make (groups * width) 0;
+    size = Array.make groups 0;
+    ukey = Array.make groups 0.0;
+    ugrp = Array.make groups 0;
+    upos = Array.make groups (-1);
+    usize = 0;
+    total = 0;
+  }
 
 let size t = t.total
 
 let is_empty t = t.total = 0
 
-(* Re-establish the upper-level key of a group after its lower heap changed.
-   Removes the group entirely when its lower heap has drained. *)
-let sync_upper t g =
-  match Binary_heap.find_max g.heap with
-  | None -> (
-      Hashtbl.remove t.lower g.pair;
-      match g.uh with
-      | Some h ->
-          Binary_heap.remove t.upper h;
-          g.uh <- None
-      | None -> ())
-  | Some (_, root_key) -> (
-      match g.uh with
-      | Some h -> Binary_heap.update_key t.upper h root_key
-      | None -> g.uh <- Some (Binary_heap.insert t.upper ~key:root_key ~tie:g.pair g))
+(* 8-ary hole sifts over the heap in slots [base, base + n) of [keys] and
+   [ids]. A non-empty [pos] tracks each id's position (the upper level;
+   the lower level needs none). *)
+let sift_up (keys : float array) (ids : int array) (pos : int array) base i0 =
+  let hk = keys.(base + i0) and hv = ids.(base + i0) in
+  let track = Array.length pos > 0 in
+  let i = ref i0 in
+  let continue_ = ref true in
+  while !continue_ && !i > 0 do
+    let parent = (!i - 1) / arity in
+    let kp = keys.(base + parent) and vp = ids.(base + parent) in
+    if kp < hk || (kp = hk && vp > hv) then begin
+      keys.(base + !i) <- kp;
+      ids.(base + !i) <- vp;
+      if track then pos.(vp) <- !i;
+      i := parent
+    end
+    else continue_ := false
+  done;
+  if !i <> i0 then begin
+    keys.(base + !i) <- hk;
+    ids.(base + !i) <- hv;
+    if track then pos.(hv) <- !i
+  end
 
-let insert t ~pair ~key ?(tie = 0) v =
+let sift_down (keys : float array) (ids : int array) (pos : int array) base n i0 =
+  let hk = keys.(base + i0) and hv = ids.(base + i0) in
+  let track = Array.length pos > 0 in
+  let i = ref i0 in
+  let continue_ = ref true in
+  while !continue_ do
+    let first = (arity * !i) + 1 in
+    let last = if first + arity - 1 < n - 1 then first + arity - 1 else n - 1 in
+    let largest = ref !i and lk = ref hk and lv = ref hv in
+    for c = first to last do
+      let kc = keys.(base + c) in
+      if kc > !lk || (kc = !lk && ids.(base + c) < !lv) then begin
+        largest := c;
+        lk := kc;
+        lv := ids.(base + c)
+      end
+    done;
+    if !largest <> !i then begin
+      keys.(base + !i) <- !lk;
+      ids.(base + !i) <- !lv;
+      if track then pos.(!lv) <- !i;
+      i := !largest
+    end
+    else continue_ := false
+  done;
+  if !i <> i0 then begin
+    keys.(base + !i) <- hk;
+    ids.(base + !i) <- hv;
+    if track then pos.(hv) <- !i
+  end
+
+let no_pos = [||]
+
+let lower_sift_down t base n i = sift_down t.keys t.ents no_pos base n i
+
+let upper_sift_up t i = sift_up t.ukey t.ugrp t.upos 0 i
+
+let upper_sift_down t i = sift_down t.ukey t.ugrp t.upos 0 t.usize i
+
+(* re-key group [g] in the upper heap to its lower root's key, inserting
+   it when absent — [Binary_heap.update_key] / [insert] on the group *)
+let upper_sync t g =
+  let k = t.keys.(g * t.width) in
+  let p = t.upos.(g) in
+  if p < 0 then begin
+    let p = t.usize in
+    t.ukey.(p) <- k;
+    t.ugrp.(p) <- g;
+    t.upos.(g) <- p;
+    t.usize <- p + 1;
+    upper_sift_up t p
+  end
+  else begin
+    let old = t.ukey.(p) in
+    t.ukey.(p) <- k;
+    if k > old then upper_sift_up t p else if k < old then upper_sift_down t p
+  end
+
+let upper_remove_root t =
+  t.upos.(t.ugrp.(0)) <- -1;
+  let last = t.usize - 1 in
+  t.usize <- last;
+  if last > 0 then begin
+    t.ukey.(0) <- t.ukey.(last);
+    t.ugrp.(0) <- t.ugrp.(last);
+    t.upos.(t.ugrp.(0)) <- 0;
+    upper_sift_down t 0
+  end
+
+(* re-key the root group to its lower root's key after that key moved
+   down (or stayed); the key is read here, not passed, because a float
+   argument would be boxed at the call *)
+let upper_rekey_root t =
+  let k = t.keys.(t.ugrp.(0) * t.width) in
+  let old = t.ukey.(0) in
+  t.ukey.(0) <- k;
+  if k < old then upper_sift_down t 0
+
+let insert t ~key e =
   Metrics.incr c_inserts;
-  let g =
-    match Hashtbl.find_opt t.lower pair with
-    | Some g -> g
-    | None ->
-        let g = { pair; heap = Binary_heap.create ~capacity:8 (); uh = None } in
-        Hashtbl.replace t.lower pair g;
-        g
-  in
-  ignore (Binary_heap.insert g.heap ~key ~tie v);
+  let g = e / t.width in
+  let base = g * t.width and n = t.size.(g) in
+  if n >= t.width then invalid_arg "Two_level_heap.insert: group full";
+  t.keys.(base + n) <- key;
+  t.ents.(base + n) <- e;
+  t.size.(g) <- n + 1;
   t.total <- t.total + 1;
-  sync_upper t g
+  sift_up t.keys t.ents no_pos base n;
+  upper_sync t g
 
-let top_group t =
-  if Binary_heap.is_empty t.upper then None else Some (Binary_heap.max_elt t.upper)
-
-(* ----- allocation-free root accessors for the greedy hot loop -----
-   All of these require a non-empty heap (the callers guard on [is_empty])
-   and operate on the top group, which by the upper-heap invariant is the
-   upper root — so they can mutate the upper key with the handle-free
-   [Binary_heap.rekey_root]/[remove_root] and never touch the [lower]
-   hashtable. *)
+let check_nonempty t = if t.usize = 0 then invalid_arg "Two_level_heap: empty heap"
 
 let max_elt t =
-  let g = Binary_heap.max_elt t.upper in
-  Binary_heap.max_elt g.heap
+  check_nonempty t;
+  t.ents.(t.ugrp.(0) * t.width)
 
-let max_key t = Binary_heap.max_key t.upper
+let max_key_into t cell =
+  check_nonempty t;
+  cell.(0) <- t.ukey.(0)
 
-let max_key_into t cell = Binary_heap.max_key_into t.upper cell
+(* remove the root group's lower root and fix both levels *)
+let pop_root t =
+  Metrics.incr c_pops;
+  let g = t.ugrp.(0) in
+  let base = g * t.width in
+  let n = t.size.(g) - 1 in
+  t.size.(g) <- n;
+  t.total <- t.total - 1;
+  if n = 0 then upper_remove_root t
+  else begin
+    t.keys.(base) <- t.keys.(base + n);
+    t.ents.(base) <- t.ents.(base + n);
+    lower_sift_down t base n 0;
+    upper_rekey_root t
+  end
 
 let drop_max t =
-  Metrics.incr c_pops;
-  let g = Binary_heap.max_elt t.upper in
-  Binary_heap.remove_root g.heap;
-  t.total <- t.total - 1;
-  if Binary_heap.is_empty g.heap then begin
-    Hashtbl.remove t.lower g.pair;
-    Binary_heap.remove_root t.upper;
-    g.uh <- None
-  end
-  else Binary_heap.rekey_root t.upper (Binary_heap.max_key g.heap)
+  check_nonempty t;
+  pop_root t
 
-(* Fused CELF decision step: the freshly recomputed marginal of the
-   current global maximum arrives through [cell.(0)] (no boxed float
-   crosses the call boundary) and {!Binary_heap.celf_decide} performs the
-   whole compare/rekey/pop cycle over the two heaps' raw arrays — a
-   handle-free root rekey or the mutations of [drop_max], fused and
-   allocation-free.
-
-   The lead test uses the strict (key, tie rank) total order, not the key
-   alone: when the fresh marginal exactly ties the runner-up's key, the
-   rank winner must be selected — an eager full refresh would order them
-   that way in the heap, so accepting the root just because its key is
-   "not below" the runner-up would let the two lazy policies pick
-   different elements of an exact marginal tie. Rekeying instead lets the
-   tie-aware sift surface the rank winner. *)
+(* [m] keeps the global lead iff no root child of either level orders
+   above it: lower children compare against the root entry, upper
+   children against the root group. That is the runner-up test in the
+   strict (key, entry) order, so an exact tie resolves to the entry an
+   eager full refresh would pick. *)
 let celf_step t cell =
-  let g = Binary_heap.max_elt t.upper in
-  match Binary_heap.celf_decide g.heap t.upper cell with
-  | 0 ->
-      Metrics.incr c_refresh_maxes;
-      `Rekeyed
-  | 2 -> `Finished
-  | 1 ->
-      Metrics.incr c_pops;
-      t.total <- t.total - 1;
-      `Accepted
-  | _ ->
-      (* accepted and the top group drained: drop it from both levels *)
-      Metrics.incr c_pops;
-      t.total <- t.total - 1;
-      Hashtbl.remove t.lower g.pair;
-      Binary_heap.remove_root t.upper;
-      g.uh <- None;
-      `Accepted
+  check_nonempty t;
+  let m = cell.(0) in
+  let g = t.ugrp.(0) in
+  let base = g * t.width and n = t.size.(g) in
+  let beaten = ref false in
+  let re = t.ents.(base) in
+  let last = if arity < n - 1 then arity else n - 1 in
+  for c = 1 to last do
+    let kc = t.keys.(base + c) in
+    if kc > m || (kc = m && t.ents.(base + c) < re) then beaten := true
+  done;
+  let last = if arity < t.usize - 1 then arity else t.usize - 1 in
+  for c = 1 to last do
+    let kc = t.ukey.(c) in
+    if kc > m || (kc = m && t.ugrp.(c) < g) then beaten := true
+  done;
+  if !beaten then begin
+    Metrics.incr c_refresh_maxes;
+    let old = t.keys.(base) in
+    t.keys.(base) <- m;
+    if m < old then lower_sift_down t base n 0;
+    upper_rekey_root t;
+    `Rekeyed
+  end
+  else if m <= 0.0 then `Finished
+  else begin
+    pop_root t;
+    `Accepted
+  end
 
-let find_max t =
-  match top_group t with
-  | None -> None
-  | Some g -> (
-      match Binary_heap.find_max g.heap with
-      | None -> None (* unreachable: empty groups are removed eagerly *)
-      | Some (v, k) -> Some (g.pair, v, k))
-
-let delete_max t =
-  match top_group t with
-  | None -> None
-  | Some g -> (
-      match Binary_heap.delete_max g.heap with
-      | None -> None
-      | Some (v, k) ->
-          Metrics.incr c_pops;
-          t.total <- t.total - 1;
-          sync_upper t g;
-          Some (g.pair, v, k))
-
-(* Global runner-up key: either the second element of the top group's lower
-   heap, or the root of the second-best group — both O(1) peeks into flat
-   key arrays, so this never touches more than four heap slots. *)
-let find_second t =
-  match top_group t with
-  | None -> None
-  | Some g -> (
-      let within = Binary_heap.second_key g.heap in
-      let across = Binary_heap.second_key t.upper in
-      match (within, across) with
-      | None, None -> None
-      | (Some _ as s), None | None, (Some _ as s) -> s
-      | Some a, Some b -> Some (Float.max a b))
-
-let refresh_max t ~f =
-  match top_group t with
-  | None -> ()
-  | Some g -> (
-      match Binary_heap.find_max_handle g.heap with
-      | None -> () (* unreachable: empty groups are removed eagerly *)
-      | Some h -> (
-          Metrics.incr c_refresh_maxes;
-          match f (Binary_heap.value h) (Binary_heap.key g.heap h) with
-          | Some key' ->
-              Binary_heap.update_key g.heap h key';
-              sync_upper t g
-          | None ->
-              Binary_heap.remove g.heap h;
-              t.total <- t.total - 1;
-              sync_upper t g))
-
-let refresh_pair t pair ~f =
-  match Hashtbl.find_opt t.lower pair with
-  | None -> ()
-  | Some g ->
-      Metrics.incr c_refresh_pairs;
-      let n_old = Binary_heap.size g.heap in
-      (* in-place rekey + heapify: keeps every element's slot and tie rank,
-         so a rebuilt group breaks exact key ties identically to a group
-         maintained one CELF rekey at a time; also drops the intermediate
-         list and heap the old rebuild allocated *)
-      Binary_heap.refresh_keys g.heap ~f;
-      t.total <- t.total - n_old + Binary_heap.size g.heap;
-      sync_upper t g
-
-(* the allocation-free [refresh_pair] for the keep-every-element case: keys
-   travel through [cell] (see {!Binary_heap.refresh_keys_into}), and the
-   upper level is re-synced from the group's new root. Arrangements are
-   bit-identical to [refresh_pair] with an all-[Some] callback. Since no
-   element is removed the group stays non-empty and keeps its upper handle,
-   so the sync is a direct [update_key] — no [find_max] wrapper, and
-   [find]'s [Not_found] is a preallocated exception, keeping the whole
-   refresh event off the minor heap (modulo the boxed root key). *)
-let refresh_pair_into t pair cell ~f =
-  match Hashtbl.find t.lower pair with
-  | exception Not_found -> ()
-  | g -> (
-      Metrics.incr c_refresh_pairs;
-      Binary_heap.refresh_keys_into g.heap cell ~f;
-      match g.uh with
-      | Some h -> Binary_heap.update_key t.upper h (Binary_heap.max_key g.heap)
-      | None -> () (* unreachable: non-empty groups always carry a handle *))
-
-let drop_pair t pair =
-  match Hashtbl.find_opt t.lower pair with
-  | None -> ()
-  | Some g -> (
-      Metrics.incr c_drop_pairs;
-      t.total <- t.total - Binary_heap.size g.heap;
-      Hashtbl.remove t.lower g.pair;
-      match g.uh with
-      | Some h ->
-          Binary_heap.remove t.upper h;
-          g.uh <- None
-      | None -> ())
-
-let pair_size t pair =
-  match Hashtbl.find_opt t.lower pair with None -> 0 | Some g -> Binary_heap.size g.heap
-
-let iter t f = Hashtbl.iter (fun pair g -> Binary_heap.iter g.heap (fun v k -> f pair v k)) t.lower
+(* Every key of group [g] goes through [cell.(0)] in heap-array order; the
+   group is then heapified bottom-up and re-keyed in the upper level. *)
+let refresh_pair_into t g cell ~f =
+  let n = t.size.(g) in
+  if n > 0 then begin
+    Metrics.incr c_refresh_pairs;
+    let base = g * t.width in
+    for i = base to base + n - 1 do
+      cell.(0) <- t.keys.(i);
+      f t.ents.(i);
+      t.keys.(i) <- cell.(0)
+    done;
+    for i = (n - 2) / arity downto 0 do
+      lower_sift_down t base n i
+    done;
+    upper_sync t g
+  end

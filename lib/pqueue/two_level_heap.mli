@@ -1,109 +1,76 @@
-(** The two-level heap of §5.1 of the paper.
+(** The two-level heap of §5.1 of the paper, as one flat arena of int
+    entries.
 
-    Elements are grouped by an integer [pair] (in the paper: a (user, item)
-    pair). Each group is a small lower-level max-heap over its elements (in
-    the paper: the time steps of that pair); a master upper-level heap orders
-    the groups by the key of their lower-level root. The globally best
-    element is always the root of the upper-level root's lower heap.
+    Entries are non-negative ints; entry [e] belongs to group
+    [e / width] (in the paper: a (user, item) pair, whose entries are the
+    time steps of that pair). Each group is a small lower-level max-heap
+    over its entries; an upper-level heap orders the groups by the key of
+    their lower-level root. The globally best entry is always the root of
+    the upper-level root's lower heap.
 
-    The payoff over one giant heap is that key updates triggered by a greedy
-    selection only traverse a lower heap of at most [T] elements plus the
-    upper heap of at most [|U|·|I|] groups — the rationale given in the
-    paper, and measured by the [abl-heap] benchmark. *)
+    The payoff over one giant heap is that key updates triggered by a
+    greedy selection only traverse a lower heap of at most [width] entries
+    plus the upper heap of at most [groups] groups — the rationale given in
+    the paper, and measured by the [abl-heap] benchmark.
 
-type 'a t
+    {b Order.} Higher keys come first; equal keys order by the smaller
+    entry (an entry is its own tie rank), and groups with equal root keys
+    by the smaller group. Since groups are [e / width], this is the flat
+    strict order on (key, entry) pairs, so pop order is a function of the
+    stored pairs alone, whatever sequence of operations stored them.
 
-val create : unit -> 'a t
+    {b Layout.} Group [g]'s lower heap occupies slots
+    [\[g·width, g·width + size g)] of one float array of keys and one int
+    array of entries; the upper heap is three flat arrays over groups. The
+    heap costs [2·width + 4] words per group, all allocated by {!create};
+    no operation allocates afterwards. Floats enter and leave the hot
+    operations through caller-owned cells, since without flambda a float
+    crossing a call boundary is boxed. *)
 
-val size : 'a t -> int
-(** Total number of stored elements across all groups. *)
+type t
 
-val is_empty : 'a t -> bool
+val create : groups:int -> width:int -> t
+(** An empty heap for entries [0 .. groups·width − 1]. *)
 
-val insert : 'a t -> pair:int -> key:float -> ?tie:int -> 'a -> unit
-(** Add an element to group [pair]; O(log) in the group and upper sizes.
-    [tie] (default [0]) is the element's tie rank within its group: equal
-    keys pop smaller-rank first. Groups with equal root keys order by the
-    smaller [pair], so with distinct ranks the global pop order is a pure
-    function of the stored (key, rank, pair) triples. *)
+val size : t -> int
+(** Total number of stored entries across all groups. *)
 
-val find_max : 'a t -> (int * 'a * float) option
-(** Best element overall as [(pair, element, key)]; O(1). *)
+val is_empty : t -> bool
 
-val delete_max : 'a t -> (int * 'a * float) option
-(** Remove and return the best element, fixing up both levels. Empty groups
-    are dropped from the upper level. *)
+val insert : t -> key:float -> int -> unit
+(** [insert t ~key e] adds entry [e], which must not be stored already, to
+    group [e / width]; O(log) in the group and upper sizes. Raises
+    [Invalid_argument] when the group already holds [width] entries. *)
 
-(** {2 Allocation-free root operations}
+(** {2 Root operations}
 
-    The unboxed counterparts used by the greedy steady-state loop: same
-    mutations as [find_max]/[delete_max]/[refresh_max], without the
-    option/tuple wrappers and callback closures. All of them require a
-    non-empty heap and raise [Invalid_argument] otherwise — guard with
-    [is_empty]. *)
+    All of these require a non-empty heap and raise [Invalid_argument]
+    otherwise — guard with [is_empty]. *)
 
-val max_elt : 'a t -> 'a
-(** Best element overall; O(1), allocation-free. *)
+val max_elt : t -> int
+(** Best entry overall; O(1). *)
 
-val max_key : 'a t -> float
-(** Key of the best element; O(1). The result is a boxed float — the hot
-    loop uses {!max_key_into}. *)
+val max_key_into : t -> float array -> unit
+(** Store the best entry's key into [cell.(0)]; O(1). *)
 
-val max_key_into : 'a t -> float array -> unit
-(** Store the best element's key into [cell.(0)]; O(1) and allocation-free
-    (no boxed float crosses the call boundary). *)
+val drop_max : t -> unit
+(** Remove the best entry. A drained group leaves the upper level. *)
 
-val drop_max : 'a t -> unit
-(** Remove the best element without returning it — [delete_max] minus the
-    result allocation. Empty groups are dropped from the upper level. *)
+val celf_step : t -> float array -> [ `Accepted | `Finished | `Rekeyed ]
+(** [celf_step t cell] decides the current best entry against its freshly
+    recomputed key, read from [cell.(0)]: [`Rekeyed] means the key no
+    longer leads the global runner-up, and the root was re-keyed in place
+    on both levels; [`Accepted] means it still leads and is positive, and
+    the entry was removed (as [drop_max]); [`Finished] means it leads but
+    is non-positive, and nothing changed. "Leads" is decided in the strict
+    (key, entry) order, so an exact key tie resolves to the entry an eager
+    full refresh would pick. *)
 
-val celf_step : 'a t -> float array -> [ `Accepted | `Finished | `Rekeyed ]
-(** [celf_step t cell] performs one CELF decision against the freshly
-    recomputed key of the current best element, read from [cell.(0)] (a
-    preallocated cell, so no boxed float crosses the call): [`Rekeyed]
-    means the key fell below the global runner-up and the root was
-    re-keyed in place on both levels; [`Accepted] means it still leads
-    and is positive, and the element was removed (as [drop_max]);
-    [`Finished] means it leads but is non-positive — every other key is
-    an upper bound below it, so selection is complete. "Leads" is decided
-    in the strict (key, tie rank) total order, so an exact key tie
-    resolves to the same element an eager full refresh would pick. The
-    rekeys are handle-free root rekeys, bit-identical in arrangement to
-    [update_key] on the root handle, fused into one walk over both
-    levels' raw arrays. Allocation-free. *)
-
-val find_second : 'a t -> float option
-(** Key of the globally second-best element, or [None] with fewer than two
-    elements. It is either the runner-up inside the best group's lower heap
-    or the root key of the runner-up group, so the lookup is O(1). *)
-
-val refresh_max : 'a t -> f:('a -> float -> float option) -> unit
-(** Recompute the key of only the globally best element: [f elt old_key]
-    returns its new key, or [None] to discard it. Both levels are fixed up in
-    O(log) time. No-op on an empty heap. Unlike [refresh_pair], the rest of
-    the root group keeps its (stale) keys — this is the single-element CELF
-    re-evaluation step. *)
-
-val refresh_pair : 'a t -> int -> f:('a -> float -> float option) -> unit
-(** [refresh_pair t pair ~f] recomputes the key of every element in group
-    [pair]: [f elt old_key] returns the new key, or [None] to discard the
-    element. The group is re-heapified in O(group size) and the upper level
-    is updated. No-op if the group does not exist. This is the bulk
-    "recompute all stale triples of the lower heap" step of Algorithm 1. *)
-
-val refresh_pair_into : 'a t -> int -> float array -> f:('a -> unit) -> unit
-(** [refresh_pair_into t pair cell ~f] is {!refresh_pair} for the
-    keep-every-element case, allocation-free: each element's key travels
-    through [cell.(0)] (see {!Binary_heap.refresh_keys_into}) and the upper
-    level is re-synced from the group's new root. No-op if the group does
-    not exist. *)
-
-val drop_pair : 'a t -> int -> unit
-(** Remove an entire group (e.g. when a constraint permanently rules out all
-    of its elements). No-op if absent. *)
-
-val pair_size : 'a t -> int -> int
-(** Number of elements currently in a group (0 if absent). *)
-
-val iter : 'a t -> (int -> 'a -> float -> unit) -> unit
-(** Visit every stored element. The callback must not modify the heap. *)
+val refresh_pair_into : t -> int -> float array -> f:(int -> unit) -> unit
+(** [refresh_pair_into t g cell ~f] recomputes the key of every entry of
+    group [g]: for each entry, [cell.(0)] is loaded with its current key,
+    [f e] may rewrite [cell.(0)] (or leave it to keep the key), and the
+    cell is stored back. The group is then re-heapified in O(group size)
+    and re-keyed in the upper level. No-op when the group is empty. This
+    is the bulk "recompute all stale triples of the lower heap" step of
+    Algorithm 1. *)

@@ -54,23 +54,33 @@ let test_gg_heap_variants_agree () =
   done
 
 (* the legal heap/refresh combinations — two-level+lazy, giant+lazy and
-   two-level+eager — must select the very same triples, not merely
-   revenue-equal strategies *)
+   two-level+eager — must select the very same triples in the very same
+   slots, not merely revenue-equal strategies. Slate instances run the
+   two-level heap at width (T+1)·k against the flat Binary_heap of the
+   giant variant; budgeted ones stop both on the quantity cap. *)
 let test_gg_variants_identical_strategies () =
-  let sorted s = List.sort Triple.compare (Strategy.to_list s) in
-  for seed = 0 to 79 do
-    let rng = Rng.create seed in
-    let inst = random_instance rng in
-    let reference, _ = Greedy.run ~heap:`Two_level ~lazy_forward:true inst in
-    List.iter
-      (fun (name, s) ->
-        if sorted s <> sorted reference then
-          Alcotest.failf "seed %d: %s selected a different strategy" seed name)
-      [
-        ("giant+lazy", fst (Greedy.run ~heap:`Giant ~lazy_forward:true inst));
-        ("two-level+eager", fst (Greedy.run ~heap:`Two_level ~lazy_forward:false inst));
-      ]
-  done
+  let members s =
+    List.map (fun z -> (z, Strategy.slot_of s z)) (List.sort Triple.compare (Strategy.to_list s))
+  in
+  List.iter
+    (fun (family, make) ->
+      for seed = 0 to 79 do
+        let inst = make (Rng.create seed) in
+        let reference, _ = Greedy.run ~heap:`Two_level ~lazy_forward:true inst in
+        List.iter
+          (fun (name, s) ->
+            if members s <> members reference then
+              Alcotest.failf "%s seed %d: %s selected a different strategy" family seed name)
+          [
+            ("giant+lazy", fst (Greedy.run ~heap:`Giant ~lazy_forward:true inst));
+            ("two-level+eager", fst (Greedy.run ~heap:`Two_level ~lazy_forward:false inst));
+          ]
+      done)
+    [
+      ("plain", fun rng -> random_instance rng);
+      ("slate", fun rng -> random_slate_instance rng);
+      ("budgeted", fun rng -> random_budgeted_instance rng);
+    ]
 
 (* acceptance: the incremental evaluator reproduces the naive oracle's runs
    exactly — same selections, revenue within 1e-9 *)

@@ -15,6 +15,7 @@ module Strategy = Revmax.Strategy
 module Revenue = Revmax.Revenue
 module Greedy = Revmax.Greedy
 module Shard_greedy = Revmax.Shard_greedy
+module Exact = Revmax.Exact
 module Hier_greedy = Revmax_hier.Hier_greedy
 module Pipeline = Revmax_datagen.Pipeline
 open Helpers
@@ -149,17 +150,43 @@ let prop_slate_slots_injective_and_scaled =
                    (Instance.slot_factor inst ~slot *. Instance.q inst ~u:z.u ~i:z.i ~time:z.t))
         (Strategy.to_list s))
 
-let prop_decay_never_beats_plain_revenue =
-  QCheck2.Test.make ~name:"position decay never increases the planned revenue" ~count:60 seed_gen
-    (fun seed ->
-      let rng = Rng.create seed in
-      let inst = random_instance ~max_users:5 ~max_items:4 ~max_horizon:3 rng in
+(* Position decay can raise the revenue greedy plans: scaled-down q's
+   compete less with each other, so greedy can end on a better strategy
+   than the one it finds without decay. Two counterexamples QCheck drew,
+   pinned; the optima still order as the property below says. *)
+let test_decay_can_raise_greedy_revenue () =
+  List.iter
+    (fun (seed, plain, decayed) ->
+      let inst = random_instance ~max_users:5 ~max_items:4 ~max_horizon:3 (Rng.create seed) in
       let k = Instance.display_limit inst in
-      let s_plain, _ = Greedy.run inst in
-      let s_slate, _ =
-        Greedy.run (Instance.with_slate inst (Pipeline.position_curve ~decay:(`Geometric 0.7) k))
-      in
-      Revenue.total s_slate <= Revenue.total s_plain +. 1e-9)
+      let slate = Instance.with_slate inst (Pipeline.position_curve ~decay:(`Geometric 0.7) k) in
+      let greedy i = Revenue.total (fst (Greedy.run i)) in
+      let g_plain = greedy inst and g_decay = greedy slate in
+      check_float ~eps:1e-6 (Printf.sprintf "seed %d: greedy without decay" seed) plain g_plain;
+      check_float ~eps:1e-6 (Printf.sprintf "seed %d: greedy with decay" seed) decayed g_decay;
+      if not (g_decay > g_plain) then Alcotest.failf "seed %d: decay no longer helps greedy" seed;
+      let _, o_plain = Exact.brute_force inst and _, o_decay = Exact.brute_force slate in
+      if o_decay > o_plain +. 1e-9 then
+        Alcotest.failf "seed %d: optimum with decay %.6f above %.6f without" seed o_decay o_plain)
+    [ (901, 13.645399, 13.692576); (1039, 13.205708, 13.823138) ]
+
+(* Decay never raises the optimum. For a fixed strategy, revenue is
+   multilinear in the slot-scaled q's, so its maximum over the box
+   [0, q] of scaled values sits at a vertex; a vertex with some scaled q
+   at 0 is dominated by dropping that triple (β ≤ 1 makes a zero-q triple
+   only discount its chain), and the all-q vertex is the undecayed
+   strategy. Checked against brute force on instances small enough to
+   enumerate. *)
+let prop_decay_never_raises_optimum =
+  QCheck2.Test.make ~name:"position decay never increases the optimal revenue" ~count:200
+    seed_gen (fun seed ->
+      let inst = random_instance ~max_users:3 ~max_items:3 ~max_horizon:2 (Rng.create seed) in
+      if Instance.num_candidate_triples inst > 12 then QCheck2.assume_fail ()
+      else begin
+        let k = Instance.display_limit inst in
+        let slate = Instance.with_slate inst (Pipeline.position_curve ~decay:(`Geometric 0.7) k) in
+        snd (Exact.brute_force slate) <= snd (Exact.brute_force inst) +. 1e-9
+      end)
 
 (* position_curve contract: slot 1 = 1.0, non-increasing, within [0,1] —
    i.e. always admissible for Instance.with_slate *)
@@ -272,7 +299,9 @@ let () =
       ( "slate-mechanics",
         [
           QCheck_alcotest.to_alcotest prop_slate_slots_injective_and_scaled;
-          QCheck_alcotest.to_alcotest prop_decay_never_beats_plain_revenue;
+          QCheck_alcotest.to_alcotest prop_decay_never_raises_optimum;
+          Alcotest.test_case "decay can raise greedy revenue" `Quick
+            test_decay_can_raise_greedy_revenue;
           Alcotest.test_case "position_curve admissible" `Quick test_position_curve_admissible;
         ] );
       ( "witnesses",
