@@ -70,7 +70,7 @@ let bench_heap_churn () =
   Bechamel.Staged.stage (fun () ->
       let h = Bh.create () in
       for i = 0 to 63 do
-        ignore (Bh.insert h ~key:(float_of_int ((i * 37) mod 64)) i)
+        Bh.insert h ~key:(float_of_int ((i * 37) mod 64)) i
       done;
       while not (Bh.is_empty h) do
         ignore (Bh.delete_max h)

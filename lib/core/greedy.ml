@@ -1,5 +1,4 @@
 module Tl = Revmax_pqueue.Two_level_heap
-module Bh = Revmax_pqueue.Binary_heap
 module Budget = Revmax_prelude.Budget
 module Metrics = Revmax_prelude.Metrics
 
@@ -15,8 +14,6 @@ let c_selected = Metrics.counter "greedy.selected"
 
 let c_truncated = Metrics.counter "greedy.truncated"
 
-let c_celf_skips = Metrics.counter "greedy.celf_skipped_evals"
-
 type stats = { marginal_evaluations : int; pops : int; selected : int; truncated : bool }
 
 type trace_point = { z : Triple.t; size : int; revenue : float; evaluations : int }
@@ -27,9 +24,8 @@ type trace_point = { z : Triple.t; size : int; revenue : float; evaluations : in
    proportion to its rows rather than to the instance or to |S|. [run]
    calls it over the instance's whole user range on a fresh (or copied)
    strategy; [plan_rows] over a caller's range on a live one. *)
-let select ~with_saturation ~heap ~lazy_forward ~lazy_policy ~evaluator ~allowed ?trace ?budget
-    ~users inst s =
-  let evals = ref 0 and pops = ref 0 and selected = ref 0 and celf_skips = ref 0 in
+let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
+  let evals = ref 0 and pops = ref 0 and selected = ref 0 in
   let truncated = ref false in
   (* running revenue total lives in a float-array cell, not a [float ref]:
      a ref stores a fresh boxed float on every [:=], a cell stores unboxed *)
@@ -130,50 +126,28 @@ let select ~with_saturation ~heap ~lazy_forward ~lazy_policy ~evaluator ~allowed
      on the minor heap — with ~10^6 cycles per run those boxes were the
      last allocation left on the steady-state path *)
   let res = [| 0.0 |] in
-  let marginal_into eid u i t =
+  (* the open-coded {!Revenue.marginal_incremental}: same arithmetic, but
+     the instance facts come from the CSR row and the flat per-item arrays,
+     and the chain from the slot cache, so a steady-state evaluation
+     performs no hashtable lookup and no allocation (these oracle calls are
+     accounted under greedy.marginal_evaluations / chain.marginals) *)
+  let marginal_into eid i t =
     incr evals;
     (match budget with Some b -> Budget.spend b 1 | None -> ());
-    match evaluator with
-    | `Naive ->
-        if nsl = 1 then res.(0) <- Revenue.marginal ~with_saturation s (Triple.make ~u ~i ~t)
-        else begin
-          (* slate-aware naive reference: members carry their assigned
-             slots' effective q̃, the candidate this entry's slot *)
-          let z = Triple.make ~u ~i ~t in
-          let qz = mult.(eid mod nsl) *. Instance.q inst ~u ~i ~time:t in
-          let q_of z' = if Triple.equal z' z then qz else Strategy.effective_q s z' in
-          let chain = Strategy.chain_of_triple s z in
-          res.(0) <-
-            Revenue.chain_revenue ~with_saturation ~q_of inst (Triple.chain_insert chain z)
-            -. Revenue.chain_revenue ~with_saturation ~q_of inst chain
-        end
-    | `Incremental -> (
-        (* the open-coded {!Revenue.marginal_incremental}: same arithmetic,
-           but the instance facts come from the CSR row and the flat
-           per-item arrays, and the chain from the slot cache, so a
-           steady-state evaluation performs no hashtable lookup and no
-           allocation (these oracle calls are accounted under
-           greedy.marginal_evaluations / chain.marginals) *)
-        match chains.(chain_slot.(eid / estride)) with
-        | Some c ->
-            let cells = Chain.oracle_cells c in
-            (* q is read into the cell, not returned: a float result of
-               [Instance.pair_q] is boxed at the call *)
-            Instance.pair_q_into inst ~pid:(plo + (eid / estride)) ~time:t cells 3;
-            cells.(3) <- mult.(eid mod nsl) *. cells.(3);
-            cells.(4) <- prf.((i * stride) + t);
-            cells.(5) <- beta_arr.(i);
-            Chain.marginal_cells ~with_saturation c ~time:t ~res
-        | None ->
-            Instance.pair_q_into inst ~pid:(plo + (eid / estride)) ~time:t res 0;
-            res.(0) <- mult.(eid mod nsl) *. res.(0);
-            res.(0) <- (if res.(0) <= 0.0 then 0.0 else prf.((i * stride) + t) *. res.(0)))
-  in
-  (* boxed-float view of the oracle for the cold paths (initial keys, bulk
-     group refreshes) *)
-  let marginal_eid eid u i t =
-    marginal_into eid u i t;
-    res.(0)
+    match chains.(chain_slot.(eid / estride)) with
+    | Some c ->
+        let cells = Chain.oracle_cells c in
+        (* q is read into the cell, not returned: a float result of
+           [Instance.pair_q] is boxed at the call *)
+        Instance.pair_q_into inst ~pid:(plo + (eid / estride)) ~time:t cells 3;
+        cells.(3) <- mult.(eid mod nsl) *. cells.(3);
+        cells.(4) <- prf.((i * stride) + t);
+        cells.(5) <- beta_arr.(i);
+        Chain.marginal_cells ~with_saturation c ~time:t ~res
+    | None ->
+        Instance.pair_q_into inst ~pid:(plo + (eid / estride)) ~time:t res 0;
+        res.(0) <- mult.(eid mod nsl) *. res.(0);
+        res.(0) <- (if res.(0) <= 0.0 then 0.0 else prf.((i * stride) + t) *. res.(0))
   in
   (* the budget is consulted between selections only, and only after at
      least one selection, so an expired budget still yields a non-empty
@@ -283,234 +257,105 @@ let select ~with_saturation ~heap ~lazy_forward ~lazy_policy ~evaluator ~allowed
   in
   (* key for a triple whose chain is known empty: marginal reduces to p·q
      (Algorithm 1 line 8); avoids an oracle call per candidate at startup *)
-  let build_key eid u i t qv sl =
-    if chain_size_slot sl = 0 then prf.((i * stride) + t) *. qv else marginal_eid eid u i t
+  let build_key eid i t qv sl =
+    if chain_size_slot sl = 0 then prf.((i * stride) + t) *. qv
+    else begin
+      marginal_into eid i t;
+      res.(0)
+    end
   in
-  let register rel i t sl ~slot =
-    let eid = (((rel * stride) + t) * nsl) + slot - 1 in
-    prf.((i * stride) + t) <- Instance.price inst ~i ~time:t;
-    stamp.(eid) <- float_of_int (chain_size_slot sl);
-    eid
-  in
-  (match heap with
-  | `Two_level ->
-      let h = Tl.create ~groups:npairs ~width:estride in
-      (* Groups are keyed by the paper's (user, item) pair — the view pair
-         rank [pid − plo] — so a refresh event touches one pair's
-         horizon-bounded lower heap, exactly §5.1's granularity. A
-         selection staleness-marks every candidate of one (user, class),
-         i.e. all pairs of the user's same-class items, but the lazy loop
-         only refreshes the stale pairs that actually surface as the
-         global root before being re-staled; with the coarser user-sized
-         groups every event would recompute the whole stale set at once,
-         several times more oracle calls for the same trajectory. *)
-      Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
-          let rel = pid - plo in
-          let i = pi_arr.(rel) in
-          let sl = chain_slot.(rel) in
-          for t = 1 to horizon do
-            let qv = Instance.pair_q inst ~pid ~time:t in
-            if qv > 0.0 then begin
-              let z = Triple.make ~u ~i ~t in
-              if allowed z && not (Strategy.mem s z) then
-                for slot = 1 to nsl do
-                  let qe = mult.(slot - 1) *. qv in
-                  if qe > 0.0 then begin
-                    let eid = register rel i t sl ~slot in
-                    Tl.insert h ~key:(build_key eid u i t qe sl) eid
-                  end
-                done
-            end
-          done);
-      (* Recompute one entry's key and staleness stamp; the fresh key is
-         left in [res.(0)] for [Tl.refresh_pair_into] to store. Hoisted so
-         the refresh calls share one closure instead of allocating one per
-         event. *)
-      let refresh_entry eid' =
-        let rel' = eid' / estride in
-        stamp.(eid') <- float_of_int (chain_size_slot chain_slot.(rel'));
-        marginal_into eid' pu.(rel') pi_arr.(rel') ((eid' / nsl) mod stride)
-      in
-      (* CELF-style lazy skip, made exact: re-evaluate only the entries
-         whose staleness stamp shows their (user, class) chain grew since
-         their key was computed. A skipped oracle call would return the
-         stored key bit-for-bit — the marginal is a pure function of the
-         chain and the candidate, and the stamp witnesses the chain is
-         unchanged — so skipping cannot change any selection. The classic
-         CELF skip (trust the stale key as an upper bound on the fresh
-         marginal) is unsound here: REVMAX marginals can increase when a
-         chain grows — the objective is not submodular — and instrumented
-         bench runs measure roughly one naive-confirmed increase per
-         selection, which steers the upper-bound variant to a different
-         (and not reliably better) final strategy. Under pair grouping
-         every entry of a refreshed group shares the root's chain and
-         stamp, so the skip never fires and both policies coincide; it
-         fires (and pays off) under coarser groupings, and keeping it in
-         the default path documents the soundness argument lazy skipping
-         must meet. *)
-      let refresh_entry_memo eid' =
-        let rel' = eid' / estride in
-        let cur' = float_of_int (chain_size_slot chain_slot.(rel')) in
-        if stamp.(eid') < cur' then begin
-          stamp.(eid') <- cur';
-          marginal_into eid' pu.(rel') pi_arr.(rel') ((eid' / nsl) mod stride)
+  (* Groups are keyed by the paper's (user, item) pair — the view pair rank
+     [pid − plo] — so a refresh event touches one pair's horizon-bounded
+     lower heap, exactly §5.1's granularity. A selection staleness-marks
+     every candidate of one (user, class), i.e. all pairs of the user's
+     same-class items, but the lazy loop only refreshes the stale pairs
+     that actually surface as the global root before being re-staled; with
+     the coarser user-sized groups every event would recompute the whole
+     stale set at once, several times more oracle calls for the same
+     trajectory. *)
+  let h = Tl.create ~groups:npairs ~width:estride in
+  Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
+      let rel = pid - plo in
+      let i = pi_arr.(rel) in
+      let sl = chain_slot.(rel) in
+      for t = 1 to horizon do
+        let qv = Instance.pair_q inst ~pid ~time:t in
+        if qv > 0.0 then begin
+          let z = Triple.make ~u ~i ~t in
+          if allowed z && not (Strategy.mem s z) then begin
+            prf.((i * stride) + t) <- Instance.price inst ~i ~time:t;
+            for slot = 1 to nsl do
+              let qe = mult.(slot - 1) *. qv in
+              if qe > 0.0 then begin
+                let eid = (((rel * stride) + t) * nsl) + slot - 1 in
+                stamp.(eid) <- float_of_int (chain_size_slot sl);
+                Tl.insert h ~key:(build_key eid i t qe sl) eid
+              end
+            done
+          end
         end
-        else incr celf_skips (* res.(0) keeps the stored key *)
-      in
-      (* eager mode: after each selection refresh every candidate pair of
-         the selected triple's (user, class) — walking the user's CSR row
-         visits exactly the class's live groups in the same ascending item
-         order the historical all-items sweep refreshed them in *)
-      let eager_refresh u sel_i =
-        let cls = cls_arr.(sel_i) in
-        let lo, hi = Instance.pair_row inst u in
-        for pid = lo to hi - 1 do
-          if cls_arr.(pi_arr.(pid - plo)) = cls then
-            Tl.refresh_pair_into h (pid - plo) res ~f:refresh_entry
-        done
-      in
-      let rec loop () =
-        if (not (quota_full ())) && (not (out_of_budget ())) && not (Tl.is_empty h) then begin
-          let eid = Tl.max_elt h in
-          let t = (eid / nsl) mod stride in
-          let rel = eid / estride in
-          let slot = (eid mod nsl) + 1 in
-          let i = pi_arr.(rel) in
-          let u = pu.(rel) in
-          incr pops;
-          if not (feasible rel u i t slot) then begin
-            (* both display fill and capacity blocks are permanent during a
-               run (the strategy only grows), so the entry is dropped for
-               good — each blocked candidate costs at most one pop *)
+      done);
+  (* Recompute one entry's key and staleness stamp; the fresh key is left in
+     [res.(0)] for [Tl.refresh_pair_into] to store. Hoisted so the refresh
+     calls share one closure instead of allocating one per event. *)
+  let refresh_entry eid' =
+    let rel' = eid' / estride in
+    stamp.(eid') <- float_of_int (chain_size_slot chain_slot.(rel'));
+    marginal_into eid' pi_arr.(rel') ((eid' / nsl) mod stride)
+  in
+  let rec loop () =
+    if (not (quota_full ())) && (not (out_of_budget ())) && not (Tl.is_empty h) then begin
+      let eid = Tl.max_elt h in
+      let t = (eid / nsl) mod stride in
+      let rel = eid / estride in
+      let slot = (eid mod nsl) + 1 in
+      let i = pi_arr.(rel) in
+      let u = pu.(rel) in
+      incr pops;
+      if not (feasible rel u i t slot) then begin
+        (* both display fill and capacity blocks are permanent during a run
+           (the strategy only grows), so the entry is dropped for good —
+           each blocked candidate costs at most one pop *)
+        Tl.drop_max h;
+        loop ()
+      end
+      else begin
+        let sl = chain_slot.(rel) in
+        if stamp.(eid) < float_of_int (chain_size_slot sl) then begin
+          (* stale root: re-evaluate its (user, item) group in place — all
+             of the pair's live entries — through the cell ABI
+             (allocation-free), and look again. Trusting the stale key as
+             an upper bound (classic CELF) would be unsound: a marginal can
+             rise as its chain grows (DESIGN.md §5a, §5b). *)
+          Tl.refresh_pair_into h rel res ~f:refresh_entry;
+          loop ()
+        end
+        else begin
+          (* fresh root: its key is its current marginal, and no stored
+             key orders above it *)
+          Tl.max_key_into h res;
+          if res.(0) > 0.0 then begin
             Tl.drop_max h;
+            accept rel u i t slot sl;
             loop ()
           end
-          else begin
-            let sl = chain_slot.(rel) in
-            let cur = chain_size_slot sl in
-            if stamp.(eid) < float_of_int cur then begin
-              (* stale root: re-evaluate its (user, item) group in place —
-                 all [T] time slots of the pair — through the cell ABI
-                 (allocation-free). [`Celf] additionally stamp-skips
-                 entries whose chain is provably unchanged; see
-                 [refresh_entry_memo] above. *)
-              (match lazy_policy with
-              | `Refresh_pair -> Tl.refresh_pair_into h rel res ~f:refresh_entry
-              | `Celf -> Tl.refresh_pair_into h rel res ~f:refresh_entry_memo);
-              loop ()
-            end
-            else begin
-              (* fresh root: decide and pop in one fused walk over both
-                 heap levels. [`Rekeyed] cannot surface — the root's own
-                 stored key never loses to a child under the heap's strict
-                 total order — but looping is the safe response if it ever
-                 did. *)
-              Tl.max_key_into h res;
-              match Tl.celf_step h res with
-              | `Finished -> () (* fresh maximum non-positive: done *)
-              | `Accepted ->
-                  accept rel u i t slot sl;
-                  if not lazy_forward then eager_refresh u i;
-                  loop ()
-              | `Rekeyed -> loop ()
-            end
-          end
         end
-      in
-      loop ()
-  | `Giant ->
-      let h = Bh.create () in
-      (* capacity purge: once an item reaches its copy capacity, every entry
-         of a user outside its holder set is permanently infeasible
-         (capacity never frees during a greedy run and such a user can never
-         acquire the item). Removing them by handle keeps [pops] independent
-         of the blocked-candidate count — the flat-heap analogue of the
-         two-level path's per-pop drop. *)
-      let by_item = Array.make num_items [] in
-      let item_purged = Array.make num_items false in
-      let track i hd = if not item_purged.(i) then by_item.(i) <- hd :: by_item.(i) in
-      let purge i =
-        item_purged.(i) <- true;
-        List.iter
-          (fun hd ->
-            if Bh.contains h hd then begin
-              let rel = Bh.value hd / estride in
-              if Bytes.get holds rel = '\000' then Bh.remove h hd
-            end)
-          by_item.(i);
-        by_item.(i) <- []
-      in
-      let maybe_purge i = if (not item_purged.(i)) && holders.(i) >= capacity.(i) then purge i in
-      Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
-          let rel = pid - plo in
-          let i = pi_arr.(rel) in
-          let sl = chain_slot.(rel) in
-          for t = 1 to horizon do
-            let qv = Instance.pair_q inst ~pid ~time:t in
-            if qv > 0.0 then begin
-              let z = Triple.make ~u ~i ~t in
-              if allowed z && not (Strategy.mem s z) then
-                for slot = 1 to nsl do
-                  let qe = mult.(slot - 1) *. qv in
-                  if qe > 0.0 then begin
-                    let eid = register rel i t sl ~slot in
-                    track i (Bh.insert h ~key:(build_key eid u i t qe sl) ~tie:eid eid)
-                  end
-                done
-            end
-          done);
-      (* a base strategy may already hold items at capacity *)
-      for i = 0 to num_items - 1 do
-        maybe_purge i
-      done;
-      let rec loop () =
-        if (not (quota_full ())) && not (out_of_budget ()) then
-          match Bh.delete_max h with
-          | None -> ()
-          | Some (eid, key) ->
-              let t = (eid / nsl) mod stride in
-              let rel = eid / estride in
-              let slot = (eid mod nsl) + 1 in
-              let i = pi_arr.(rel) in
-              let u = pu.(rel) in
-              incr pops;
-              if not (feasible rel u i t slot) then loop () (* display-blocked this round *)
-              else begin
-                let sl = chain_slot.(rel) in
-                let cur = chain_size_slot sl in
-                if stamp.(eid) < float_of_int cur then begin
-                  stamp.(eid) <- float_of_int cur;
-                  track i (Bh.insert h ~key:(marginal_eid eid u i t) ~tie:eid eid);
-                  loop ()
-                end
-                else if key <= 0.0 then ()
-                else begin
-                  res.(0) <- key;
-                  accept rel u i t slot sl;
-                  maybe_purge i;
-                  loop ()
-                end
-              end
-      in
-      loop ());
+      end
+    end
+  in
+  loop ();
   Metrics.incr c_runs;
   Metrics.incr c_evals ~by:!evals;
   Metrics.incr c_pops ~by:!pops;
   Metrics.incr c_selected ~by:!selected;
-  Metrics.incr c_celf_skips ~by:!celf_skips;
   if !truncated then Metrics.incr c_truncated;
   { marginal_evaluations = !evals; pops = !pops; selected = !selected; truncated = !truncated }
 
-let run ?(with_saturation = true) ?(heap = `Two_level) ?(lazy_forward = true)
-    ?(lazy_policy = `Celf) ?(evaluator = `Incremental) ?(allowed = fun _ -> true) ?base ?trace
-    ?budget inst =
+let run ?(with_saturation = true) ?(allowed = fun _ -> true) ?base ?trace ?budget inst =
   Metrics.span "greedy.run" @@ fun () ->
-  if (not lazy_forward) && heap = `Giant then
-    invalid_arg "Greedy.run: eager refresh requires the two-level heap";
   let s = match base with Some b -> Strategy.copy b | None -> Strategy.create inst in
   let stats =
-    select ~with_saturation ~heap ~lazy_forward ~lazy_policy ~evaluator ~allowed ?trace ?budget
-      ~users:(Instance.user_range inst) inst s
+    select ~with_saturation ~allowed ?trace ?budget ~users:(Instance.user_range inst) inst s
   in
   (s, stats)
 
@@ -520,5 +365,4 @@ let plan_rows ?(allowed = fun _ -> true) ?budget s ~users =
   let lo, hi = Instance.user_range inst and ulo, uhi = users in
   if ulo < lo || uhi > hi || ulo > uhi then
     invalid_arg "Greedy.plan_rows: user range outside the instance";
-  select ~with_saturation:true ~heap:`Two_level ~lazy_forward:true ~lazy_policy:`Celf
-    ~evaluator:`Incremental ~allowed ?budget ~users inst s
+  select ~with_saturation:true ~allowed ?budget ~users inst s

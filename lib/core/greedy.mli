@@ -13,31 +13,16 @@
     which a stale key bounds its fresh marginal from above. That does not
     hold here (DESIGN.md §5a): a marginal can rise as the strategy grows,
     so a stale key may under-estimate, and a lazy run may select other
-    triples than an eager one. Within a group re-evaluation, an entry is
-    skipped only when its stamp proves its chain unchanged; the marginal
-    is a pure function of the chain and the candidate, so the skipped call
-    would have returned the stored key bit for bit.
+    triples than an eager one. A group re-evaluation recomputes every
+    live entry of the pair: they all share the root's chain, so they are
+    stale together. The test suite's reference G-Greedy implements this
+    rule directly, and this loop must match it selection for selection;
+    its eager mode refreshes every stale key after each selection.
 
-    Variants used by the experiments:
+    Options used by the experiments:
     - [~with_saturation:false] is the {b GlobalNo} baseline of §6: marginal
       revenue is computed as if [β_i = 1] everywhere (the output is then
       evaluated under the true saturation factors by the caller);
-    - [~heap:`Giant] replaces the two-level structure with one flat heap
-      (same output, different constants) — the [abl-heap] ablation;
-    - [~lazy_forward:false] eagerly refreshes every affected candidate after
-      each selection, so every key is current whenever one is selected
-      (many more marginal evaluations);
-    - [~lazy_policy] picks how a stale two-level root's group is brought
-      up to date: [`Refresh_pair] re-evaluates every entry of the group,
-      while [`Celf] (default) skips the entries whose stamp proves their
-      chain unchanged (see above). Both produce identical selection
-      sequences. Under the (user, item) grouping every entry of a group
-      shares one chain, so the skip never fires and both policies perform
-      the same evaluations. Ignored by [`Giant] and by eager refresh;
-    - [~evaluator:`Naive] scores marginals with the O(L²) reference oracle
-      {!Revenue.marginal} instead of the O(L) incremental engine
-      {!Revenue.marginal_incremental} (same output up to floating-point
-      rounding) — the baseline of the greedy-throughput benchmark;
     - [~allowed] and [~base] support the §6.3 gradual-price-availability
       setting through {!Rolling}: selection is restricted to allowed
       triples while the committed [base] strategy contributes to chains and
@@ -65,10 +50,6 @@ type trace_point = {
 
 val run :
   ?with_saturation:bool ->
-  ?heap:[ `Two_level | `Giant ] ->
-  ?lazy_forward:bool ->
-  ?lazy_policy:[ `Celf | `Refresh_pair ] ->
-  ?evaluator:[ `Incremental | `Naive ] ->
   ?allowed:(Triple.t -> bool) ->
   ?base:Strategy.t ->
   ?trace:(trace_point -> unit) ->
@@ -79,9 +60,10 @@ val run :
 
     [trace] is invoked after every selection with the strategy size, the
     running sum of (fresh) marginal revenues — the series plotted in
-    Figure 4 — and the cumulative marginal-evaluation count. The running
-    sum equals [Revenue.total] of the growing strategy when
-    [with_saturation] is [true].
+    Figure 4 — and the cumulative marginal-evaluation count. The sum
+    starts at [0.0], so with [with_saturation = true] it equals
+    [Revenue.total s -. Revenue.total base] of the growing strategy [s]
+    (just [Revenue.total s] without a base), up to rounding.
 
     When [budget] is given, evaluation charges accumulate into it (so one
     budget can be shared across several runs) and the run stops as soon as

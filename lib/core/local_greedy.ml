@@ -23,8 +23,8 @@ type stats = Greedy.stats = {
 
 type elt = { z : Triple.t; mutable flag : int }
 
-let greedy_in_order ?(with_saturation = true) ?(evaluator = `Incremental)
-    ?(allowed = fun _ -> true) ?base ?trace ?budget inst ~order =
+let greedy_in_order ?(with_saturation = true) ?(allowed = fun _ -> true) ?base ?trace ?budget
+    inst ~order =
   let horizon = Instance.horizon inst in
   let seen_time = Array.make (horizon + 1) false in
   List.iter
@@ -43,9 +43,7 @@ let greedy_in_order ?(with_saturation = true) ?(evaluator = `Incremental)
   let marginal (z : Triple.t) =
     incr evals;
     (match budget with Some b -> Budget.spend b 1 | None -> ());
-    match evaluator with
-    | `Incremental -> Revenue.marginal_incremental ~with_saturation s z
-    | `Naive -> Revenue.marginal ~with_saturation s z
+    Revenue.marginal_incremental ~with_saturation s z
   in
   (* consulted between selections, after at least one, as in Greedy.run *)
   let out_of_budget () =
@@ -66,7 +64,7 @@ let greedy_in_order ?(with_saturation = true) ?(evaluator = `Incremental)
             if qs.(tm - 1) > 0.0 then begin
               let z = Triple.make ~u ~i ~t:tm in
               if allowed z && not (Strategy.mem s z) then
-                ignore (Bh.insert h ~key:(marginal z) { z; flag = chain_size_of z })
+                Bh.insert h ~key:(marginal z) { z; flag = chain_size_of z }
             end)
           row)
       (Array.init (Instance.num_users inst) (Instance.candidates inst));
@@ -82,7 +80,7 @@ let greedy_in_order ?(with_saturation = true) ?(evaluator = `Incremental)
               if e.flag < cur then begin
                 (* lazy forward within the round *)
                 e.flag <- cur;
-                ignore (Bh.insert h ~key:(marginal e.z) e);
+                Bh.insert h ~key:(marginal e.z) e;
                 consume ()
               end
               else if key <= 0.0 then ()
@@ -114,16 +112,15 @@ let greedy_in_order ?(with_saturation = true) ?(evaluator = `Incremental)
   Metrics.incr c_selected ~by:!selected;
   (s, { marginal_evaluations = !evals; pops = !pops; selected = !selected; truncated = !truncated })
 
-let sl_greedy ?with_saturation ?evaluator ?allowed ?base ?trace ?budget inst =
+let sl_greedy ?with_saturation ?allowed ?base ?trace ?budget inst =
   let order = List.init (Instance.horizon inst) (fun idx -> idx + 1) in
-  greedy_in_order ?with_saturation ?evaluator ?allowed ?base ?trace ?budget inst ~order
+  greedy_in_order ?with_saturation ?allowed ?base ?trace ?budget inst ~order
 
 let factorial_capped n cap =
   let rec go acc i = if i > n || acc >= cap then min acc cap else go (acc * i) (i + 1) in
   go 1 2
 
-let rl_greedy ?with_saturation ?evaluator ?(permutations = 20) ?allowed ?base ?budget ?jobs inst
-    rng =
+let rl_greedy ?with_saturation ?(permutations = 20) ?allowed ?base ?budget ?jobs inst rng =
   if permutations < 1 then invalid_arg "Local_greedy.rl_greedy: need at least one permutation";
   let horizon = Instance.horizon inst in
   let n = min permutations (factorial_capped horizon permutations) in
@@ -155,8 +152,7 @@ let rl_greedy ?with_saturation ?evaluator ?(permutations = 20) ?allowed ?base ?b
     else begin
       let inner_budget = if idx = 0 then None else budget in
       let s, st =
-        greedy_in_order ?with_saturation ?evaluator ?allowed ?base ?budget:inner_budget inst
-          ~order
+        greedy_in_order ?with_saturation ?allowed ?base ?budget:inner_budget inst ~order
       in
       (* the first permutation runs unbudgeted; charge its work afterwards
          so later skip decisions account for it *)

@@ -24,7 +24,6 @@ type stats = Greedy.stats = {
 
 val greedy_in_order :
   ?with_saturation:bool ->
-  ?evaluator:[ `Incremental | `Naive ] ->
   ?allowed:(Triple.t -> bool) ->
   ?base:Strategy.t ->
   ?trace:(Greedy.trace_point -> unit) ->
@@ -33,14 +32,15 @@ val greedy_in_order :
   order:int list ->
   Strategy.t * stats
 (** Run the per-time-step greedy over the time steps listed in [order]
-    (each in [1..T], no duplicates). [allowed], [base], [trace], [budget]
-    and [evaluator] behave as in {!Greedy.run}; the [trace] running revenue
-    restarts from the base's revenue and increases by fresh marginals,
-    showing the "segments" of Figure 4 at round switches. *)
+    (each in [1..T], no duplicates). [allowed], [base], [trace] and
+    [budget] behave as in {!Greedy.run}. The [trace] running revenue
+    starts at [0.0], not at the base's revenue, and increases by fresh
+    marginals, showing the "segments" of Figure 4 at round switches; with
+    a non-empty [base] it is [Revenue.total s -. Revenue.total base], up to
+    rounding. *)
 
 val sl_greedy :
   ?with_saturation:bool ->
-  ?evaluator:[ `Incremental | `Naive ] ->
   ?allowed:(Triple.t -> bool) ->
   ?base:Strategy.t ->
   ?trace:(Greedy.trace_point -> unit) ->
@@ -51,7 +51,6 @@ val sl_greedy :
 
 val rl_greedy :
   ?with_saturation:bool ->
-  ?evaluator:[ `Incremental | `Naive ] ->
   ?permutations:int ->
   ?allowed:(Triple.t -> bool) ->
   ?base:Strategy.t ->

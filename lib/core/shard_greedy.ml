@@ -78,8 +78,7 @@ let triple_removal_loss ~with_saturation inst s (z : Triple.t) =
   Revenue.chain_revenue ~with_saturation ?q_of inst chain
   -. Revenue.chain_revenue ~with_saturation ?q_of inst keep
 
-let solve ?(policy = `Water_filling) ?shards ?jobs ?(with_saturation = true)
-    ?(lazy_policy = `Celf) ?budget inst =
+let solve ?(policy = `Water_filling) ?shards ?jobs ?(with_saturation = true) ?budget inst =
   let shards = match shards with Some n -> max 1 n | None -> default_shards () in
   Metrics.span "shard_greedy.solve" @@ fun () ->
   let views = Instance.shard ~policy ~shards inst in
@@ -88,9 +87,7 @@ let solve ?(policy = `Water_filling) ?shards ?jobs ?(with_saturation = true)
   let parts = Option.map (fun b -> Budget.split b shards) budget in
   let results =
     Pool.parallel_init ?jobs shards ~f:(fun idx ->
-        Greedy.run ~with_saturation ~lazy_policy
-          ?budget:(Option.map (fun a -> a.(idx)) parts)
-          views.(idx))
+        Greedy.run ~with_saturation ?budget:(Option.map (fun a -> a.(idx)) parts) views.(idx))
   in
   (match (budget, parts) with Some b, Some a -> Budget.absorb b a | _ -> ());
   (* deterministic merge in shard order; shards partition the users, so no
@@ -160,7 +157,7 @@ let solve ?(policy = `Water_filling) ?shards ?jobs ?(with_saturation = true)
          display slots and the true capacities are all checked w.r.t. the
          merged state, so the pass cannot reintroduce a violation *)
       let s', (st : Greedy.stats) =
-        Greedy.run ~with_saturation ~lazy_policy
+        Greedy.run ~with_saturation
           ~allowed:(fun z -> Hashtbl.mem losers z.u)
           ~base:!merged ?budget inst
       in

@@ -68,18 +68,12 @@ val solve :
   ?shards:int ->
   ?jobs:int ->
   ?with_saturation:bool ->
-  ?lazy_policy:[ `Celf | `Refresh_pair ] ->
   ?budget:Revmax_prelude.Budget.t ->
   Instance.t ->
   Strategy.t * stats
 (** [solve inst] plans with [shards] user shards (default
     {!default_shards}) under [policy] (default [`Water_filling]) on up to
     [jobs] domains (default {!Revmax_prelude.Pool.default_jobs}).
-
-    [lazy_policy] (default [`Celf]) is forwarded to every {!Greedy.run}
-    pass — the shard-local plans and the re-planning phase alike. The two
-    policies select identically (a [@shard] qcheck obligation), so it only
-    steers the work profile.
 
     [budget] is {!Revmax_prelude.Budget.split} across the shards
     (deterministic shares, shared deadline) and re-assembled afterwards;

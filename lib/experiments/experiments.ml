@@ -333,7 +333,7 @@ let ext_taylor (cfg : Config.t) =
     [ 0.05; 0.1; 0.2 ];
   Table.print t
 
-(* ----- Greedy-throughput benchmarks ----- *)
+(* ----- Greedy benchmarks ----- *)
 
 (* Shared synthetic generator for the greedy benchmarks: few classes, long
    horizon, mild adoption probabilities and saturation, so greedy keeps
@@ -369,108 +369,60 @@ let greedy_bench_rows (cfg : Config.t) =
   | Config.Default -> [ small; medium ]
   | Config.Full -> [ small; medium; large ]
 
-let bench_greedy (cfg : Config.t) =
-  Runner.section "Benchmark: G-Greedy throughput, naive vs incremental marginal evaluator";
-  let rows = greedy_bench_rows cfg in
-  let t =
-    Table.create
-      ~columns:
-        [
-          "dataset"; "#triples"; "avg chain"; "naive s"; "incr s"; "speedup";
-          "naive evals/s"; "incr evals/s"; "rel dRev";
-        ]
-  in
-  List.iter
-    (fun (label, make) ->
-      let inst = make () in
-      let triples = Instance.num_candidate_triples inst in
-      let (s_n, st_n), sec_n = Util.time_it (fun () -> Greedy.run ~evaluator:`Naive inst) in
-      let (s_i, st_i), sec_i =
-        Util.time_it (fun () -> Greedy.run ~evaluator:`Incremental inst)
-      in
-      let vn = Revenue.total s_n and vi = Revenue.total s_i in
-      let rel = Float.abs (vn -. vi) /. Float.max 1.0 (Float.abs vn) in
-      if rel > 1e-9 then
-        failwith
-          (Printf.sprintf "bench-greedy %s: evaluators disagree (%.12g vs %.12g)" label vn vi);
-      let rate evals sec = float_of_int evals /. Float.max 1e-9 sec in
-      let chains = ref 0 and chained = ref 0 in
-      Strategy.iter_chains s_i (fun c ->
-          incr chains;
-          chained := !chained + Revmax.Chain.length c);
-      Table.add_row t
-        [
-          label;
-          string_of_int triples;
-          Printf.sprintf "%.1f" (float_of_int !chained /. float_of_int (max 1 !chains));
-          Printf.sprintf "%.3f" sec_n;
-          Printf.sprintf "%.3f" sec_i;
-          Printf.sprintf "%.1fx" (sec_n /. Float.max 1e-9 sec_i);
-          Printf.sprintf "%.0f" (rate st_n.Greedy.marginal_evaluations sec_n);
-          Printf.sprintf "%.0f" (rate st_i.Greedy.marginal_evaluations sec_i);
-          Printf.sprintf "%.1e" rel;
-        ])
-    rows;
-  Table.print t;
-  Log.out
-    "(identical selections by construction — rel dRev is the accumulated float drift;\n\
-    \ speedup grows with chain length: naive marginals are O(L^2), incremental O(L))\n"
-
-(* ----- SoA hot-path benchmark: CELF lazy policy, identity + allocation gates ----- *)
+(* ----- Greedy hot-path benchmark: throughput, identity + allocation gates ----- *)
 
 let bench_greedy_soa (cfg : Config.t) =
-  Runner.section "Benchmark: SoA hot path, CELF vs refresh-pair lazy policy";
+  Runner.section "Benchmark: G-Greedy hot path, shard identity and allocation gates";
   let rows = greedy_bench_rows cfg in
   let t =
     Table.create
       ~columns:
         [
-          "dataset"; "#triples"; "selected"; "celf s"; "refresh s"; "speedup"; "celf evals";
-          "refresh evals"; "celf ns/eval"; "words/sel";
+          "dataset"; "#triples"; "avg chain"; "selected"; "seconds"; "evals"; "ns/eval"; "words/sel";
         ]
   in
   List.iter
     (fun (label, make) ->
       let inst = make () in
       let triples = Instance.num_candidate_triples inst in
-      (* per lazy policy: one untraced timed run (the wall-time column must
-         measure the hot path, not the trace callback's per-selection
-         allocation) and one traced run recording every accepted triple in
-         selection order with the running revenue, for the identity gate *)
-      let run_policy lazy_policy =
-        let _, sec = Util.time_it (fun () -> Greedy.run ~lazy_policy inst) in
-        let picks = ref [] in
-        let trace (p : Greedy.trace_point) = picks := (p.Greedy.z, p.Greedy.revenue) :: !picks in
-        let r = Greedy.run ~lazy_policy ~trace inst in
-        (r, sec, List.rev !picks)
+      (* allocation gate: the steady-state selection loop must allocate
+         O(1) minor-heap words per accepted triple, independent of the
+         evaluation count. The build phase (candidate registration and
+         initial keys) is isolated with a budget that stops after the
+         first selection; the loop's delta beyond it, divided by the
+         remaining selections, is all accept-path output construction
+         (strategy hashtable entries, amortized chain-array doubling) —
+         evaluations themselves allocate nothing (DESIGN.md §5b). The full
+         run is untraced and goes first, on a fresh heap, so its wall time
+         is the hot path's alone. *)
+      let words_of f =
+        let w0 = Gc.minor_words () in
+        let r = f () in
+        (r, Gc.minor_words () -. w0)
       in
-      let (_, st_c), sec_c, picks_c = run_policy `Celf in
-      let (_, st_r), sec_r, picks_r = run_policy `Refresh_pair in
-      (* bit-identity across lazy policies: same triples, same order, and
-         byte-identical running revenues (exact float equality — CELF must
-         not merely agree within tolerance, it must make the same
-         selections from the same marginals) *)
-      if
-        not
-          (List.equal
-             (fun (z1, (r1 : float)) (z2, r2) -> Revmax.Triple.equal z1 z2 && r1 = r2)
-             picks_c picks_r)
-      then failwith (Printf.sprintf "bench-greedy-soa %s: lazy policies diverge" label);
-      (* sharded identity grid: every (shards, jobs, policy) combination
-         must pick the same triple set for a given shard count, and the
-         shards=1 runs must reproduce the unsharded selection exactly *)
+      let ((s, st), sec), w_full = words_of (fun () -> Util.time_it (fun () -> Greedy.run inst)) in
+      let budget = Revmax_prelude.Budget.create ~max_evaluations:1 () in
+      let (_, st1), w_build = words_of (fun () -> Greedy.run ~budget inst) in
+      let per_sel =
+        (w_full -. w_build) /. float_of_int (max 1 (st.Greedy.selected - st1.Greedy.selected))
+      in
+      if Sys.backend_type = Sys.Native && per_sel > 128.0 then
+        failwith
+          (Printf.sprintf
+             "bench-greedy-soa %s: %.1f minor words per selection exceeds the O(1) gate (128)"
+             label per_sel);
+      (* sharded identity grid: every (shards, jobs) combination must pick
+         the same triple set for a given shard count, and the shards=1 runs
+         must reproduce the unsharded selection exactly *)
       let sorted l = List.sort Revmax.Triple.compare l in
-      let unsharded = sorted (List.map fst picks_c) in
+      let unsharded = sorted (Strategy.to_list s) in
       List.iter
         (fun shards ->
           let grid =
-            List.concat_map
+            List.map
               (fun jobs ->
-                List.map
-                  (fun lp ->
-                    let s, _ = Revmax.Shard_greedy.solve ~shards ~jobs ~lazy_policy:lp inst in
-                    sorted (Strategy.to_list s))
-                  [ `Celf; `Refresh_pair ])
+                let s, _ = Revmax.Shard_greedy.solve ~shards ~jobs inst in
+                sorted (Strategy.to_list s))
               [ 1; 4 ]
           in
           List.iteri
@@ -484,61 +436,33 @@ let bench_greedy_soa (cfg : Config.t) =
                   (Printf.sprintf "bench-greedy-soa %s: shards=1 differs from plain greedy" label))
             grid)
         [ 1; 4 ];
-      (* allocation gate: the steady-state selection loop must allocate
-         O(1) minor-heap words per accepted triple, independent of the
-         evaluation count. The build phase (candidate registration and
-         initial keys) is isolated with a budget that stops after the
-         first selection; the loop's delta beyond it, divided by the
-         remaining selections, is all accept-path output construction
-         (strategy hashtable entries, amortized chain-array doubling) —
-         evaluations themselves allocate nothing (DESIGN.md §5b). *)
-      let words_of f =
-        let w0 = Gc.minor_words () in
-        let r = f () in
-        (r, Gc.minor_words () -. w0)
-      in
-      let budget = Revmax_prelude.Budget.create ~max_evaluations:1 () in
-      let (_, st1), w_build = words_of (fun () -> Greedy.run ~budget inst) in
-      let (_, st2), w_full = words_of (fun () -> Greedy.run inst) in
-      let per_sel =
-        (w_full -. w_build) /. float_of_int (max 1 (st2.Greedy.selected - st1.Greedy.selected))
-      in
-      if Sys.backend_type = Sys.Native && per_sel > 128.0 then
-        failwith
-          (Printf.sprintf
-             "bench-greedy-soa %s: %.1f minor words per selection exceeds the O(1) gate (128)"
-             label per_sel);
-      let ns_per_eval =
-        1e9 *. sec_c /. float_of_int (max 1 st_c.Greedy.marginal_evaluations)
-      in
+      let chains = ref 0 and chained = ref 0 in
+      Strategy.iter_chains s (fun c ->
+          incr chains;
+          chained := !chained + Revmax.Chain.length c);
       Table.add_row t
         [
           label;
           string_of_int triples;
-          string_of_int st_c.Greedy.selected;
-          Printf.sprintf "%.3f" sec_c;
-          Printf.sprintf "%.3f" sec_r;
-          Printf.sprintf "%.1fx" (sec_r /. Float.max 1e-9 sec_c);
-          string_of_int st_c.Greedy.marginal_evaluations;
-          string_of_int st_r.Greedy.marginal_evaluations;
-          Printf.sprintf "%.0f" ns_per_eval;
+          Printf.sprintf "%.1f" (float_of_int !chained /. float_of_int (max 1 !chains));
+          string_of_int st.Greedy.selected;
+          Printf.sprintf "%.3f" sec;
+          string_of_int st.Greedy.marginal_evaluations;
+          Printf.sprintf "%.0f" (1e9 *. sec /. float_of_int (max 1 st.Greedy.marginal_evaluations));
           Printf.sprintf "%.1f" per_sel;
         ])
     rows;
   Table.print t;
   Log.out
-    "(selections are bit-identical across lazy policies, shard counts and job counts — the\n\
-    \ gates above fail the run otherwise. The CELF stamp-skip is exact, not the classic\n\
-    \ stale-keys-as-upper-bounds rule: REVMAX marginals can increase as chains grow, so\n\
-    \ that rule selects a different strategy here. Under the paper's (user, item) pair\n\
-    \ grouping the skip never fires and both policies do identical work — the wall-time\n\
-    \ win comes from the allocation-free SoA oracle, not from skipped evaluations.)\n"
+    "(selections are identical across shard and job counts, and shards=1 reproduces the plain\n\
+    \ greedy — the gates above fail the run otherwise. Evaluations allocate nothing; words/sel\n\
+    \ is the accept path's output construction, gated at 128.)\n"
 
 (* ----- Shard-scaling benchmark: Shard_greedy vs plain greedy ----- *)
 
 let bench_shards (cfg : Config.t) =
   Runner.section "Benchmark: user-sharded greedy, revenue ratio and wall time vs shards";
-  (* the same long-chain synthetic regime as bench-greedy, but with
+  (* the same long-chain synthetic regime as bench-greedy-soa, but with
      capacities tight enough (about a third of the users) that the
      water-filling budgets genuinely overlap and the reconciliation round
      has real contention to resolve *)
@@ -943,34 +867,6 @@ let bench_scale (cfg : Config.t) =
 
 (* ----- Ablations ----- *)
 
-let abl_heap (cfg : Config.t) =
-  Runner.section "Ablation (s5.1): heap structure and lazy forward in G-Greedy";
-  let prepared = Datasets.amazon cfg in
-  let users = prepared.Pipeline.num_users in
-  let inst =
-    Datasets.instance cfg prepared ~capacity:(Config.cap_gaussian cfg ~users)
-      ~beta:Pipeline.Beta_uniform ()
-  in
-  let t =
-    Table.create ~columns:[ "variant"; "seconds"; "marginal evals"; "revenue" ]
-  in
-  List.iter
-    (fun (label, heap, lazy_forward) ->
-      let (s, stats), seconds = Util.time_it (fun () -> Greedy.run ~heap ~lazy_forward inst) in
-      Table.add_row t
-        [
-          label;
-          Printf.sprintf "%.2f" seconds;
-          string_of_int stats.Greedy.marginal_evaluations;
-          Printf.sprintf "%.1f" (Revenue.total s);
-        ])
-    [
-      ("two-level + lazy", `Two_level, true);
-      ("giant + lazy", `Giant, true);
-      ("two-level + eager", `Two_level, false);
-    ];
-  Table.print t
-
 let abl_exact (cfg : Config.t) =
   Runner.section "Ablation (s3.2/s4): greedy vs exact optimum and R-REVMAX local search";
   let rng = Rng.create cfg.Config.seed in
@@ -1107,9 +1003,8 @@ let all =
     ("fig6", "Figure 6: G-Greedy scalability", fig6);
     ("fig7", "Figure 7: gradual price availability", fig7);
     ("ext-taylor", "s7 extension: random prices (Taylor)", ext_taylor);
-    ("bench-greedy", "Benchmark: greedy throughput, naive vs incremental", bench_greedy);
     ( "bench-greedy-soa",
-      "Benchmark: SoA hot path, CELF vs refresh-pair; identity + allocation gates",
+      "Benchmark: G-Greedy hot path; shard identity + allocation gates",
       bench_greedy_soa );
     ("bench-shards", "Benchmark: user-sharded greedy vs unsharded (ratio, wall time)", bench_shards);
     ( "bench-slate",
@@ -1118,7 +1013,6 @@ let all =
     ( "bench-scale",
       "Benchmark: out-of-core scale — packed mmap instance, hierarchical shards, RSS gate",
       bench_scale );
-    ("abl-heap", "Ablation: heaps and lazy forward", abl_heap);
     ("abl-exact", "Ablation: greedy vs exact optima", abl_exact);
     ("abl-rs", "Ablation: MF vs kNN vs content-based substrate", abl_rs);
   ]

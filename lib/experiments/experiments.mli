@@ -47,23 +47,12 @@ val ext_taylor : Config.t -> unit
     heuristic (order-1) vs Taylor order-2 vs Monte-Carlo truth, for several
     price-noise levels. *)
 
-val bench_greedy : Config.t -> unit
-(** Greedy-throughput benchmark — {!Revmax.Greedy.run} timed end-to-end with
-    the naive O(L²) marginal oracle versus the incremental O(L) engine on
-    synthetic long-chain datasets: wall time, marginal evaluations per
-    second, speedup, and the (tiny) relative revenue drift between the two.
-    Aborts if the evaluators' revenues differ by more than 1e-9 relative. *)
-
 val bench_shards : Config.t -> unit
 (** Shard-scaling benchmark — {!Revmax.Shard_greedy.solve} at
     shards ∈ {1, 2, 4} against plain {!Revmax.Greedy.run}: revenue ratio
     (sharded/unsharded), wall time, and reconciliation work (rounds,
     released pairs, re-planned users). Aborts if shards=1 is not
     bit-identical to the unsharded run. *)
-
-val abl_heap : Config.t -> unit
-(** §5.1 ablation — two-level vs giant heap, lazy-forward on vs off:
-    planning time and number of marginal-revenue evaluations. *)
 
 val abl_exact : Config.t -> unit
 (** §3.2/§4 sanity — greedy-vs-optimal revenue ratios on micro instances

@@ -121,7 +121,7 @@ let solve ?(stop_when_unprofitable = false) t ~source ~sink =
     dist.(source) <- 0.0;
     let heap = Heap.create () in
     (* max-heap: negate distances *)
-    ignore (Heap.insert heap ~key:0.0 source);
+    Heap.insert heap ~key:0.0 source;
     let visited = Array.make t.n false in
     let rec run () =
       match Heap.delete_max heap with
@@ -140,7 +140,7 @@ let solve ?(stop_when_unprofitable = false) t ~source ~sink =
                     if dist.(u) +. rc < dist.(v) -. 1e-12 then begin
                       dist.(v) <- dist.(u) +. rc;
                       pred.(v) <- e;
-                      ignore (Heap.insert heap ~key:(-.dist.(v)) v)
+                      Heap.insert heap ~key:(-.dist.(v)) v
                     end
                   end
                 end)

@@ -75,10 +75,10 @@ let can_fork () =
    [procs × spp] grid. It plans them on its own domain pool, streams each
    strategy back shard-ascending, then serves reconciliation queries
    against its (mirror-maintained) shard strategies until shutdown. *)
-let child_main ~with_saturation ~lazy_policy ~jobs ~views ~lo ~hi ~req_r ~resp_w =
+let child_main ~with_saturation ~jobs ~views ~lo ~hi ~req_r ~resp_w =
   let results =
     Pool.parallel_init ?jobs (hi - lo) ~f:(fun k ->
-        Greedy.run ~with_saturation ~lazy_policy views.(lo + k))
+        Greedy.run ~with_saturation views.(lo + k))
   in
   Array.iteri
     (fun k ((sh : Strategy.t), (st : Greedy.stats)) ->
@@ -174,7 +174,7 @@ let recv_from child =
   | m -> m
 
 let solve ?(policy = `Water_filling) ?procs ?shards_per_proc ?jobs ?(with_saturation = true)
-    ?(lazy_policy = `Celf) inst =
+    inst =
   let procs = match procs with Some p -> max 1 p | None -> default_procs () in
   let spp = match shards_per_proc with Some s -> max 1 s | None -> 1 in
   let shards = procs * spp in
@@ -187,7 +187,7 @@ let solve ?(policy = `Water_filling) ?procs ?shards_per_proc ?jobs ?(with_satura
   let fallback ~degraded () =
     if degraded then Metrics.incr c_degraded;
     let s, (st : Shard_greedy.stats) =
-      Shard_greedy.solve ~policy ~shards ?jobs ~with_saturation ~lazy_policy inst
+      Shard_greedy.solve ~policy ~shards ?jobs ~with_saturation inst
     in
     ( s,
       {
@@ -247,7 +247,7 @@ let solve ?(policy = `Water_filling) ?procs ?shards_per_proc ?jobs ?(with_satura
                           close qresp_w
                         end)
                       pipes;
-                    child_main ~with_saturation ~lazy_policy ~jobs ~views ~lo:(p * spp)
+                    child_main ~with_saturation ~jobs ~views ~lo:(p * spp)
                       ~hi:((p + 1) * spp) ~req_r ~resp_w;
                     0
                   with e ->
@@ -372,7 +372,7 @@ let solve ?(policy = `Water_filling) ?procs ?shards_per_proc ?jobs ?(with_satura
                 end)
               over;
             let s', (st : Greedy.stats) =
-              Greedy.run ~with_saturation ~lazy_policy
+              Greedy.run ~with_saturation
                 ~allowed:(fun z -> Hashtbl.mem losers z.u)
                 ~base:!merged inst
             in

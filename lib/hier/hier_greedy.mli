@@ -53,7 +53,6 @@ val solve :
   ?shards_per_proc:int ->
   ?jobs:int ->
   ?with_saturation:bool ->
-  ?lazy_policy:[ `Celf | `Refresh_pair ] ->
   Revmax.Instance.t ->
   Revmax.Strategy.t * stats
 (** [solve inst] plans over [procs] processes (default {!default_procs})

@@ -6,8 +6,6 @@ let c_pops = Metrics.counter "two_level_heap.pops"
 
 let c_refresh_pairs = Metrics.counter "two_level_heap.refresh_pairs"
 
-let c_refresh_maxes = Metrics.counter "two_level_heap.refresh_maxes"
-
 (* One flat arena. Group g's lower heap lives in slots
    [g·width, g·width + size.(g)) of [keys]/[ents], in heap order; the
    upper heap is three flat arrays over groups — [ukey]/[ugrp] in heap
@@ -16,10 +14,10 @@ let c_refresh_maxes = Metrics.counter "two_level_heap.refresh_maxes"
    records, handles or options, and no GC write barrier.
 
    Both levels use 8-ary hole sifts under one strict total order — higher
-   key first, equal keys smaller entry (upper level: smaller group) first,
-   as {!Binary_heap} orders by tie rank — so pop order is a function of
-   the stored (key, entry) pairs alone. Since a group is [e / width], the
-   two-level order is exactly the flat (key, entry) order. *)
+   key first, equal keys smaller entry (upper level: smaller group) first
+   — so pop order is a function of the stored (key, entry) pairs alone.
+   Since a group is [e / width], the two-level order is exactly the flat
+   (key, entry) order. *)
 type t = {
   width : int;
   keys : float array;
@@ -117,7 +115,7 @@ let upper_sift_up t i = sift_up t.ukey t.ugrp t.upos 0 i
 let upper_sift_down t i = sift_down t.ukey t.ugrp t.upos 0 t.usize i
 
 (* re-key group [g] in the upper heap to its lower root's key, inserting
-   it when absent — [Binary_heap.update_key] / [insert] on the group *)
+   it when absent *)
 let upper_sync t g =
   let k = t.keys.(g * t.width) in
   let p = t.upos.(g) in
@@ -178,7 +176,8 @@ let max_key_into t cell =
   cell.(0) <- t.ukey.(0)
 
 (* remove the root group's lower root and fix both levels *)
-let pop_root t =
+let drop_max t =
+  check_nonempty t;
   Metrics.incr c_pops;
   let g = t.ugrp.(0) in
   let base = g * t.width in
@@ -191,46 +190,6 @@ let pop_root t =
     t.ents.(base) <- t.ents.(base + n);
     lower_sift_down t base n 0;
     upper_rekey_root t
-  end
-
-let drop_max t =
-  check_nonempty t;
-  pop_root t
-
-(* [m] keeps the global lead iff no root child of either level orders
-   above it: lower children compare against the root entry, upper
-   children against the root group. That is the runner-up test in the
-   strict (key, entry) order, so an exact tie resolves to the entry an
-   eager full refresh would pick. *)
-let celf_step t cell =
-  check_nonempty t;
-  let m = cell.(0) in
-  let g = t.ugrp.(0) in
-  let base = g * t.width and n = t.size.(g) in
-  let beaten = ref false in
-  let re = t.ents.(base) in
-  let last = if arity < n - 1 then arity else n - 1 in
-  for c = 1 to last do
-    let kc = t.keys.(base + c) in
-    if kc > m || (kc = m && t.ents.(base + c) < re) then beaten := true
-  done;
-  let last = if arity < t.usize - 1 then arity else t.usize - 1 in
-  for c = 1 to last do
-    let kc = t.ukey.(c) in
-    if kc > m || (kc = m && t.ugrp.(c) < g) then beaten := true
-  done;
-  if !beaten then begin
-    Metrics.incr c_refresh_maxes;
-    let old = t.keys.(base) in
-    t.keys.(base) <- m;
-    if m < old then lower_sift_down t base n 0;
-    upper_rekey_root t;
-    `Rekeyed
-  end
-  else if m <= 0.0 then `Finished
-  else begin
-    pop_root t;
-    `Accepted
   end
 
 (* Every key of group [g] goes through [cell.(0)] in heap-array order; the

@@ -11,7 +11,7 @@
     The payoff over one giant heap is that key updates triggered by a
     greedy selection only traverse a lower heap of at most [width] entries
     plus the upper heap of at most [groups] groups — the rationale given in
-    the paper, and measured by the [abl-heap] benchmark.
+    the paper.
 
     {b Order.} Higher keys come first; equal keys order by the smaller
     entry (an entry is its own tie rank), and groups with equal root keys
@@ -55,16 +55,6 @@ val max_key_into : t -> float array -> unit
 
 val drop_max : t -> unit
 (** Remove the best entry. A drained group leaves the upper level. *)
-
-val celf_step : t -> float array -> [ `Accepted | `Finished | `Rekeyed ]
-(** [celf_step t cell] decides the current best entry against its freshly
-    recomputed key, read from [cell.(0)]: [`Rekeyed] means the key no
-    longer leads the global runner-up, and the root was re-keyed in place
-    on both levels; [`Accepted] means it still leads and is positive, and
-    the entry was removed (as [drop_max]); [`Finished] means it leads but
-    is non-positive, and nothing changed. "Leads" is decided in the strict
-    (key, entry) order, so an exact key tie resolves to the entry an eager
-    full refresh would pick. *)
 
 val refresh_pair_into : t -> int -> float array -> f:(int -> unit) -> unit
 (** [refresh_pair_into t g cell ~f] recomputes the key of every entry of

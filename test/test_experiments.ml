@@ -91,7 +91,7 @@ let test_runner_suite_shape () =
 
 let test_registry_ids_unique () =
   let ids = List.map (fun (id, _, _) -> id) Experiments.all in
-  Alcotest.(check int) "18 experiments" 18 (List.length ids);
+  Alcotest.(check int) "16 experiments" 16 (List.length ids);
   Alcotest.(check int) "unique ids" (List.length ids)
     (List.length (List.sort_uniq compare ids))
 
@@ -104,7 +104,7 @@ let test_smoke_fast_experiments () =
      the expensive ones are exercised by the bench executable *)
   List.iter
     (fun id -> Alcotest.(check bool) id true (Experiments.run_by_id id quick))
-    [ "fig4"; "fig5"; "fig6"; "abl-heap"; "abl-exact"; "bench-greedy" ]
+    [ "fig4"; "fig5"; "fig6"; "abl-exact"; "bench-greedy-soa" ]
 
 let () =
   Alcotest.run "experiments"

@@ -82,7 +82,7 @@ let triple_str (z : Triple.t) = Printf.sprintf "%d,%d,%d" z.u z.i z.t
 
 let trace_str zs = match zs with [] -> "-" | _ -> String.concat " " (List.map triple_str zs)
 
-let render ?(lazy_policy = `Celf) name inst =
+let render name inst =
   let buf = Buffer.create 512 in
   let line key value = Buffer.add_string buf (Printf.sprintf "%s %s\n" key value) in
   Buffer.add_string buf (Printf.sprintf "# golden trace fixture %s (do not edit: bless)\n" name);
@@ -93,7 +93,7 @@ let render ?(lazy_policy = `Celf) name inst =
     let s, _ = run ~trace:(fun (pt : Greedy.trace_point) -> order := pt.z :: !order) in
     (s, List.rev !order)
   in
-  let gg, gg_trace = traced (fun ~trace -> Greedy.run ~lazy_policy ~trace inst) in
+  let gg, gg_trace = traced (fun ~trace -> Greedy.run ~trace inst) in
   line "gg.revenue" (Printf.sprintf "%.12g" (Revenue.total gg));
   line "gg.trace" (trace_str gg_trace);
   let slg, slg_trace = traced (fun ~trace -> Local_greedy.sl_greedy ~trace inst) in
@@ -159,8 +159,8 @@ let check_fixture name build () =
     Alcotest.failf
       "golden fixture %s is missing; generate it with\n\
       \  REVMAX_BLESS=1 REVMAX_GOLDEN_DIR=test/golden dune exec test/test_golden.exe" path
-  else begin
-    (match diff ~expected:(read_file path) ~actual with
+  else
+    match diff ~expected:(read_file path) ~actual with
     | [] -> ()
     | mismatches ->
         Alcotest.failf
@@ -168,14 +168,7 @@ let check_fixture name build () =
            %s\n\
            If the change is intentional, re-bless with\n\
           \  REVMAX_BLESS=1 REVMAX_GOLDEN_DIR=test/golden dune exec test/test_golden.exe" name
-          (String.concat "\n" mismatches));
-    (* the CELF policy contract: the fixture must be byte-identical under
-       the historical whole-pair refresh as well *)
-    let actual_rp = render ~lazy_policy:`Refresh_pair name (build ()) in
-    if actual_rp <> actual then
-      Alcotest.failf "golden trace %s differs between lazy policies:\n%s" name
-        (String.concat "\n" (diff ~expected:actual ~actual:actual_rp))
-  end
+          (String.concat "\n" mismatches)
 
 (* The same fixtures, re-run with the instance routed through a pack file
    and opened memory-mapped. The mapped backend stores and reads back the

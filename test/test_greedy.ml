@@ -37,169 +37,122 @@ let prop_gg_always_valid =
       let s, _ = Greedy.run inst in
       Strategy.is_valid s)
 
-(* The following comparisons are empirical regularities, not theorems (the
-   revenue function is not universally submodular — see the Theorem 2
-   counterexample in test_core), so they run over a fixed, deterministic
-   seed range rather than through QCheck's fresh randomness. *)
+(* ----- the reference G-Greedy bank ----- *)
 
-let test_gg_heap_variants_agree () =
-  for seed = 0 to 79 do
-    let rng = Rng.create seed in
-    let inst = random_instance rng in
-    let s1, _ = Greedy.run ~heap:`Two_level inst in
-    let s2, _ = Greedy.run ~heap:`Giant inst in
-    if not (Helpers.float_eq ~eps:1e-9 (Revenue.total s1) (Revenue.total s2)) then
-      Alcotest.failf "seed %d: two-level %.6f vs giant %.6f" seed (Revenue.total s1)
-        (Revenue.total s2)
-  done
+module Budget = Revmax_prelude.Budget
 
-(* the legal heap/refresh combinations — two-level+lazy, giant+lazy and
-   two-level+eager — must select the very same triples in the very same
-   slots, not merely revenue-equal strategies. Slate instances run the
-   two-level heap at width (T+1)·k against the flat Binary_heap of the
-   giant variant; budgeted ones stop both on the quantity cap. *)
-let test_gg_variants_identical_strategies () =
-  let members s =
-    List.map (fun z -> (z, Strategy.slot_of s z)) (List.sort Triple.compare (Strategy.to_list s))
+(* Greedy.run with its selection order, read off the trace *)
+let ordered_run ?with_saturation ?allowed ?base ?budget inst =
+  let order = ref [] in
+  let s, stats =
+    Greedy.run ?with_saturation ?allowed ?base ?budget
+      ~trace:(fun (pt : Greedy.trace_point) -> order := pt.z :: !order)
+      inst
   in
+  (s, stats, List.rev !order)
+
+let slotted s zs = List.map (fun z -> (z, Strategy.slot_of s z)) zs
+
+(* One bank run: the fast path and the reference must select the same
+   triples in the same slots in the same order, and on plain instances do
+   the same work. On slates the fast path keeps a selected triple's
+   other-slot entries until they surface and re-evaluates them with their
+   pair, while the reference retires them at once, so counts may differ.
+   [max_evaluations] gives each side a fresh budget of that size. *)
+let check_reference ~what ?with_saturation ?allowed ?base ?max_evaluations inst =
+  let budget () = Option.map (fun n -> Budget.create ~max_evaluations:n ()) max_evaluations in
+  let s, st, order = ordered_run ?with_saturation ?allowed ?base ?budget:(budget ()) inst in
+  let r = Reference_greedy.run ?with_saturation ?allowed ?base ?budget:(budget ()) inst in
+  if slotted s order <> slotted r.strategy r.picks then
+    Alcotest.failf "%s: selection sequences differ (%d vs reference %d selections)" what
+      (List.length order) (List.length r.picks);
+  if st.Greedy.truncated <> r.truncated then Alcotest.failf "%s: truncation differs" what;
+  if
+    (not (Instance.is_slate inst))
+    && (st.Greedy.marginal_evaluations <> r.evaluations || st.Greedy.pops <> r.pops)
+  then
+    Alcotest.failf "%s: %d evaluations and %d pops, reference %d and %d" what
+      st.Greedy.marginal_evaluations st.Greedy.pops r.evaluations r.pops
+
+(* Fixed seeds 0–79, not fresh qcheck seeds: the reference's naive oracle
+   and the fast path's incremental one differ in their last bits, so an
+   exact tie could break differently on some instance; this bank is known
+   to have none. Every (seed, saturation) pair runs the whole greedy. On
+   unslated instances, whose counts must match, it also runs under an
+   evaluation budget, over a random valid base with an [allowed] filter,
+   and under both; the budget is a third of the whole run's evaluations
+   and selections, so it expires mid-run. *)
+let reference_bank families () =
   List.iter
     (fun (family, make) ->
       for seed = 0 to 79 do
         let inst = make (Rng.create seed) in
-        let reference, _ = Greedy.run ~heap:`Two_level ~lazy_forward:true inst in
         List.iter
-          (fun (name, s) ->
-            if members s <> members reference then
-              Alcotest.failf "%s seed %d: %s selected a different strategy" family seed name)
-          [
-            ("giant+lazy", fst (Greedy.run ~heap:`Giant ~lazy_forward:true inst));
-            ("two-level+eager", fst (Greedy.run ~heap:`Two_level ~lazy_forward:false inst));
-          ]
+          (fun with_saturation ->
+            let what run =
+              Printf.sprintf "%s seed %d saturation %b, %s" family seed with_saturation run
+            in
+            check_reference ~what:(what "whole run") ~with_saturation inst;
+            if not (Instance.is_slate inst) then begin
+              let _, st = Greedy.run ~with_saturation inst in
+              let work = st.Greedy.marginal_evaluations + st.Greedy.selected in
+              let max_evaluations = 1 + (work / 3) in
+              let base = random_valid_strategy inst (Rng.create (1000 + seed)) in
+              let allowed (z : Triple.t) = (z.u + z.i + z.t) mod 3 <> 0 in
+              check_reference ~what:(what "budget") ~with_saturation ~max_evaluations inst;
+              check_reference ~what:(what "allowed + base") ~with_saturation ~allowed ~base inst;
+              check_reference ~what:(what "allowed + base + budget") ~with_saturation ~allowed ~base
+                ~max_evaluations inst
+            end)
+          [ true; false ]
       done)
+    families
+
+(* Exact key ties are common when probabilities, prices and saturation
+   factors come from two-value sets, which the bank needs to pin the tie
+   order (larger key first, then smaller entry). *)
+let random_tied_instance rng =
+  let num_users = 1 + Rng.int rng 3 and num_items = 1 + Rng.int rng 4 in
+  let horizon = 1 + Rng.int rng 3 in
+  let pick a b = if Rng.bernoulli rng 0.5 then a else b in
+  let adoption =
+    List.init num_users (fun u ->
+        List.init num_items (fun i -> (u, i, Array.init horizon (fun _ -> pick 0.25 0.5))))
+  in
+  Instance.create ~num_users ~num_items ~horizon ~display_limit:2
+    ~class_of:(Array.init num_items (fun i -> i mod 2))
+    ~capacity:(Array.init num_items (fun _ -> 1 + Rng.int rng num_users))
+    ~saturation:(Array.init num_items (fun _ -> pick 0.5 1.0))
+    ~price:(Array.init num_items (fun _ -> Array.init horizon (fun _ -> pick 1.0 2.0)))
+    ~adoption:(List.concat adoption) ()
+
+(* the incremental fast path against the naive-oracle reference *)
+let test_gg_evaluators_identical =
+  reference_bank [ ("plain", fun rng -> random_instance rng); ("tied", random_tied_instance) ]
+
+(* the constraint variants: slates and global quantity budgets *)
+let test_gg_variants_identical_strategies =
+  reference_bank
     [
-      ("plain", fun rng -> random_instance rng);
       ("slate", fun rng -> random_slate_instance rng);
       ("budgeted", fun rng -> random_budgeted_instance rng);
     ]
 
-(* acceptance: the incremental evaluator reproduces the naive oracle's runs
-   exactly — same selections, revenue within 1e-9 *)
-let test_gg_evaluators_identical () =
-  let sorted s = List.sort Triple.compare (Strategy.to_list s) in
-  for seed = 0 to 79 do
-    let rng = Rng.create seed in
-    let inst = random_instance rng in
-    let si, _ = Greedy.run ~evaluator:`Incremental inst in
-    let sn, _ = Greedy.run ~evaluator:`Naive inst in
-    if sorted si <> sorted sn then
-      Alcotest.failf "seed %d: evaluators selected different strategies" seed;
-    if not (Helpers.float_eq ~eps:1e-9 (Revenue.total si) (Revenue.total sn)) then
-      Alcotest.failf "seed %d: incremental %.9f vs naive %.9f" seed (Revenue.total si)
-        (Revenue.total sn)
-  done
-
+(* Lazy against the reference's eager rule. Not a theorem — a stale key can
+   under-estimate (DESIGN.md §5a) — so over a fixed seed bank the revenues
+   must agree within 2%, and lazy forward must never do more work. *)
 let test_gg_lazy_eager_agree () =
   for seed = 0 to 79 do
     let rng = Rng.create seed in
     let inst = random_instance rng in
-    let s_lazy, st_lazy = Greedy.run ~lazy_forward:true inst in
-    let s_eager, st_eager = Greedy.run ~lazy_forward:false inst in
-    let vl = Revenue.total s_lazy and ve = Revenue.total s_eager in
-    (* lazy forward relies on stale keys being upper bounds; the rare
-       non-submodular corner can make the two selections diverge slightly *)
+    let s_lazy, st_lazy = Greedy.run inst in
+    let eager = Reference_greedy.run ~eager:true inst in
+    let vl = Revenue.total s_lazy and ve = Revenue.total eager.strategy in
     if Float.abs (vl -. ve) > 0.02 *. Float.max 1.0 ve then
       Alcotest.failf "seed %d: lazy %.6f vs eager %.6f" seed vl ve;
-    if st_lazy.Greedy.marginal_evaluations > st_eager.Greedy.marginal_evaluations then
+    if st_lazy.Greedy.marginal_evaluations > eager.evaluations then
       Alcotest.failf "seed %d: lazy did more work than eager" seed
   done
-
-let test_gg_eager_giant_rejected () =
-  let inst = example4_instance () in
-  Alcotest.check_raises "invalid combination"
-    (Invalid_argument "Greedy.run: eager refresh requires the two-level heap") (fun () ->
-      ignore (Greedy.run ~heap:`Giant ~lazy_forward:false inst))
-
-(* ----- CELF lazy policy ----- *)
-
-let ordered_trace run =
-  let order = ref [] in
-  let s, stats = run ~trace:(fun (pt : Greedy.trace_point) -> order := pt.z :: !order) in
-  (s, stats, List.rev !order)
-
-(* the CELF stamp-skip refresh must reproduce the whole-pair refresh
-   exactly — same ordered selection sequence — while never paying more
-   oracle calls. Under the paper's (user, item) pair grouping the two
-   policies coincide (every entry of a refreshed group shares the root's
-   chain, so the stamp skip never fires): the evaluation counts must be
-   exactly equal, and the sequence identity holds by construction rather
-   than by the unsound stale-keys-are-upper-bounds argument — REVMAX
-   marginals can increase as chains grow, see lib/core/greedy.ml *)
-let test_gg_celf_vs_refresh_pair () =
-  let evals_celf = ref 0 and evals_rp = ref 0 in
-  for seed = 0 to 99 do
-    let rng = Rng.create seed in
-    let inst = random_instance rng in
-    let _, st_c, tr_c =
-      ordered_trace (fun ~trace -> Greedy.run ~lazy_policy:`Celf ~trace inst)
-    in
-    let _, st_r, tr_r =
-      ordered_trace (fun ~trace -> Greedy.run ~lazy_policy:`Refresh_pair ~trace inst)
-    in
-    if tr_c <> tr_r then Alcotest.failf "seed %d: CELF selected a different sequence" seed;
-    if st_c.Greedy.marginal_evaluations > st_r.Greedy.marginal_evaluations then
-      Alcotest.failf "seed %d: CELF did more evaluations (%d > %d)" seed
-        st_c.Greedy.marginal_evaluations st_r.Greedy.marginal_evaluations;
-    evals_celf := !evals_celf + st_c.Greedy.marginal_evaluations;
-    evals_rp := !evals_rp + st_r.Greedy.marginal_evaluations
-  done;
-  Alcotest.(check int) "pair grouping: policies do identical work" !evals_rp !evals_celf
-
-(* model-based qcheck variant over fresh random instances *)
-let prop_celf_matches_refresh_pair =
-  QCheck2.Test.make ~name:"CELF ≡ refresh-pair selections, ≤ evaluations" ~count:120 seed_gen
-    (fun seed ->
-      let rng = Rng.create seed in
-      let inst = random_instance rng in
-      let _, st_c, tr_c =
-        ordered_trace (fun ~trace -> Greedy.run ~lazy_policy:`Celf ~trace inst)
-      in
-      let _, st_r, tr_r =
-        ordered_trace (fun ~trace -> Greedy.run ~lazy_policy:`Refresh_pair ~trace inst)
-      in
-      tr_c = tr_r && st_c.Greedy.marginal_evaluations <= st_r.Greedy.marginal_evaluations)
-
-(* ----- giant-heap capacity purge ----- *)
-
-(* one capacity-1 item contested by [num_users] users: after the first
-   selection every other user's entries are permanently infeasible *)
-let capacity_one_instance num_users =
-  let adoption =
-    List.init num_users (fun u ->
-        if u = 0 then (0, 0, [| 0.9; 0.8; 0.7 |]) else (u, 0, [| 0.05; 0.04; 0.03 |]))
-  in
-  Instance.create ~num_users ~num_items:1 ~horizon:3 ~display_limit:1 ~class_of:[| 0 |]
-    ~capacity:[| 1 |] ~saturation:[| 0.5 |]
-    ~price:[| [| 1.0; 1.0; 1.0 |] |]
-    ~adoption ()
-
-(* regression for the one-pop-per-blocked-entry drain: the purge removes
-   capacity-blocked entries by handle, so [pops] must not scale with the
-   number of blocked candidates *)
-let test_gg_giant_pops_ignore_blocked () =
-  let run inst = Greedy.run ~heap:`Giant inst in
-  let s8, st8 = run (capacity_one_instance 8) in
-  let s64, st64 = run (capacity_one_instance 64) in
-  (* same winner, same chain, same selections *)
-  Alcotest.(check (list string)) "selections independent of contention"
-    (List.map Triple.to_string (List.sort Triple.compare (Strategy.to_list s8)))
-    (List.map Triple.to_string (List.sort Triple.compare (Strategy.to_list s64)));
-  Alcotest.(check int) "pops do not scale with blocked candidates" st8.Greedy.pops
-    st64.Greedy.pops;
-  (* and the purge does not disturb agreement with the two-level path *)
-  let s_tl, _ = Greedy.run ~heap:`Two_level (capacity_one_instance 64) in
-  Alcotest.(check (list string)) "giant agrees with two-level"
-    (List.map Triple.to_string (List.sort Triple.compare (Strategy.to_list s_tl)))
-    (List.map Triple.to_string (List.sort Triple.compare (Strategy.to_list s64)))
 
 let prop_gg_never_below_optimum_check =
   QCheck2.Test.make ~name:"greedy revenue <= brute-force optimum" ~count:40 seed_gen (fun seed ->
@@ -233,9 +186,24 @@ let prop_gg_trace_consistent =
       && Strategy.size s = List.length ascending
       && (Strategy.size s = 0 || Helpers.float_eq ~eps:1e-9 (Revenue.total s) !last))
 
-(* ----- anytime budgets ----- *)
+(* With a base, the trace's running sum starts at 0.0: it is the revenue
+   the run adds, [Revenue.total s -. Revenue.total base], for G-Greedy and
+   SL-Greedy alike. *)
+let prop_trace_revenue_with_base =
+  QCheck2.Test.make ~name:"trace revenue with a base is the added revenue" ~count:60 seed_gen
+    (fun seed ->
+      let rng = Rng.create seed in
+      let inst = random_instance rng in
+      let base = random_valid_strategy inst rng in
+      let added run =
+        let sum = ref 0.0 in
+        let s, _ = run ~trace:(fun (pt : Greedy.trace_point) -> sum := pt.revenue) in
+        Helpers.float_eq ~eps:1e-9 (Revenue.total s) (Revenue.total base +. !sum)
+      in
+      added (fun ~trace -> Greedy.run ~base ~trace inst)
+      && added (fun ~trace -> Local_greedy.sl_greedy ~base ~trace inst))
 
-module Budget = Revmax_prelude.Budget
+(* ----- anytime budgets ----- *)
 
 (* an already-expired evaluation budget still yields a non-empty valid
    prefix of the unbudgeted run, flagged truncated *)
@@ -664,17 +632,13 @@ let () =
           Alcotest.test_case "example 4 behaviour" `Quick test_gg_example4_avoids_negative_marginal;
           Alcotest.test_case "constraints (small)" `Quick test_gg_respects_constraints_small;
           QCheck_alcotest.to_alcotest prop_gg_always_valid;
-          Alcotest.test_case "heap variants agree" `Slow test_gg_heap_variants_agree;
-          Alcotest.test_case "variants identical strategies" `Slow
+          Alcotest.test_case "variants identical strategies" `Quick
             test_gg_variants_identical_strategies;
-          Alcotest.test_case "evaluators identical" `Slow test_gg_evaluators_identical;
+          Alcotest.test_case "evaluators identical" `Quick test_gg_evaluators_identical;
           Alcotest.test_case "lazy vs eager" `Slow test_gg_lazy_eager_agree;
-          Alcotest.test_case "eager+giant rejected" `Quick test_gg_eager_giant_rejected;
-          Alcotest.test_case "CELF vs refresh-pair" `Slow test_gg_celf_vs_refresh_pair;
-          QCheck_alcotest.to_alcotest prop_celf_matches_refresh_pair;
-          Alcotest.test_case "giant purge pops" `Quick test_gg_giant_pops_ignore_blocked;
           QCheck_alcotest.to_alcotest prop_gg_never_below_optimum_check;
           QCheck_alcotest.to_alcotest prop_gg_trace_consistent;
+          QCheck_alcotest.to_alcotest prop_trace_revenue_with_base;
           Alcotest.test_case "base and allowed" `Quick test_gg_base_and_allowed;
           QCheck_alcotest.to_alcotest prop_gg_budget_prefix;
           QCheck_alcotest.to_alcotest prop_gg_budget_trace_prefix;

@@ -6,153 +6,50 @@ module Tl = Revmax_pqueue.Two_level_heap
 let test_heap_basic () =
   let h = Bh.create () in
   Alcotest.(check bool) "empty" true (Bh.is_empty h);
-  ignore (Bh.insert h ~key:1.0 "a");
-  ignore (Bh.insert h ~key:3.0 "b");
-  ignore (Bh.insert h ~key:2.0 "c");
-  Alcotest.(check int) "size" 3 (Bh.size h);
-  (match Bh.find_max h with
-  | Some ("b", 3.0) -> ()
-  | _ -> Alcotest.fail "wrong max");
+  Bh.insert h ~key:1.0 "a";
+  Bh.insert h ~key:3.0 "b";
+  Bh.insert h ~key:2.0 "c";
   (match Bh.delete_max h with
   | Some ("b", 3.0) -> ()
   | _ -> Alcotest.fail "wrong delete_max");
-  Alcotest.(check int) "size after delete" 2 (Bh.size h)
+  (match Bh.delete_max h with
+  | Some ("c", 2.0) -> ()
+  | _ -> Alcotest.fail "wrong second delete_max");
+  Alcotest.(check bool) "not empty" false (Bh.is_empty h)
 
-let test_heap_update_key () =
-  let h = Bh.create () in
-  let ha = Bh.insert h ~key:1.0 "a" in
-  let _hb = Bh.insert h ~key:2.0 "b" in
-  Bh.update_key h ha 5.0;
-  (match Bh.find_max h with
-  | Some ("a", 5.0) -> ()
-  | _ -> Alcotest.fail "increase-key did not percolate");
-  Bh.update_key h ha 0.5;
-  match Bh.find_max h with
-  | Some ("b", 2.0) -> ()
-  | _ -> Alcotest.fail "decrease-key did not percolate"
-
-let test_heap_remove () =
-  let h = Bh.create () in
-  let ha = Bh.insert h ~key:10.0 "a" in
-  let _ = Bh.insert h ~key:5.0 "b" in
-  Bh.remove h ha;
-  Alcotest.(check bool) "handle gone" false (Bh.contains h ha);
-  (match Bh.find_max h with
-  | Some ("b", 5.0) -> ()
-  | _ -> Alcotest.fail "wrong max after remove");
-  Alcotest.check_raises "stale handle" (Invalid_argument "Binary_heap: stale or foreign handle")
-    (fun () -> Bh.remove h ha)
-
-let test_heap_of_list_sorted () =
-  let items = List.init 100 (fun i -> (float_of_int ((i * 37) mod 100), i)) in
-  let h = Bh.of_list items in
-  let sorted = Bh.to_sorted_list h in
-  let keys = List.map snd sorted in
-  let expected = List.sort (fun a b -> compare b a) (List.map fst items) in
-  Alcotest.(check (list (float 1e-9))) "descending keys" expected keys
-
-(* Model-based property test: the heap behaves like a sorted reference
-   list under a random operation sequence. *)
+(* Model-based property test: under a random interleaving of inserts and
+   pops, with keys from a 5-value set so duplicate priorities are the
+   common case, every pop returns a model maximum that the model then
+   drops, and the final drain returns the model's keys in descending
+   order. Elements carry unique ids: a popped element must be in the model
+   at the popped key. *)
 let prop_heap_model =
-  QCheck2.Test.make ~name:"heap matches sorted-list model" ~count:200
-    QCheck2.Gen.(list (pair (float_range (-100.0) 100.0) small_int))
+  QCheck2.Test.make ~name:"heap matches sorted-list model" ~count:300
+    QCheck2.Gen.(list (pair (int_bound 9) (int_bound 4)))
     (fun ops ->
       let h = Bh.create () in
       let model = ref [] in
-      List.iter
-        (fun (k, v) ->
-          if v mod 3 = 0 && !model <> [] then begin
-            (* delete max in both *)
-            (match Bh.delete_max h with
-            | Some (_, key) ->
-                let best = List.fold_left (fun acc (k', _) -> Float.max acc k') neg_infinity !model in
-                if not (Helpers.float_eq key best) then failwith "max mismatch";
-                (* remove one element with the max key from the model *)
-                let removed = ref false in
-                model :=
-                  List.filter
-                    (fun (k', _) ->
-                      if (not !removed) && Helpers.float_eq k' best then begin
-                        removed := true;
-                        false
-                      end
-                      else true)
-                    !model
-            | None -> failwith "heap empty but model non-empty")
-          end
-          else begin
-            ignore (Bh.insert h ~key:k v);
-            model := (k, v) :: !model
-          end)
-        ops;
-      Bh.size h = List.length !model)
-
-(* Stronger model-based test: random interleavings of insert, update_key
-   (increase AND decrease through live handles), remove and delete_max,
-   with keys drawn from a 5-value set so duplicate priorities are the
-   common case, checked against a sorted association-list reference.
-   Elements carry unique ids; on a popped duplicate key any id holding
-   that key is acceptable, but it must then leave the model too. *)
-let prop_heap_model_handles =
-  let open QCheck2 in
-  Test.make ~name:"heap matches model under update_key/remove/pop (dup keys)" ~count:300
-    Gen.(list (triple (int_bound 9) (int_bound 4) (int_bound 1000)))
-    (fun ops ->
-      let h = Bh.create () in
-      (* model: (uid, key) for every live element; handles: uid -> handle *)
-      let model = ref [] in
-      let handles = Hashtbl.create 16 in
-      let next_uid = ref 0 in
-      let pick_live pick = List.nth !model (pick mod List.length !model) in
-      let insert key =
-        let uid = !next_uid in
-        incr next_uid;
-        Hashtbl.replace handles uid (Bh.insert h ~key uid);
-        model := (uid, key) :: !model
+      let pop () =
+        match Bh.delete_max h with
+        | None -> failwith "heap empty but model non-empty"
+        | Some (uid, k) ->
+            let best = List.fold_left (fun acc (_, k') -> Float.max acc k') neg_infinity !model in
+            if k <> best then failwith "popped key is not the model max";
+            if List.assoc_opt uid !model <> Some k then failwith "popped element not in model";
+            model := List.remove_assoc uid !model;
+            k
       in
-      List.iter
-        (fun (op, key_idx, pick) ->
-          let key = float_of_int key_idx in
-          if !model = [] || op <= 4 then insert key
-          else if op <= 6 then begin
-            (* update_key: key_idx may be below or above the old key, so this
-               exercises decrease-key and increase-key alike *)
-            let uid, _ = pick_live pick in
-            Bh.update_key h (Hashtbl.find handles uid) key;
-            model := List.map (fun (u, k) -> if u = uid then (u, key) else (u, k)) !model
+      List.iteri
+        (fun uid (op, key_idx) ->
+          if !model = [] || op <= 5 then begin
+            Bh.insert h ~key:(float_of_int key_idx) uid;
+            model := (uid, float_of_int key_idx) :: !model
           end
-          else if op = 7 then begin
-            let uid, _ = pick_live pick in
-            Bh.remove h (Hashtbl.find handles uid);
-            Hashtbl.remove handles uid;
-            model := List.filter (fun (u, _) -> u <> uid) !model
-          end
-          else begin
-            match Bh.delete_max h with
-            | None -> failwith "heap empty but model non-empty"
-            | Some (uid, k) ->
-                let best = List.fold_left (fun acc (_, k') -> Float.max acc k') neg_infinity !model in
-                if not (Helpers.float_eq k best) then failwith "popped key is not the model max";
-                (match List.assoc_opt uid !model with
-                | Some k' when Helpers.float_eq k' k -> ()
-                | _ -> failwith "popped element not in model at that key");
-                Hashtbl.remove handles uid;
-                model := List.filter (fun (u, _) -> u <> uid) !model
-          end)
+          else ignore (pop ()))
         ops;
-      (* invariants after the op sequence *)
-      if Bh.size h <> List.length !model then failwith "size mismatch";
-      List.iter
-        (fun (uid, k) ->
-          let hd = Hashtbl.find handles uid in
-          if not (Bh.contains h hd) then failwith "live handle reported absent";
-          if not (Helpers.float_eq (Bh.key h hd) k) then failwith "handle key drifted from model")
-        !model;
-      (* drain: the popped key sequence is the model's keys in descending order *)
-      let drained = List.map snd (Bh.to_sorted_list h) in
       let expected = List.sort (fun a b -> compare b a) (List.map snd !model) in
-      List.length drained = List.length expected && List.for_all2 Helpers.float_eq drained expected)
-
+      let drained = List.map (fun _ -> pop ()) expected in
+      drained = expected && Bh.is_empty h)
 
 (* ----- Two_level_heap tests ----- *)
 
@@ -219,40 +116,6 @@ let test_tl_missing_pair_noops () =
   Alcotest.check_raises "group overflow" (Invalid_argument "Two_level_heap.insert: group full")
     (fun () -> Tl.insert h ~key:2.0 1)
 
-(* celf_step decides a fresh root key against the global runner-up, in
-   the strict (key, entry) order, across and within groups *)
-let test_tl_celf_step () =
-  let h = Tl.create ~groups:2 ~width:4 in
-  let cell = [| 0.0 |] in
-  let step k =
-    cell.(0) <- k;
-    Tl.celf_step h cell
-  in
-  let outcome = Alcotest.of_pp (fun ppf o ->
-      Format.pp_print_string ppf
-        (match o with `Accepted -> "Accepted" | `Finished -> "Finished" | `Rekeyed -> "Rekeyed"))
-  in
-  Tl.insert h ~key:10.0 0;
-  Tl.insert h ~key:8.0 1;
-  Tl.insert h ~key:9.0 4;
-  (* below the other group's root: re-keyed, that root leads *)
-  Alcotest.check outcome "lost to group 1" `Rekeyed (step 1.0);
-  check_root "group 1 leads" h (4, 9.0);
-  Alcotest.(check int) "rekey keeps every entry" 3 (Tl.size h);
-  (* an exact tie with group 0's root (entry 1, key 8): the smaller entry wins *)
-  Alcotest.check outcome "tie lost to the smaller entry" `Rekeyed (step 8.0);
-  check_root "tie winner surfaces" h (1, 8.0);
-  Alcotest.check outcome "tie won by the smaller entry" `Accepted (step 8.0);
-  Alcotest.(check int) "accepted entry removed" 2 (Tl.size h);
-  check_root "runner-up promoted" h (4, 8.0);
-  (* group 1's only entry falls below group 0's root (entry 0 at 1.0) *)
-  Alcotest.check outcome "lost across groups" `Rekeyed (step 0.0);
-  check_root "group 0 leads" h (0, 1.0);
-  Alcotest.check outcome "non-positive loses to 0.0" `Rekeyed (step (-1.0));
-  Alcotest.check outcome "leads but non-positive" `Finished (step 0.0);
-  Alcotest.(check int) "finish removes nothing" 2 (Tl.size h);
-  check_root "finish leaves the root" h (4, 0.0)
-
 (* The flat model: a list of (entry, key); the heap must agree with its
    strict maximum — higher key first, equal keys smaller entry first. *)
 let model_order (e1, k1) (e2, k2) = if k1 <> k2 then compare k2 k1 else compare e1 e2
@@ -260,12 +123,14 @@ let model_order (e1, k1) (e2, k2) = if k1 <> k2 then compare k2 k1 else compare 
 let model_max model = List.hd (List.sort model_order model)
 
 (* Model-based test of the whole API. Ops: insert (op ≤ 4), refresh_pair_into
-   with a deterministic rekey mirrored in the model, celf_step with a fresh
-   key (only when [celf]), and drop_max. Keys come from a 5-value set so
-   ties are common, and may be ≤ 0 so celf_step finishes. After every op
-   the heap's root and size must match the model; at the end the drain
-   order must be the model's sorted order. *)
-let tl_model_prop ~name ~celf =
+   with a deterministic rekey mirrored in the model, the greedy's
+   fresh-root step (only when [sign]: read the root key with
+   max_key_into and drop the root when it is positive), and drop_max.
+   Keys come from a 5-value set so ties are common, and may be ≤ 0 so the
+   sign test keeps the root. After every op the heap's root and size must
+   match the model; at the end the drain order must be the model's sorted
+   order. *)
+let tl_model_prop ~name ~sign =
   let open QCheck2 in
   let groups = 4 and width = 5 in
   Test.make ~name ~count:300
@@ -302,19 +167,15 @@ let tl_model_prop ~name ~celf =
             model := List.map (fun (e, k) -> if e / width = g then (e, rekey e) else (e, k)) !model;
             check_against_model "refresh_pair_into"
           end
-          else if op = 7 && celf then begin
-            let e0, _ = model_max !model in
-            let m = key_of (salt / 7) in
-            cell.(0) <- m;
-            let got = Tl.celf_step h cell in
-            let rest = List.filter (fun (e, _) -> e <> e0) !model in
-            let beaten = rest <> [] && model_order (model_max rest) (e0, m) < 0 in
-            (match got with
-            | `Rekeyed when beaten -> model := (e0, m) :: rest
-            | `Finished when (not beaten) && m <= 0.0 -> ()
-            | `Accepted when (not beaten) && m > 0.0 -> model := rest
-            | _ -> failwith "celf_step decided against the model");
-            check_against_model "celf_step"
+          else if op = 7 && sign then begin
+            let root = model_max !model in
+            Tl.max_key_into h cell;
+            if cell.(0) <> snd root then failwith "max_key_into: not the model max key";
+            if cell.(0) > 0.0 then begin
+              Tl.drop_max h;
+              model := List.filter (fun e -> e <> root) !model
+            end;
+            check_against_model "sign test"
           end
           else begin
             model := List.filter (fun e -> e <> model_max !model) !model;
@@ -333,27 +194,30 @@ let tl_model_prop ~name ~celf =
       drain [] = List.sort model_order !model)
 
 let prop_tl_model_refresh =
-  tl_model_prop ~name:"two-level heap matches model under refresh_pair (dup keys)" ~celf:false
+  tl_model_prop ~name:"two-level heap matches model under refresh_pair (dup keys)" ~sign:false
 
-let prop_tl_model_celf = tl_model_prop ~name:"celf_step matches flat model (dup keys)" ~celf:true
+let prop_tl_model_sign =
+  tl_model_prop ~name:"max_key_into sign test matches flat model (dup keys)" ~sign:true
 
-(* Property: the two-level drain equals a flat Binary_heap's over the same
-   (entry, key) inserts, with the entry as the flat heap's tie rank. *)
+(* Property: the two-level drain is the flat heap order — the strict
+   (key, entry) order a single heap with the entry as tie rank pops in —
+   over the same inserts, at a width where groups hold many entries. *)
 let prop_tl_matches_flat =
   QCheck2.Test.make ~name:"two-level pops = flat heap pops" ~count:200
     QCheck2.Gen.(list_size (int_bound 60) (pair (int_bound 5) (float_range 0.0 100.0)))
     (fun inserts ->
       let width = 64 in
       let tl = Tl.create ~groups:6 ~width in
-      let flat = Bh.create () in
       let fill = Array.make 6 0 in
-      List.iter
-        (fun (g, key) ->
-          let e = (g * width) + fill.(g) in
-          fill.(g) <- fill.(g) + 1;
-          Tl.insert tl ~key e;
-          ignore (Bh.insert flat ~key ~tie:e e))
-        inserts;
+      let flat =
+        List.map
+          (fun (g, key) ->
+            let e = (g * width) + fill.(g) in
+            fill.(g) <- fill.(g) + 1;
+            Tl.insert tl ~key e;
+            (e, key))
+          inserts
+      in
       let rec drain acc =
         if Tl.is_empty tl then List.rev acc
         else begin
@@ -362,21 +226,19 @@ let prop_tl_matches_flat =
           drain (r :: acc)
         end
       in
-      let rec drain_flat acc =
-        match Bh.delete_max flat with None -> List.rev acc | Some r -> drain_flat (r :: acc)
-      in
-      drain [] = drain_flat [])
+      drain [] = List.sort model_order flat)
 
 (* Once created the arena allocates nothing: a cycle of insert, refresh,
-   celf_step and drop_max moves the minor-heap counter by exactly what an
-   empty measurement does. Native only — bytecode boxes every float. Keys
-   are literals or travel through the cell, so no float is boxed at a
-   call. *)
+   the greedy's max_key_into sign test and drop_max moves the minor-heap
+   counter by exactly what an empty measurement does. Native only —
+   bytecode boxes every float. Keys are literals or travel through the
+   cell, so no float is boxed at a call. *)
 let test_tl_no_allocation () =
   if Sys.backend_type = Sys.Native then begin
     let h = Tl.create ~groups:16 ~width:8 in
     let cell = [| 0.0 |] in
     let f e = cell.(0) <- float_of_int ((e * 7) mod 5) in
+    let demote _ = cell.(0) <- cell.(0) -. 1.0 in
     let cycle () =
       for g = 0 to 15 do
         for j = 0 to 7 do
@@ -386,12 +248,15 @@ let test_tl_no_allocation () =
       for g = 0 to 15 do
         Tl.refresh_pair_into h g cell ~f
       done;
-      let flip = ref false in
       while not (Tl.is_empty h) do
         Tl.max_key_into h cell;
-        if !flip then cell.(0) <- cell.(0) -. 1.0;
-        flip := not !flip;
-        match Tl.celf_step h cell with `Finished -> Tl.drop_max h | `Accepted | `Rekeyed -> ()
+        if cell.(0) > 1.0 then Tl.drop_max h
+        else begin
+          (* re-key the root's group, as a stale root's refresh does *)
+          Tl.refresh_pair_into h (Tl.max_elt h / 8) cell ~f:demote;
+          Tl.max_key_into h cell;
+          if cell.(0) <= 0.0 then Tl.drop_max h
+        end
       done
     in
     let words_of g =
@@ -411,11 +276,7 @@ let () =
       ( "binary_heap",
         [
           Alcotest.test_case "basic" `Quick test_heap_basic;
-          Alcotest.test_case "update_key" `Quick test_heap_update_key;
-          Alcotest.test_case "remove" `Quick test_heap_remove;
-          Alcotest.test_case "of_list sorted" `Quick test_heap_of_list_sorted;
           QCheck_alcotest.to_alcotest prop_heap_model;
-          QCheck_alcotest.to_alcotest prop_heap_model_handles;
         ] );
       ( "two_level_heap",
         [
@@ -423,9 +284,8 @@ let () =
           Alcotest.test_case "drain pair" `Quick test_tl_drain_pair;
           Alcotest.test_case "refresh" `Quick test_tl_refresh;
           Alcotest.test_case "missing pair no-ops" `Quick test_tl_missing_pair_noops;
-          Alcotest.test_case "celf_step against the runner-up" `Quick test_tl_celf_step;
           Alcotest.test_case "no allocation after create" `Quick test_tl_no_allocation;
-          QCheck_alcotest.to_alcotest prop_tl_model_celf;
+          QCheck_alcotest.to_alcotest prop_tl_model_sign;
           QCheck_alcotest.to_alcotest prop_tl_matches_flat;
           QCheck_alcotest.to_alcotest prop_tl_model_refresh;
         ] );
