@@ -80,9 +80,11 @@ let bench_two_level_churn () =
   let module Tl = Revmax_pqueue.Two_level_heap in
   Bechamel.Staged.stage (fun () ->
       let h = Tl.create ~groups:8 ~width:8 in
+      let key = [| 0.0 |] in
       (* the i-th insert goes to group i mod 8, as its (i / 8)-th entry *)
       for i = 0 to 63 do
-        Tl.insert h ~key:(float_of_int ((i * 37) mod 64)) (((i mod 8) * 8) + (i / 8))
+        key.(0) <- float_of_int ((i * 37) mod 64);
+        Tl.insert h key (((i mod 8) * 8) + (i / 8))
       done;
       while not (Tl.is_empty h) do
         Tl.drop_max h

@@ -1,17 +1,22 @@
 (* Array-backed (user, class) chain with cached per-triple aggregates.
 
-   The chain keeps its triples in a sorted dynamic array (time ascending,
-   ties by item id — Triple.chain_before) together with, per triple z_j:
+   The chain keeps its members sorted (time ascending, ties by item id —
+   Triple.chain_before) in two flat arrays. The float array [f] holds the
+   two cached chain revenues, then six floats per member z_j:
 
-     q.(j)    primitive adoption probability q(u, i_j, t_j)
-     price.(j) p(i_j, t_j)
-     beta.(j) saturation factor of i_j
-     mem.(j)  memory  M_j = Σ_{t_l < t_j} 1/(t_j − t_l)          (Equation 1)
-     comp.(j) competition Π_{t_l < t_j ∨ (t_l = t_j ∧ l ≠ j)} (1 − q_l)
-     prob.(j) dynamic adoption probability q_j · β_j^{M_j} · comp_j
+     q      primitive adoption probability q(u, i_j, t_j)
+     price  p(i_j, t_j)
+     beta   saturation factor of i_j
+     mem    memory  M_j = Σ_{t_l < t_j} 1/(t_j − t_l)          (Equation 1)
+     comp   competition Π_{t_l < t_j ∨ (t_l = t_j ∧ l ≠ j)} (1 − q_l)
+     prob   dynamic adoption probability q_j · β_j^{M_j} · comp_j
 
-   plus the two cached chain revenues Σ p_j·prob_j (with saturation) and
-   Σ p_j·q_j·comp_j (the β = 1 variant used by GlobalNo planning).
+   and the int array [d] holds the member's item and time (and, on slate
+   instances, its slot). The revenues are Σ p_j·prob_j (with saturation)
+   and Σ p_j·q_j·comp_j (the β = 1 variant used by GlobalNo planning).
+   Both arrays start with room for one member and double; no triple
+   record is stored. The oracle cells and the 1/Δt table are per-strategy
+   constants, held once in a [ctx] every chain of the strategy points to.
 
    [insert] splices a triple in O(L): the new triple's memory and
    competition are accumulated in one pass, and each later (or same-time)
@@ -33,64 +38,79 @@ let c_recomputes = Metrics.counter "chain.recomputes"
 
 let c_marginals = Metrics.counter "chain.marginals"
 
-type t = {
+type ctx = {
   inst : Instance.t;
-  mutable len : int;
-  mutable zs : Triple.t array;
-  mutable ts : int array; (* flat mirror of zs.(j).t, for deref-free walks *)
-  mutable q : float array;
-  mutable price : float array;
-  mutable beta : float array;
-  mutable mem : float array;
-  mutable comp : float array;
-  mutable prob : float array;
-  mutable rev_sat : float;
-  mutable rev_nosat : float;
-  scratch : float array; (* unboxed oracle cells: 0-2 accumulators, 3-5 qz/price/beta inputs *)
+  cells : float array; (* unboxed oracle cells: 0-2 accumulators, 3-5 qz/price/beta inputs *)
   inv : float array; (* inv.(d) = 1/d for d in 1..horizon: memory terms are
                         always 1/Δt with Δt bounded by the horizon, and a
                         table load beats a float divide in the oracle walk;
                         the values are the same IEEE quotients *)
+  ist : int; (* ints per member in [d]: item, time, and the slot on slates *)
 }
 
-let dummy = Triple.make ~u:0 ~i:0 ~t:0
+type t = {
+  ctx : ctx;
+  mutable user : int;
+  mutable len : int;
+  mutable f : float array;
+  mutable d : int array;
+}
 
-let create inst =
+let context inst =
   {
     inst;
-    len = 0;
-    zs = [||];
-    ts = [||];
-    q = [||];
-    price = [||];
-    beta = [||];
-    mem = [||];
-    comp = [||];
-    prob = [||];
-    rev_sat = 0.0;
-    rev_nosat = 0.0;
-    scratch = Array.make 6 0.0;
+    cells = Array.make 6 0.0;
     inv =
       Array.init (Instance.horizon inst + 1) (fun d ->
           if d = 0 then 0.0 else 1.0 /. float_of_int d);
+    ist = (if Instance.is_slate inst then 3 else 2);
   }
+
+(* float-array layout: the two revenues, then [fw] floats per member *)
+let rev_sat = 0
+let rev_nosat = 1
+let fw = 6
+let fb j = 2 + (fw * j)
+let oq = 0
+let oprice = 1
+let obeta = 2
+let omem = 3
+let ocomp = 4
+let oprob = 5
+
+let create_in ctx = { ctx; user = 0; len = 0; f = Array.make (fb 1) 0.0; d = Array.make ctx.ist 0 }
+
+let create inst = create_in (context inst)
 
 let length c = c.len
 
-let to_list c = Array.to_list (Array.sub c.zs 0 c.len)
+let user c = c.user
+
+let item c j = c.d.(c.ctx.ist * j)
+
+let time c j = c.d.((c.ctx.ist * j) + 1)
+
+let triple c j = Triple.make ~u:c.user ~i:(item c j) ~t:(time c j)
+
+let to_list c =
+  let acc = ref [] in
+  for j = c.len - 1 downto 0 do
+    acc := triple c j :: !acc
+  done;
+  !acc
 
 let iter c f =
   for j = 0 to c.len - 1 do
-    f c.zs.(j)
+    f (triple c j)
   done
 
-(* index of the (time, item) slot, or -1 *)
-let find c (z : Triple.t) =
+(* index of the (time, item) member, or -1 *)
+let find c ~i ~t =
   let lo = ref 0 and hi = ref (c.len - 1) and res = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let x = c.zs.(mid) in
-    let cmp = if x.t <> z.t then compare x.t z.t else compare x.i z.i in
+    let tm = time c mid in
+    let cmp = if tm <> t then compare tm t else compare (item c mid) i in
     if cmp = 0 then begin
       res := mid;
       lo := !hi + 1
@@ -100,207 +120,185 @@ let find c (z : Triple.t) =
   done;
   !res
 
-let mem c z =
-  let j = find c z in
-  j >= 0 && Triple.equal c.zs.(j) z
+(* the member's index, or -1 when the triple is not in the chain *)
+let index c (z : Triple.t) = if c.len > 0 && z.u = c.user then find c ~i:z.i ~t:z.t else -1
+
+let mem c z = index c z >= 0
+
+let slot_of c z =
+  let j = index c z in
+  if j < 0 || c.ctx.ist < 3 then None else Some c.d.((3 * j) + 2)
 
 let saturation_factor beta m = if m = 0.0 then 1.0 else beta ** m
 
-(* recompute prob.(j) = q_j · β_j^{M_j} · comp_j in place, with no float
-   crossing a call boundary: a [prob_at c j] helper returning the value
-   would box its result (and [saturation_factor]'s arguments) on every
-   chain element of every insert/remove *)
+(* recompute member j's prob = q_j · β_j^{M_j} · comp_j in place, with no
+   float crossing a call boundary: a [prob_at c j] helper returning the
+   value would box its result (and [saturation_factor]'s arguments) on
+   every chain element of every insert/remove *)
 let set_prob c j =
-  c.prob.(j) <-
-    (if c.q.(j) <= 0.0 then 0.0
+  let f = c.f and b = fb j in
+  f.(b + oprob) <-
+    (if f.(b + oq) <= 0.0 then 0.0
      else
-       let m = c.mem.(j) in
-       c.q.(j) *. (if m = 0.0 then 1.0 else c.beta.(j) ** m) *. c.comp.(j))
+       let m = f.(b + omem) in
+       f.(b + oq) *. (if m = 0.0 then 1.0 else f.(b + obeta) ** m) *. f.(b + ocomp))
 
 let refresh_revenues c =
-  (* accumulate in scratch cells, not [float ref]s: without flambda every
-     [:=] on a float ref stores a freshly boxed float, so the refs would
-     allocate O(len) words on each insert — this runs once per accepted
-     triple in the greedy steady state. Slots 0/1 are free here (they are
-     the [marginal_cells] accumulators, and no marginal is in flight). *)
-  let a = c.scratch in
+  (* accumulate in the oracle cells, not [float ref]s: without flambda
+     every [:=] on a float ref stores a freshly boxed float, so the refs
+     would allocate O(len) words on each insert — this runs once per
+     accepted triple in the greedy steady state. Slots 0/1 are free here
+     (they are the [marginal_cells] accumulators, and no marginal is in
+     flight). *)
+  let a = c.ctx.cells and f = c.f in
   a.(0) <- 0.0;
   a.(1) <- 0.0;
   for j = 0 to c.len - 1 do
-    a.(0) <- a.(0) +. (c.price.(j) *. c.prob.(j));
-    a.(1) <- a.(1) +. (c.price.(j) *. if c.q.(j) <= 0.0 then 0.0 else c.q.(j) *. c.comp.(j))
+    let b = fb j in
+    a.(0) <- a.(0) +. (f.(b + oprice) *. f.(b + oprob));
+    a.(1) <-
+      a.(1) +. (f.(b + oprice) *. if f.(b + oq) <= 0.0 then 0.0 else f.(b + oq) *. f.(b + ocomp))
   done;
-  c.rev_sat <- a.(0);
-  c.rev_nosat <- a.(1)
+  f.(rev_sat) <- a.(0);
+  f.(rev_nosat) <- a.(1)
 
 (* full rebuild of every cached aggregate, iterating in the same ascending
    order as the naive evaluator so the floating-point sums and products are
    reproduced exactly; O(L²) worst case but only used by [remove] *)
 let recompute c =
   Metrics.incr c_recomputes;
+  let f = c.f and inv = c.ctx.inv in
   let j = ref 0 in
   let prefix = ref 1.0 in
   while !j < c.len do
     (* the group [!j, k) shares one time step *)
     let k = ref !j in
-    while !k < c.len && c.zs.(!k).t = c.zs.(!j).t do incr k done;
+    while !k < c.len && time c !k = time c !j do incr k done;
     for a = !j to !k - 1 do
       let m = ref 0.0 in
       for l = 0 to !j - 1 do
-        m := !m +. c.inv.(c.zs.(a).t - c.zs.(l).t)
+        m := !m +. inv.(time c a - time c l)
       done;
-      c.mem.(a) <- !m;
+      f.(fb a + omem) <- !m;
       let g = ref !prefix in
       for b = !j to !k - 1 do
-        if b <> a then g := !g *. (1.0 -. c.q.(b))
+        if b <> a then g := !g *. (1.0 -. f.(fb b + oq))
       done;
-      c.comp.(a) <- !g;
+      f.(fb a + ocomp) <- !g;
       set_prob c a
     done;
     for b = !j to !k - 1 do
-      prefix := !prefix *. (1.0 -. c.q.(b))
+      prefix := !prefix *. (1.0 -. f.(fb b + oq))
     done;
     j := !k
   done;
   refresh_revenues c
 
+(* room for [n] members: capacities go 1, 2, 4, ... *)
 let ensure_capacity c n =
-  if n > Array.length c.zs then begin
-    let cap = max 4 (max n (2 * Array.length c.zs)) in
-    let zs = Array.make cap dummy in
-    Array.blit c.zs 0 zs 0 c.len;
-    c.zs <- zs;
-    let ts = Array.make cap 0 in
-    Array.blit c.ts 0 ts 0 c.len;
-    c.ts <- ts;
-    let grow_f a =
-      let fresh = Array.make cap 0.0 in
-      Array.blit a 0 fresh 0 c.len;
-      fresh
-    in
-    c.q <- grow_f c.q;
-    c.price <- grow_f c.price;
-    c.beta <- grow_f c.beta;
-    c.mem <- grow_f c.mem;
-    c.comp <- grow_f c.comp;
-    c.prob <- grow_f c.prob
+  let ist = c.ctx.ist in
+  let cap = Array.length c.d / ist in
+  if n > cap then begin
+    let cap = max n (2 * cap) in
+    let f = Array.make (fb cap) 0.0 in
+    Array.blit c.f 0 f 0 (fb c.len);
+    c.f <- f;
+    let d = Array.make (ist * cap) 0 in
+    Array.blit c.d 0 d 0 (ist * c.len);
+    c.d <- d
   end
 
-let insert ?qz c (z : Triple.t) =
+let insert ?qz ?slot c (z : Triple.t) =
   Metrics.incr c_inserts;
+  if mem c z then invalid_arg "Chain.insert: duplicate triple";
   ensure_capacity c (c.len + 1);
-  (let j0 = find c z in
-   if j0 >= 0 && Triple.equal c.zs.(j0) z then invalid_arg "Chain.insert: duplicate triple");
+  let inst = c.ctx.inst and ist = c.ctx.ist and inv = c.ctx.inv in
   let qz =
-    match qz with Some q -> q | None -> Instance.q c.inst ~u:z.u ~i:z.i ~time:z.t
+    match qz with Some q -> q | None -> Instance.q inst ~u:z.u ~i:z.i ~time:z.t
   in
   let one_minus_qz = 1.0 -. qz in
   (* splice z's effects into the existing aggregates and accumulate z's own
      memory / competition in the same O(L) pass. The accumulators live in
-     scratch cells (slot 0: memory, slot 1: competition) for the same
+     the oracle cells (slot 0: memory, slot 1: competition) for the same
      no-flambda reason as [refresh_revenues]: float refs would box on every
      loop iteration of every accept. *)
-  let a = c.scratch in
+  let a = c.ctx.cells and f = c.f in
   a.(0) <- 0.0;
   a.(1) <- 1.0;
   for j = 0 to c.len - 1 do
-    let tj = c.zs.(j).t in
+    let tj = time c j and b = fb j in
     if tj < z.t then begin
-      a.(0) <- a.(0) +. c.inv.(z.t - tj);
-      a.(1) <- a.(1) *. (1.0 -. c.q.(j))
+      a.(0) <- a.(0) +. inv.(z.t - tj);
+      a.(1) <- a.(1) *. (1.0 -. f.(b + oq))
     end
     else if tj = z.t then begin
-      a.(1) <- a.(1) *. (1.0 -. c.q.(j));
-      c.comp.(j) <- c.comp.(j) *. one_minus_qz;
+      a.(1) <- a.(1) *. (1.0 -. f.(b + oq));
+      f.(b + ocomp) <- f.(b + ocomp) *. one_minus_qz;
       set_prob c j
     end
     else begin
-      c.mem.(j) <- c.mem.(j) +. c.inv.(tj - z.t);
-      c.comp.(j) <- c.comp.(j) *. one_minus_qz;
+      f.(b + omem) <- f.(b + omem) +. inv.(tj - z.t);
+      f.(b + ocomp) <- f.(b + ocomp) *. one_minus_qz;
       set_prob c j
     end
   done;
-  (* shift the tail and write the new slot *)
-  let pos = ref c.len in
-  (try
-     for j = 0 to c.len - 1 do
-       if not (Triple.chain_before c.zs.(j) z) then begin
-         pos := j;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  for j = c.len downto !pos + 1 do
-    c.zs.(j) <- c.zs.(j - 1);
-    c.ts.(j) <- c.ts.(j - 1);
-    c.q.(j) <- c.q.(j - 1);
-    c.price.(j) <- c.price.(j - 1);
-    c.beta.(j) <- c.beta.(j - 1);
-    c.mem.(j) <- c.mem.(j - 1);
-    c.comp.(j) <- c.comp.(j - 1);
-    c.prob.(j) <- c.prob.(j - 1)
+  (* shift the tail and write the new member *)
+  let p = ref c.len in
+  while !p > 0 && not (time c (!p - 1) < z.t || (time c (!p - 1) = z.t && item c (!p - 1) <= z.i)) do
+    decr p
   done;
-  let p = !pos in
-  c.zs.(p) <- z;
-  c.ts.(p) <- z.t;
-  c.q.(p) <- qz;
-  c.price.(p) <- Instance.price c.inst ~i:z.i ~time:z.t;
-  c.beta.(p) <- Instance.saturation c.inst z.i;
-  c.mem.(p) <- a.(0);
-  c.comp.(p) <- a.(1);
+  let p = !p in
+  Array.blit f (fb p) f (fb (p + 1)) (fw * (c.len - p));
+  Array.blit c.d (ist * p) c.d (ist * (p + 1)) (ist * (c.len - p));
+  if c.len = 0 then c.user <- z.u;
+  let b = fb p in
+  f.(b + oq) <- qz;
+  f.(b + oprice) <- Instance.price inst ~i:z.i ~time:z.t;
+  f.(b + obeta) <- Instance.saturation inst z.i;
+  f.(b + omem) <- a.(0);
+  f.(b + ocomp) <- a.(1);
+  c.d.(ist * p) <- z.i;
+  c.d.((ist * p) + 1) <- z.t;
+  if ist > 2 then c.d.((ist * p) + 2) <- Option.value slot ~default:0;
   c.len <- c.len + 1;
   set_prob c p;
   refresh_revenues c
 
 let remove c (z : Triple.t) =
   Metrics.incr c_removes;
-  let j0 = find c z in
-  if j0 < 0 || not (Triple.equal c.zs.(j0) z) then
-    invalid_arg "Chain.remove: absent triple";
-  for j = j0 to c.len - 2 do
-    c.zs.(j) <- c.zs.(j + 1);
-    c.ts.(j) <- c.ts.(j + 1);
-    c.q.(j) <- c.q.(j + 1);
-    c.price.(j) <- c.price.(j + 1);
-    c.beta.(j) <- c.beta.(j + 1)
-  done;
-  c.len <- c.len - 1;
-  (* clear the vacated tail slot: a stale triple left beyond [len] could
-     otherwise alias a future [find]/[iter] read after a re-insert at the
-     old boundary *)
-  c.zs.(c.len) <- dummy;
-  c.ts.(c.len) <- 0;
-  c.q.(c.len) <- 0.0;
-  c.price.(c.len) <- 0.0;
-  c.beta.(c.len) <- 0.0;
-  c.mem.(c.len) <- 0.0;
-  c.comp.(c.len) <- 0.0;
-  c.prob.(c.len) <- 0.0;
+  let j0 = index c z in
+  if j0 < 0 then invalid_arg "Chain.remove: absent triple";
+  let ist = c.ctx.ist in
+  let last = c.len - 1 in
+  Array.blit c.f (fb (j0 + 1)) c.f (fb j0) (fw * (last - j0));
+  Array.blit c.d (ist * (j0 + 1)) c.d (ist * j0) (ist * (last - j0));
+  c.len <- last;
+  (* clear the vacated tail member: stale data left beyond [len] could
+     otherwise alias a future read after a re-insert at the old boundary *)
+  Array.fill c.f (fb last) fw 0.0;
+  Array.fill c.d (ist * last) ist 0;
   recompute c
 
-let revenue ~with_saturation c = if with_saturation then c.rev_sat else c.rev_nosat
+let revenue ~with_saturation c = if with_saturation then c.f.(rev_sat) else c.f.(rev_nosat)
 
-let aggregates c (z : Triple.t) =
-  let j = find c z in
-  if j < 0 || not (Triple.equal c.zs.(j) z) then None
-  else Some (c.mem.(j), c.comp.(j), c.prob.(j))
+let aggregates c z =
+  let j = index c z in
+  if j < 0 then None
+  else
+    let b = fb j in
+    Some (c.f.(b + omem), c.f.(b + ocomp), c.f.(b + oprob))
 
-let prob ~with_saturation c (z : Triple.t) =
-  let j = find c z in
-  if j < 0 || not (Triple.equal c.zs.(j) z) then None
-  else if with_saturation then Some c.prob.(j)
-  else Some (if c.q.(j) <= 0.0 then 0.0 else c.q.(j) *. c.comp.(j))
+let prob ~with_saturation c z =
+  let j = index c z in
+  if j < 0 then None
+  else
+    let b = fb j in
+    if with_saturation then Some c.f.(b + oprob)
+    else Some (if c.f.(b + oq) <= 0.0 then 0.0 else c.f.(b + oq) *. c.f.(b + ocomp))
 
-(* Allocation-free kernel of [marginal]: every per-candidate instance fact
-   (q, price, saturation base) arrives as an argument so the O(L) loop only
-   touches the chain's flat float arrays. The saturation closed form is
-   inlined by hand — without flambda a call to [saturation_factor] would
-   box its float result on every later-triple iteration — and the loop body
-   performs no tupling, no option construction and no hashtable lookups, so
-   the per-element work allocates nothing. Floating-point operations are
-   ordered exactly as the historical [marginal], keeping golden traces and
-   the naive≈incremental properties bit-stable. *)
-let oracle_cells c = c.scratch
+(* The cells are the strategy's, shared by all its chains: the caller
+   fills slots 3..5 right before [marginal_cells] reads them. *)
+let oracle_cells c = c.ctx.cells
 
 (* The one oracle call of the steady-state selection loop, with a float-free
    signature: without flambda every float argument or result of a
@@ -309,16 +307,16 @@ let oracle_cells c = c.scratch
    float-array stores) and the marginal comes back through [res.(0)] — the
    call itself moves only immediates and pointers and allocates nothing.
 
-   The three accumulators live in the same preallocated [scratch] array:
-   a [ref] cell (or float arguments threaded through a local recursion,
-   which the non-flambda compiler boxes) would allocate on every call.
-   Each branch performs the same floating-point operations in the same
-   order as the historical accumulate-in-refs loop, so results are
-   bit-identical. The walk reads the [ts] time mirror, not [zs], to keep
-   it free of pointer chasing. *)
-let marginal_cells ~with_saturation c ~time ~res =
+   The three accumulators live in the same preallocated cells: a [ref]
+   cell (or float arguments threaded through a local recursion, which the
+   non-flambda compiler boxes) would allocate on every call. Each branch
+   performs the same floating-point operations in the same order as the
+   historical accumulate-in-refs loop, so results are bit-identical. The
+   saturation closed form is inlined by hand, and the walk reads each
+   member's time and six floats from two flat arrays. *)
+let marginal_cells ~with_saturation c ~time:tz ~res =
   Metrics.incr c_marginals;
-  let a = c.scratch in
+  let a = c.ctx.cells and inv = c.ctx.inv and f = c.f and d = c.d and ist = c.ctx.ist in
   let qz = a.(3) in
   let price = a.(4) in
   let beta = a.(5) in
@@ -328,37 +326,38 @@ let marginal_cells ~with_saturation c ~time ~res =
   a.(1) <- 1.0 (* compz *);
   a.(2) <- 0.0 (* delta *);
   for j = 0 to len - 1 do
-    let tj = c.ts.(j) in
-    if tj < time then begin
-      a.(0) <- a.(0) +. c.inv.(time - tj);
-      a.(1) <- a.(1) *. (1.0 -. c.q.(j))
+    let tj = d.((ist * j) + 1) and b = fb j in
+    let qj = f.(b + oq) in
+    if tj < tz then begin
+      a.(0) <- a.(0) +. inv.(tz - tj);
+      a.(1) <- a.(1) *. (1.0 -. qj)
     end
-    else if tj = time then begin
+    else if tj = tz then begin
       (* z's primitive probability joins the same-time competition *)
-      a.(1) <- a.(1) *. (1.0 -. c.q.(j));
+      a.(1) <- a.(1) *. (1.0 -. qj);
       let old_p =
-        if c.q.(j) <= 0.0 then 0.0
-        else if with_saturation then c.prob.(j)
-        else c.q.(j) *. c.comp.(j)
+        if qj <= 0.0 then 0.0
+        else if with_saturation then f.(b + oprob)
+        else qj *. f.(b + ocomp)
       in
-      a.(2) <- a.(2) -. (c.price.(j) *. old_p *. qz)
+      a.(2) <- a.(2) -. (f.(b + oprice) *. old_p *. qz)
     end
     else begin
       (* later triple: its memory gains 1/(Δt), its competition gains
          (1 − q_z) *)
-      let d =
-        if c.q.(j) <= 0.0 then 0.0
+      let dl =
+        if qj <= 0.0 then 0.0
         else if with_saturation then begin
-          let m' = c.mem.(j) +. c.inv.(tj - time) in
-          let sat = if m' = 0.0 then 1.0 else c.beta.(j) ** m' in
-          (c.q.(j) *. sat *. c.comp.(j) *. one_minus_qz) -. c.prob.(j)
+          let m' = f.(b + omem) +. inv.(tj - tz) in
+          let sat = if m' = 0.0 then 1.0 else f.(b + obeta) ** m' in
+          (qj *. sat *. f.(b + ocomp) *. one_minus_qz) -. f.(b + oprob)
         end
         else begin
-          let p0 = c.q.(j) *. c.comp.(j) in
+          let p0 = qj *. f.(b + ocomp) in
           (p0 *. one_minus_qz) -. p0
         end
       in
-      a.(2) <- a.(2) +. (c.price.(j) *. d)
+      a.(2) <- a.(2) +. (f.(b + oprice) *. dl)
     end
   done;
   let gain =
@@ -371,10 +370,11 @@ let marginal_cells ~with_saturation c ~time ~res =
   res.(0) <- gain +. a.(2)
 
 (* boxed-float façade over [marginal_cells] — one implementation, so the
-   two entry points cannot drift apart numerically. [res] reuses [scratch]:
-   slot 0 (the mz accumulator) is dead by the time the result is stored. *)
+   two entry points cannot drift apart numerically. [res] reuses the
+   cells: slot 0 (the mz accumulator) is dead by the time the result is
+   stored. *)
 let marginal_flat ~with_saturation c ~time ~qz ~price ~beta =
-  let a = c.scratch in
+  let a = c.ctx.cells in
   a.(3) <- qz;
   a.(4) <- price;
   a.(5) <- beta;
@@ -382,7 +382,8 @@ let marginal_flat ~with_saturation c ~time ~qz ~price ~beta =
   a.(0)
 
 let marginal ~with_saturation c (z : Triple.t) =
+  let inst = c.ctx.inst in
   marginal_flat ~with_saturation c ~time:z.t
-    ~qz:(Instance.q c.inst ~u:z.u ~i:z.i ~time:z.t)
-    ~price:(Instance.price c.inst ~i:z.i ~time:z.t)
-    ~beta:(Instance.saturation c.inst z.i)
+    ~qz:(Instance.q inst ~u:z.u ~i:z.i ~time:z.t)
+    ~price:(Instance.price inst ~i:z.i ~time:z.t)
+    ~beta:(Instance.saturation inst z.i)

@@ -1,6 +1,5 @@
-(** One (user, class) chain backed by a sorted dynamic array with cached
-    per-triple aggregates — the incremental revenue engine shared by
-    {!Strategy} and {!Revenue}.
+(** One (user, class) chain with cached per-triple aggregates — the
+    incremental revenue engine shared by {!Strategy} and {!Revenue}.
 
     For each triple the chain caches its primitive probability, price and
     saturation factor together with the three derived quantities the revenue
@@ -13,31 +12,67 @@
     O(L²) full re-evaluation of the naive oracle.
 
     Triples are ordered by {!Triple.chain_before} (time ascending, ties by
-    item id); at most one triple per (time, item) may be present. *)
+    item id); at most one triple per (time, item) may be present.
+
+    {b Footprint.} A chain is a 6-word record and two flat arrays that
+    start with room for one member and double: a float array of
+    [2 + 6·capacity] (the two revenues, then q, price, β, memory,
+    competition and probability per member) and an int array of
+    [2·capacity] (item and time per member; [3·capacity] with the slot on
+    slate instances). No triple record is stored: the accessors that
+    return triples build them. A one-member chain takes 18 words and a
+    two-member one 26, plus the strategy's 4-word table entry. The
+    oracle cells and the 1/Δt table are held once per {!ctx}, which every
+    chain of one strategy shares. *)
+
+type ctx
+(** Per-strategy constants: the instance, the oracle cells and the 1/Δt
+    table. Chains of one context share its cells, so they must not be
+    used from two domains at once unless every use is a read of the
+    members or the cached revenues. *)
+
+val context : Instance.t -> ctx
 
 type t
 
+val create_in : ctx -> t
+(** An empty chain of the context's strategy. *)
+
 val create : Instance.t -> t
-(** An empty chain. The instance supplies prices, probabilities and
-    saturation factors for cache maintenance. *)
+(** An empty chain with a context of its own. The instance supplies
+    prices, probabilities and saturation factors for cache maintenance. *)
 
 val length : t -> int
 (** O(1) — the paper's [|set(u, C(i))|] lazy-forward reference value. *)
+
+val user : t -> int
+(** The user of the chain's members (that of its first insert). *)
+
+val item : t -> int -> int
+(** [item c j]: the item of the [j]-th member in chain order. *)
+
+val time : t -> int -> int
+(** [time c j]: the time step of the [j]-th member in chain order. *)
 
 val to_list : t -> Triple.t list
 (** Triples in chain order (freshly allocated). *)
 
 val iter : t -> (Triple.t -> unit) -> unit
+(** Visit the members in chain order as freshly built triples. *)
 
 val mem : t -> Triple.t -> bool
 (** O(log L). *)
 
-val insert : ?qz:float -> t -> Triple.t -> unit
+val slot_of : t -> Triple.t -> int option
+(** The slot a member was inserted with; [None] for non-members and on
+    non-slate instances. *)
+
+val insert : ?qz:float -> ?slot:int -> t -> Triple.t -> unit
 (** Splice a triple in, updating every cached aggregate in O(L). [qz]
     overrides the stored primitive probability (default
     [Instance.q]) — how slate strategies store the slot-scaled
-    effective q̃ = m_slot · q(u,i,t). Raises [Invalid_argument] on a
-    duplicate. *)
+    effective q̃ = m_slot · q(u,i,t); [slot] is recorded on slate
+    instances only. Raises [Invalid_argument] on a duplicate. *)
 
 val remove : t -> Triple.t -> unit
 (** Remove exactly the given triple and rebuild the cached aggregates.
@@ -82,12 +117,14 @@ val marginal : with_saturation:bool -> t -> Triple.t -> float
     floating-point rounding. *)
 
 val oracle_cells : t -> float array
-(** The chain's preallocated unboxed oracle cells. Slots 3, 4 and 5 are the
-    [qz] (candidate adoption probability), [price] and [beta] (item
-    saturation base) inputs of {!marginal_cells}; the caller stores them
-    with plain float-array writes, which the compiler keeps unboxed. Slots
-    0-2 are internal accumulators. The array is owned by the chain — treat
-    its contents as dead once {!marginal_cells} returns. *)
+(** The context's preallocated unboxed oracle cells. Slots 3, 4 and 5
+    are the [qz] (candidate adoption probability), [price] and [beta]
+    (item saturation base) inputs of {!marginal_cells}; the caller stores
+    them with plain float-array writes, which the compiler keeps unboxed.
+    Slots 0-2 are internal accumulators. The array is shared by every
+    chain of the context — treat its contents as dead once
+    {!marginal_cells} returns, and as overwritten by any {!insert},
+    {!remove} or {!recompute}. *)
 
 val marginal_cells : with_saturation:bool -> t -> time:int -> res:float array -> unit
 (** Zero-allocation kernel of {!marginal}: reads the candidate's [qz],

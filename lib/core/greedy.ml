@@ -182,14 +182,13 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   let disp = Array.make ((uhi - ulo) * stride) 0 in
   let holds = Bytes.make npairs '\000' in
   let holders = Array.make num_items 0 in
-  (* slate-only byte maps (empty on plain instances): [tsel] marks a
-     (pair, time) whose triple is already selected in {e some} slot — the
-     other nsl − 1 entries of the same triple are then permanently
-     infeasible, since a triple occupies exactly one slot; [slot_taken]
-     marks an occupied (user, time, slot). Both facts are permanent during
-     a run (the strategy only grows, slots never free), so blocked entries
-     can be dropped for good, exactly like display/capacity blocks. *)
-  let tsel = Bytes.make (if nsl = 1 then 0 else npairs * stride) '\000' in
+  (* slate-only byte map (empty on plain instances): [slot_taken] marks
+     an occupied (user, time, slot). The fact is permanent during a run
+     (the strategy only grows, slots never free), so blocked entries can
+     be dropped for good, exactly like display/capacity blocks. A member
+     triple's own entries never reach the heap: a seeded strategy's
+     members are not registered, and [accept] retires the other slots'
+     entries of the triple it selects. *)
   let slot_taken = Bytes.make (if nsl = 1 then 0 else (uhi - ulo) * stride * nsl) '\000' in
   if seeded then begin
     for i = 0 to num_items - 1 do
@@ -208,24 +207,25 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
     done;
     Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
         let rel = pid - plo in
-        if Strategy.item_has_user s ~i:pi_arr.(rel) ~u then begin
-          Bytes.set holds rel '\001';
-          if nsl > 1 then
-            for t = 1 to horizon do
-              if Strategy.mem s (Triple.make ~u ~i:pi_arr.(rel) ~t) then
-                Bytes.set tsel ((rel * stride) + t) '\001'
-            done
-        end)
+        if Strategy.item_has_user s ~i:pi_arr.(rel) ~u then Bytes.set holds rel '\001')
   end;
   (* feasibility of a popped candidate: candidates always carry their own
      range pair, so the holder probe is one byte read *)
   let feasible rel u i t slot =
     disp.(((u - ulo) * stride) + t) < display_limit
     && (Bytes.get holds rel <> '\000' || holders.(i) < capacity.(i))
-    && (nsl = 1
-       || Bytes.get tsel ((rel * stride) + t) = '\000'
-          && Bytes.get slot_taken (((((u - ulo) * stride) + t) * nsl) + slot - 1) = '\000')
+    && (nsl = 1 || Bytes.get slot_taken (((((u - ulo) * stride) + t) * nsl) + slot - 1) = '\000')
   in
+  (* Groups are keyed by the paper's (user, item) pair — the view pair rank
+     [pid − plo] — so a refresh event touches one pair's horizon-bounded
+     lower heap, exactly §5.1's granularity. A selection staleness-marks
+     every candidate of one (user, class), i.e. all pairs of the user's
+     same-class items, but the lazy loop only refreshes the stale pairs
+     that actually surface as the global root before being re-staled; with
+     the coarser user-sized groups every event would recompute the whole
+     stale set at once, several times more oracle calls for the same
+     trajectory. *)
+  let h = Tl.create ~groups:npairs ~width:estride in
   (* the accepted marginal arrives through [res.(0)], not a float argument:
      without flambda a float parameter is boxed at the call boundary, and
      [accept] runs once per selected triple in the steady-state loop *)
@@ -239,8 +239,14 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
       holders.(i) <- holders.(i) + 1
     end;
     if nsl > 1 then begin
-      Bytes.set tsel ((rel * stride) + t) '\001';
-      Bytes.set slot_taken ((dk * nsl) + slot - 1) '\001'
+      Bytes.set slot_taken ((dk * nsl) + slot - 1) '\001';
+      (* a triple occupies one slot: its other slots' entries can never
+         be feasible again, so they leave the pair's group now rather
+         than be re-evaluated with it and popped one by one *)
+      let e0 = ((rel * stride) + t) * nsl in
+      for k = 0 to nsl - 1 do
+        if k <> slot - 1 then Tl.remove h (e0 + k)
+      done
     end;
     (match chains.(sl) with
     | Some _ -> () (* same chain, mutated in place *)
@@ -255,44 +261,40 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
         f { z; size = Strategy.size s; revenue = running_total.(0); evaluations = !evals }
     | None -> ()
   in
-  (* key for a triple whose chain is known empty: marginal reduces to p·q
-     (Algorithm 1 line 8); avoids an oracle call per candidate at startup *)
-  let build_key eid i t qv sl =
-    if chain_size_slot sl = 0 then prf.((i * stride) + t) *. qv
-    else begin
-      marginal_into eid i t;
-      res.(0)
-    end
+  (* key of a fresh candidate, read from and left in [res.(0)] (its q̃ on
+     entry): on a chain known empty the marginal reduces to p·q̃
+     (Algorithm 1 line 8), which avoids an oracle call per candidate at
+     startup *)
+  let build_key eid i t sl =
+    if chain_size_slot sl = 0 then res.(0) <- prf.((i * stride) + t) *. res.(0)
+    else marginal_into eid i t
   in
-  (* Groups are keyed by the paper's (user, item) pair — the view pair rank
-     [pid − plo] — so a refresh event touches one pair's horizon-bounded
-     lower heap, exactly §5.1's granularity. A selection staleness-marks
-     every candidate of one (user, class), i.e. all pairs of the user's
-     same-class items, but the lazy loop only refreshes the stale pairs
-     that actually surface as the global root before being re-staled; with
-     the coarser user-sized groups every event would recompute the whole
-     stale set at once, several times more oracle calls for the same
-     trajectory. *)
-  let h = Tl.create ~groups:npairs ~width:estride in
+  (* Registration allocates nothing: q and keys travel through cells, a
+     triple is built only for a caller's [allowed] filter, and membership
+     is probed only on pairs a seeded strategy already holds. *)
+  let qcell = [| 0.0 |] in
   Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
       let rel = pid - plo in
       let i = pi_arr.(rel) in
       let sl = chain_slot.(rel) in
+      let held = Bytes.get holds rel <> '\000' in
       for t = 1 to horizon do
-        let qv = Instance.pair_q inst ~pid ~time:t in
-        if qv > 0.0 then begin
-          let z = Triple.make ~u ~i ~t in
-          if allowed z && not (Strategy.mem s z) then begin
-            prf.((i * stride) + t) <- Instance.price inst ~i ~time:t;
-            for slot = 1 to nsl do
-              let qe = mult.(slot - 1) *. qv in
-              if qe > 0.0 then begin
-                let eid = (((rel * stride) + t) * nsl) + slot - 1 in
-                stamp.(eid) <- float_of_int (chain_size_slot sl);
-                Tl.insert h ~key:(build_key eid i t qe sl) eid
-              end
-            done
-          end
+        Instance.pair_q_into inst ~pid ~time:t qcell 0;
+        if
+          qcell.(0) > 0.0
+          && (match allowed with None -> true | Some f -> f (Triple.make ~u ~i ~t))
+          && not (held && Strategy.mem_at s ~u ~i ~time:t)
+        then begin
+          Instance.price_into inst ~i ~time:t prf ((i * stride) + t);
+          for slot = 1 to nsl do
+            res.(0) <- mult.(slot - 1) *. qcell.(0);
+            if res.(0) > 0.0 then begin
+              let eid = (((rel * stride) + t) * nsl) + slot - 1 in
+              stamp.(eid) <- float_of_int (chain_size_slot sl);
+              build_key eid i t sl;
+              Tl.insert h res eid
+            end
+          done
         end
       done);
   (* Recompute one entry's key and staleness stamp; the fresh key is left in
@@ -351,7 +353,7 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   if !truncated then Metrics.incr c_truncated;
   { marginal_evaluations = !evals; pops = !pops; selected = !selected; truncated = !truncated }
 
-let run ?(with_saturation = true) ?(allowed = fun _ -> true) ?base ?trace ?budget inst =
+let run ?(with_saturation = true) ?allowed ?base ?trace ?budget inst =
   Metrics.span "greedy.run" @@ fun () ->
   let s = match base with Some b -> Strategy.copy b | None -> Strategy.create inst in
   let stats =
@@ -359,7 +361,7 @@ let run ?(with_saturation = true) ?(allowed = fun _ -> true) ?base ?trace ?budge
   in
   (s, stats)
 
-let plan_rows ?(allowed = fun _ -> true) ?budget s ~users =
+let plan_rows ?allowed ?budget s ~users =
   Metrics.span "greedy.plan_rows" @@ fun () ->
   let inst = Strategy.instance s in
   let lo, hi = Instance.user_range inst and ulo, uhi = users in

@@ -248,6 +248,10 @@ let price t ~i ~time =
   check_time t time;
   t.price.(i).(time - 1)
 
+let price_into t ~i ~time cells k =
+  check_time t time;
+  cells.(k) <- t.price.(i).(time - 1)
+
 let is_packed t = match t.backend with Heap_b _ -> false | Packed_b _ -> true
 
 (* ----- pair-indexed access (the out-of-core hot path) ----- *)

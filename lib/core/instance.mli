@@ -96,6 +96,10 @@ val saturation : t -> int -> float
 val price : t -> i:int -> time:int -> float
 (** [p(i,t)] for [time ∈ 1..T]. *)
 
+val price_into : t -> i:int -> time:int -> float array -> int -> unit
+(** [price_into t ~i ~time cells k] stores [price t ~i ~time] into
+    [cells.(k)] without boxing it, as {!pair_q_into} does for q. *)
+
 (** {1 Constraint variants}
 
     Two generalizations from the related work, both off by default:

@@ -61,18 +61,12 @@ let strategy_q_of s =
 let total ?with_saturation s =
   let inst = Strategy.instance s in
   let q_of = strategy_q_of s in
-  (* group triples into chains via the strategy's own chain index *)
-  let seen = Hashtbl.create 64 in
-  List.fold_left
-    (fun acc (z : Triple.t) ->
-      let cls = Instance.class_of inst z.i in
-      let key = (z.u * Instance.num_classes inst) + cls in
-      if Hashtbl.mem seen key then acc
-      else begin
-        Hashtbl.add seen key ();
-        acc +. chain_revenue ?with_saturation ?q_of inst (Strategy.chain s ~u:z.u ~cls)
-      end)
-    0.0 (Strategy.to_list s)
+  (* one walk over the chains in the order a fold over the sorted member
+     list first meets them, summing each chain's naive revenue; the same
+     float sum, in the same order, as that fold *)
+  Array.fold_left
+    (fun acc c -> acc +. chain_revenue ?with_saturation ?q_of inst (Chain.to_list c))
+    0.0 (Strategy.chains_in_order s)
 
 let dynamic_probability_in ?(with_saturation = true) s z =
   if not (Strategy.mem s z) then 0.0

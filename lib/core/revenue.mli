@@ -42,7 +42,9 @@ val chain_revenue :
 val total : ?with_saturation:bool -> Strategy.t -> float
 (** [Rev(S)] (Definition 2). On slate instances the strategy's slot
     assignments determine each member's effective probability, so [total]
-    is automatically slate-aware. *)
+    is automatically slate-aware. Chains are summed in
+    {!Strategy.chains_in_order}, each by the naive fold over its members,
+    so the result depends only on the members and their slots. *)
 
 val dynamic_probability_in : ?with_saturation:bool -> Strategy.t -> Triple.t -> float
 (** [qS(u,i,t)] for a triple of the strategy; 0 when [(u,i,t) ∉ S]
@@ -67,4 +69,6 @@ val marginal_incremental : ?with_saturation:bool -> Strategy.t -> Triple.t -> fl
 
 val total_incremental : ?with_saturation:bool -> Strategy.t -> float
 (** [Rev(S)] from the cached per-chain revenues in O(#chains) — agrees with
-    {!total} up to floating-point rounding. *)
+    {!total} up to floating-point rounding. The sum follows
+    {!Strategy.iter_chains}, the chains table's order, so its last bits
+    depend on the order chains were first added in. *)

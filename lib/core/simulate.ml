@@ -29,34 +29,28 @@ let simulate_chain inst chain rng =
       let sat = if m = 0.0 then 1.0 else Instance.saturation inst z.i ** m in
       if Rng.bernoulli rng sat then Some z else None
 
-let iter_chains s f =
-  let inst = Strategy.instance s in
-  let seen = Hashtbl.create 64 in
-  List.iter
-    (fun (z : Triple.t) ->
-      let cls = Instance.class_of inst z.i in
-      let key = (z.u * Instance.num_classes inst) + cls in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        f (Strategy.chain s ~u:z.u ~cls)
-      end)
-    (Strategy.to_list s)
-
-let revenue_once s rng =
+(* [chains] in [Strategy.chains_in_order], the order a fold over the
+   sorted member list first met them: the order worlds draw their coins
+   in. A world only reads them. *)
+let world_revenue inst chains rng =
   Metrics.incr c_worlds;
-  let inst = Strategy.instance s in
   let acc = ref 0.0 in
-  iter_chains s (fun chain ->
-      match simulate_chain inst chain rng with
+  Array.iter
+    (fun c ->
+      match simulate_chain inst (Chain.to_list c) rng with
       | None -> ()
-      | Some z -> acc := !acc +. Instance.price inst ~i:z.i ~time:z.t);
+      | Some z -> acc := !acc +. Instance.price inst ~i:z.i ~time:z.t)
+    chains;
   !acc
 
-(* [Strategy.t] is read-only here (iter_chains only reads the chain arrays),
-   so worlds can be simulated on parallel domains; per-world streams come
+let revenue_once s rng = world_revenue (Strategy.instance s) (Strategy.chains_in_order s) rng
+
+(* the chain order is computed once and only read by the worlds, so
+   worlds can be simulated on parallel domains; per-world streams come
    from Mc's splitting, keeping the estimate bit-identical across jobs. *)
 let estimate_revenue ?jobs s ~samples rng =
-  Mc.estimate ?jobs ~samples rng (fun rng -> revenue_once s rng)
+  let inst = Strategy.instance s and chains = Strategy.chains_in_order s in
+  Mc.estimate ?jobs ~samples rng (fun rng -> world_revenue inst chains rng)
 
 type sales_report = { revenue : float; adoptions : Triple.t list; stockouts : int }
 
@@ -65,10 +59,12 @@ let run_with_stock s rng =
   (* simulate every chain, collect would-be adoptions, then replay them in
      time order against finite stock *)
   let would_adopt = ref [] in
-  iter_chains s (fun chain ->
-      match simulate_chain inst chain rng with
+  Array.iter
+    (fun c ->
+      match simulate_chain inst (Chain.to_list c) rng with
       | None -> ()
-      | Some z -> would_adopt := z :: !would_adopt);
+      | Some z -> would_adopt := z :: !would_adopt)
+    (Strategy.chains_in_order s);
   let arr = Array.of_list !would_adopt in
   Rng.shuffle rng arr (* random order within a time step *);
   let ordered = Array.to_list arr |> List.stable_sort (fun (a : Triple.t) b -> compare a.t b.t) in

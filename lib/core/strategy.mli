@@ -5,7 +5,24 @@
     - the (user, class) {e chains} — time-sorted lists of same-user
       same-class triples, the unit over which revenue decomposes;
     - display counters per (user, time) and distinct-user counters per item,
-      for the two validity constraints of Problem 1. *)
+      for the two validity constraints of Problem 1.
+
+    {b Footprint.} Membership is one bit per (candidate pair, time) and
+    the repetition count one word per candidate pair, both over the
+    instance view's CSR pair range; display fill is [T+1] words per view
+    user. Members live only in their {!Chain.t}s (18 words for a
+    one-member chain, 26 for two, plus a 4-word table entry), so a plan
+    of mostly short chains costs about 20 words per selection beyond its
+    instance. Users and pairs outside the view go through small overflow
+    tables.
+
+    {b Orders.} The chains table keeps its (user, class) keys in the
+    order they were first added; {!iter_chains} visits them in the
+    table's order, a deterministic function of those keys and that
+    insertion sequence. {!Revenue.total_incremental} sums chain revenues
+    in that order, so RL-Greedy's first-maximum tie-break and [Exact]'s
+    slate branch read a sum whose last bits depend on it. {!Revenue.total}
+    and {!Simulate} walk {!chains_in_order} instead. *)
 
 type t
 
@@ -17,6 +34,11 @@ val instance : t -> Instance.t
 val size : t -> int
 
 val mem : t -> Triple.t -> bool
+
+val mem_at : t -> u:int -> i:int -> time:int -> bool
+(** [mem_at t ~u ~i ~time] is [mem t (Triple.make ~u ~i ~t:time)]
+    without building the triple: one pair lookup and one bit for a pair
+    of the view. [false] for out-of-range ids. *)
 
 val add : ?slot:int -> t -> Triple.t -> unit
 (** Raises [Invalid_argument] if the triple is already present or its ids
@@ -48,9 +70,10 @@ val remove : t -> Triple.t -> unit
     removals are never silently ignored). *)
 
 val to_list : t -> Triple.t list
-(** All triples in [Triple.compare] order. It allocates and sorts the
-    whole strategy, O(|S| log |S|); the row accessors below reach one
-    pair's, item's or user's triples without that sort. *)
+(** All triples in [Triple.compare] order: one pass over the chains and
+    one sort of packed integer keys, O(|S| log |S|), after which each
+    triple is built once; the row accessors below reach one pair's,
+    item's or user's triples without that sort. *)
 
 (** {1 Row accessors}
 
@@ -64,7 +87,8 @@ val remove_pair : t -> u:int -> i:int -> unit
 
 val item_holders : t -> int -> int list
 (** The distinct users holding item [i], ascending: one unordered pass
-    over the members, O(|S|), without the sort of {!to_list}. *)
+    over the chains of the item's class, O(|S|) at most, without the sort
+    of {!to_list}. *)
 
 val recompute_chains : ?u:int -> t -> unit
 (** {!Chain.recompute} every chain, or only user [u]'s: afterwards each
@@ -127,8 +151,17 @@ val chain_size : t -> u:int -> cls:int -> int
     reference value of Algorithm 1. *)
 
 val iter_chains : t -> (Chain.t -> unit) -> unit
-(** Visit every non-empty chain (arbitrary order). The callback must not
-    modify the strategy. *)
+(** Visit every non-empty chain in the chains table's order (see
+    {b Orders} above): deterministic, and what
+    {!Revenue.total_incremental}'s float sum follows. The callback must
+    not modify the strategy. *)
+
+val chains_in_order : t -> Chain.t array
+(** Every non-empty chain, users ascending, then each user's chains by
+    their first (time, item): the order in which a fold over {!to_list}
+    meets each chain for the first time. A fresh array, sorted in O(C log
+    C) over the C chains; building it reads the strategy and writes
+    nothing else, so several domains may build and walk it at once. *)
 
 (** {1 Constraint bookkeeping} *)
 
@@ -178,6 +211,9 @@ val repeat_histogram : t -> int array
 val item_recommendations_up_to :
   t -> i:int -> time:int -> (int, Triple.t list) Hashtbl.t
 (** Per-user lists of recommendations of item [i] at times ≤ [time]
-    (ascending time within a user) — the [S_{i,t}] of Definition 4. *)
+    (ascending time within a user) — the [S_{i,t}] of Definition 4. The
+    table is filled in ascending user order, so its iteration order, which
+    fixes the order {!Capacity_oracle} folds adopter probabilities and
+    draws Monte-Carlo coins in, depends only on the holders' ids. *)
 
 val pp : Format.formatter -> t -> unit

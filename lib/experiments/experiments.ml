@@ -779,7 +779,9 @@ let bench_scale (cfg : Config.t) =
       Printf.sprintf "identical (%d-step trace, revenue %.12g)" (List.length th) vh
     end
   in
-  (* jobs × shards invariance grid on the mapped instance *)
+  (* jobs × shards invariance grid on the mapped instance; the flat
+     shards=1 plan is kept for the footprint record below *)
+  let flat_plan = ref None in
   let grid =
     List.map
       (fun shards ->
@@ -789,6 +791,7 @@ let bench_scale (cfg : Config.t) =
               let (s, st), wall =
                 Util.time_it (fun () -> Revmax.Shard_greedy.solve ~shards ~jobs inst)
               in
+              if shards = 1 && jobs = 1 then flat_plan := Some s;
               row
                 (Printf.sprintf "flat shards=%d jobs=%d" shards jobs)
                 (s, wall) ~released:st.Revmax.Shard_greedy.released_pairs
@@ -823,6 +826,21 @@ let bench_scale (cfg : Config.t) =
   if rss_kb > 0 && rss_kb > rss_ceiling_kb then
     failwith
       (Printf.sprintf "bench-scale: peak RSS %d kB exceeds the %d kB ceiling" rss_kb rss_ceiling_kb);
+  (* the plan's own words per selection, beyond its instance. Measured
+     only after VmHWM was read: [Obj.reachable_words] allocates a
+     traversal table about as large as what it walks, which would lift
+     the peak it is reported beside. *)
+  let strategy_words_per_selection =
+    match !flat_plan with
+    | Some s when Strategy.size s > 0 ->
+        float_of_int
+          (Obj.reachable_words (Obj.repr s)
+          - Obj.reachable_words (Obj.repr (Strategy.instance s)))
+        /. float_of_int (Strategy.size s)
+    | _ -> 0.0
+  in
+  Log.out "memory: the flat shards=1 plan holds %.1f words per selection beyond its instance\n"
+    strategy_words_per_selection;
   (* machine-readable cell, consumed by CI (artifact + gates) *)
   let out =
     Option.value (Sys.getenv_opt "REVMAX_BENCH_OUT") ~default:"BENCH_scale.json"
@@ -856,8 +874,9 @@ let bench_scale (cfg : Config.t) =
         (if idx = List.length all_runs - 1 then "" else ","))
     all_runs;
   add "  ],\n";
-  add "  \"memory\": { \"peak_rss_kb\": %d, \"rss_ceiling_kb\": %d, \"ocaml_top_heap_words\": %d }\n"
-    rss_kb rss_ceiling_kb gc.Gc.top_heap_words;
+  add
+    "  \"memory\": { \"peak_rss_kb\": %d, \"rss_ceiling_kb\": %d, \"ocaml_top_heap_words\": %d, \"strategy_words_per_selection\": %.2f }\n"
+    rss_kb rss_ceiling_kb gc.Gc.top_heap_words strategy_words_per_selection;
   add "}\n";
   let oc = open_out out in
   Fun.protect

@@ -133,15 +133,19 @@ let upper_sync t g =
     if k > old then upper_sift_up t p else if k < old then upper_sift_down t p
   end
 
-let upper_remove_root t =
-  t.upos.(t.ugrp.(0)) <- -1;
+(* take group [g] out of the upper heap; the last group fills its place
+   and sifts whichever way its key says *)
+let upper_remove t g =
+  let p = t.upos.(g) in
+  t.upos.(g) <- -1;
   let last = t.usize - 1 in
   t.usize <- last;
-  if last > 0 then begin
-    t.ukey.(0) <- t.ukey.(last);
-    t.ugrp.(0) <- t.ugrp.(last);
-    t.upos.(t.ugrp.(0)) <- 0;
-    upper_sift_down t 0
+  if p < last then begin
+    t.ukey.(p) <- t.ukey.(last);
+    t.ugrp.(p) <- t.ugrp.(last);
+    t.upos.(t.ugrp.(p)) <- p;
+    upper_sift_up t p;
+    upper_sift_down t p
   end
 
 (* re-key the root group to its lower root's key after that key moved
@@ -153,12 +157,12 @@ let upper_rekey_root t =
   t.ukey.(0) <- k;
   if k < old then upper_sift_down t 0
 
-let insert t ~key e =
+let insert t cell e =
   Metrics.incr c_inserts;
   let g = e / t.width in
   let base = g * t.width and n = t.size.(g) in
   if n >= t.width then invalid_arg "Two_level_heap.insert: group full";
-  t.keys.(base + n) <- key;
+  t.keys.(base + n) <- cell.(0);
   t.ents.(base + n) <- e;
   t.size.(g) <- n + 1;
   t.total <- t.total + 1;
@@ -184,12 +188,35 @@ let drop_max t =
   let n = t.size.(g) - 1 in
   t.size.(g) <- n;
   t.total <- t.total - 1;
-  if n = 0 then upper_remove_root t
+  if n = 0 then upper_remove t g
   else begin
     t.keys.(base) <- t.keys.(base + n);
     t.ents.(base) <- t.ents.(base + n);
     lower_sift_down t base n 0;
     upper_rekey_root t
+  end
+
+(* a scan of the entry's group, then one sift of the entry that fills its
+   slot: up or down, the other sift is then a no-op *)
+let remove t e =
+  let g = e / t.width in
+  let base = g * t.width and n = t.size.(g) in
+  let k = ref 0 in
+  while !k < n && t.ents.(base + !k) <> e do incr k done;
+  if !k < n then begin
+    let n = n - 1 in
+    t.size.(g) <- n;
+    t.total <- t.total - 1;
+    if n = 0 then upper_remove t g
+    else begin
+      if !k < n then begin
+        t.keys.(base + !k) <- t.keys.(base + n);
+        t.ents.(base + !k) <- t.ents.(base + n);
+        sift_up t.keys t.ents no_pos base !k;
+        lower_sift_down t base n !k
+      end;
+      upper_sync t g
+    end
   end
 
 (* Every key of group [g] goes through [cell.(0)] in heap-array order; the

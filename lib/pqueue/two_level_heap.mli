@@ -37,10 +37,16 @@ val size : t -> int
 
 val is_empty : t -> bool
 
-val insert : t -> key:float -> int -> unit
-(** [insert t ~key e] adds entry [e], which must not be stored already, to
-    group [e / width]; O(log) in the group and upper sizes. Raises
-    [Invalid_argument] when the group already holds [width] entries. *)
+val insert : t -> float array -> int -> unit
+(** [insert t cell e] adds entry [e], which must not be stored already,
+    with key [cell.(0)] to group [e / width]; O(log) in the group and
+    upper sizes. Raises [Invalid_argument] when the group already holds
+    [width] entries. *)
+
+val remove : t -> int -> unit
+(** [remove t e] takes entry [e] out of its group if it is stored, and is
+    a no-op otherwise: a scan of the group, O(width), then one sift in
+    each level. *)
 
 (** {2 Root operations}
 

@@ -74,6 +74,24 @@ let random_budgeted_instance ?max_users ?max_items ?max_horizon rng =
   let full = max 1 (Instance.num_candidate_triples inst) in
   Instance.with_max_total inst (1 + Rng.int rng full)
 
+(* Exact key ties are common when probabilities, prices and saturation
+   factors come from two-value sets, which the bank needs to pin the tie
+   order (larger key first, then smaller entry). *)
+let random_tied_instance rng =
+  let num_users = 1 + Rng.int rng 3 and num_items = 1 + Rng.int rng 4 in
+  let horizon = 1 + Rng.int rng 3 in
+  let pick a b = if Rng.bernoulli rng 0.5 then a else b in
+  let adoption =
+    List.init num_users (fun u ->
+        List.init num_items (fun i -> (u, i, Array.init horizon (fun _ -> pick 0.25 0.5))))
+  in
+  Instance.create ~num_users ~num_items ~horizon ~display_limit:2
+    ~class_of:(Array.init num_items (fun i -> i mod 2))
+    ~capacity:(Array.init num_items (fun _ -> 1 + Rng.int rng num_users))
+    ~saturation:(Array.init num_items (fun _ -> pick 0.5 1.0))
+    ~price:(Array.init num_items (fun _ -> Array.init horizon (fun _ -> pick 1.0 2.0)))
+    ~adoption:(List.concat adoption) ()
+
 (* All candidate triples of an instance. *)
 let candidate_triples inst =
   let acc = ref [] in

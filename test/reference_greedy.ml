@@ -1,8 +1,8 @@
 (* A reference G-Greedy for the test suites: the lazy-forward rule Greedy
    documents (Algorithm 1 of §5.1), written directly over the naive oracle
    Revenue.marginal with a linear-scan argmax and no mirrors. Greedy.run
-   must select the same triples in the same slots in the same order and,
-   on plain instances, with the same evaluation and pop counts. The rule:
+   must select the same triples in the same slots in the same order, with
+   the same evaluation and pop counts. The rule:
    - one entry per candidate (u, i, t, slot) with a positive slot-scaled
      probability q̃, in ascending (u, i, t, slot) order;
    - the root is the live entry of largest key, ties to the smaller entry;
@@ -11,7 +11,8 @@
      p·q̃, not counted as an evaluation;
    - an infeasible root is dropped for good, checked before the stamp;
    - a stale root re-evaluates every live entry of its (user, item) pair;
-   - a fresh root with key ≤ 0 ends the run, any other is selected;
+   - a fresh root with key ≤ 0 ends the run, any other is selected, and
+     the selected triple's entries for its other slots retire;
    - the quantity cap and the budget are checked between selections.
    [~eager:true] re-evaluates every stale entry after each selection, so
    every selected key is current. A marginal can rise as its chain grows

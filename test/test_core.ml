@@ -691,6 +691,192 @@ let prop_capacity_oracle_dp_vs_mc =
           Float.abs (exact -. mc) < 0.03)
         (Strategy.to_list s))
 
+(* ----- The chain walk ----- *)
+
+(* One chain grown member by member in ascending (time, item) order,
+   through every capacity doubling (1 → 2 → 4 → 8 → 16), with a remove
+   interleaved after each doubling: a remove rebuilds the aggregates
+   canonically and later inserts append, so at every step the chain must
+   equal, bit for bit, a fresh chain built by inserting its members in
+   ascending order. A mistake in growing the interleaved arrays would
+   scramble a member's floats or its (item, time). *)
+let test_chain_growth_matches_ascending_build () =
+  let module Chain = Revmax.Chain in
+  (* one user, one class, every (item, time) a candidate: the chain can
+     reach 16 members *)
+  let inst =
+    Instance.create ~num_users:1 ~num_items:4 ~horizon:4 ~display_limit:4
+      ~class_of:(Array.make 4 0) ~capacity:(Array.make 4 1)
+      ~saturation:[| 0.9; 0.8; 0.7; 0.6 |]
+      ~price:(Array.init 4 (fun i -> Array.init 4 (fun t -> float_of_int (1 + i + t))))
+      ~adoption:(List.init 4 (fun i -> (0, i, Array.init 4 (fun t -> 0.1 +. (0.05 *. float_of_int (i + t))))))
+      ()
+  in
+  let ascending = List.concat (List.init 4 (fun t -> List.init 4 (fun i -> triple 0 i (t + 1)))) in
+  let bits = Int64.bits_of_float in
+  let same what a b =
+    if not (Int64.equal (bits a) (bits b)) then Alcotest.failf "%s: %h vs %h" what a b
+  in
+  let agree c members =
+    let fresh = Chain.create inst in
+    List.iter (Chain.insert fresh) members;
+    Alcotest.(check (list string)) "members" (List.map Triple.to_string members)
+      (List.map Triple.to_string (Chain.to_list c));
+    List.iter
+      (fun with_saturation ->
+        same "revenue" (Chain.revenue ~with_saturation fresh) (Chain.revenue ~with_saturation c))
+      [ true; false ];
+    List.iter
+      (fun z ->
+        match (Chain.aggregates fresh z, Chain.aggregates c z) with
+        | Some (m1, c1, p1), Some (m2, c2, p2) ->
+            same "memory" m1 m2;
+            same "competition" c1 c2;
+            same "probability" p1 p2
+        | _ -> Alcotest.fail "member lost")
+      members;
+    same "marginal" (Chain.marginal ~with_saturation:true fresh (triple 0 3 4))
+      (Chain.marginal ~with_saturation:true c (triple 0 3 4))
+  in
+  let c = Chain.create inst in
+  let members = ref [] in
+  (* the first time the chain holds 2, 4 and 8 members, drop its second *)
+  let drops = ref [ 2; 4; 8 ] in
+  List.iter
+    (fun z ->
+      Chain.insert c z;
+      members := !members @ [ z ];
+      agree c !members;
+      match !drops with
+      | n :: rest when List.length !members = n ->
+          drops := rest;
+          let victim = List.nth !members 1 in
+          Chain.remove c victim;
+          members := List.filter (fun z' -> not (Triple.equal z' victim)) !members;
+          agree c !members
+      | _ -> ())
+    ascending;
+  Alcotest.(check int) "length" 13 (Chain.length c)
+
+(* today's folds over the sorted member list with a [seen] table, kept
+   here as the reference the chain walk must equal bit for bit *)
+let seen_fold s f =
+  let inst = Strategy.instance s in
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun (z : Triple.t) ->
+      let cls = Instance.class_of inst z.i in
+      let key = (z.u * Instance.num_classes inst) + cls in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        f (Strategy.chain s ~u:z.u ~cls)
+      end)
+    (Strategy.to_list s)
+
+let reference_total ?with_saturation s =
+  let inst = Strategy.instance s in
+  let q_of = if Instance.is_slate inst then Some (Strategy.effective_q s) else None in
+  let acc = ref 0.0 in
+  seen_fold s (fun chain -> acc := !acc +. Revenue.chain_revenue ?with_saturation ?q_of inst chain);
+  !acc
+
+let reference_revenue_once s rng =
+  let inst = Strategy.instance s in
+  let acc = ref 0.0 in
+  seen_fold s (fun chain ->
+      match Simulate.simulate_chain inst chain rng with
+      | None -> ()
+      | Some z -> acc := !acc +. Instance.price inst ~i:z.i ~time:z.t);
+  !acc
+
+let reference_run_with_stock s rng =
+  let inst = Strategy.instance s in
+  let would_adopt = ref [] in
+  seen_fold s (fun chain ->
+      match Simulate.simulate_chain inst chain rng with
+      | None -> ()
+      | Some z -> would_adopt := z :: !would_adopt);
+  let arr = Array.of_list !would_adopt in
+  Rng.shuffle rng arr;
+  let ordered = Array.to_list arr |> List.stable_sort (fun (a : Triple.t) b -> compare a.t b.t) in
+  let stock = Hashtbl.create 32 in
+  let revenue = ref 0.0 and adoptions = ref [] and stockouts = ref 0 in
+  List.iter
+    (fun (z : Triple.t) ->
+      let left =
+        match Hashtbl.find_opt stock z.i with Some n -> n | None -> Instance.capacity inst z.i
+      in
+      if left > 0 then begin
+        Hashtbl.replace stock z.i (left - 1);
+        revenue := !revenue +. Instance.price inst ~i:z.i ~time:z.t;
+        adoptions := z :: !adoptions
+      end
+      else incr stockouts)
+    ordered;
+  (!revenue, List.rev !adoptions, !stockouts)
+
+(* A strategy built by a random add/remove sequence over the candidates
+   and a few non-candidate triples, on the whole instance or on a half
+   view, whose strategy then also holds out-of-view members. *)
+let churned_strategy inst rng =
+  let on =
+    if Instance.num_users inst > 1 && Rng.bernoulli rng 0.5 then
+      (Instance.shard ~shards:2 inst).(Rng.int rng 2)
+    else inst
+  in
+  let s = Strategy.create on in
+  let cands = Array.of_list (candidate_triples inst) in
+  let any () =
+    triple
+      (Rng.int rng (Instance.num_users inst))
+      (Rng.int rng (Instance.num_items inst))
+      (1 + Rng.int rng (Instance.horizon inst))
+  in
+  for _ = 1 to 3 * (Array.length cands + 1) do
+    let z = if Array.length cands > 0 && Rng.bernoulli rng 0.9 then cands.(Rng.int rng (Array.length cands)) else any () in
+    if Strategy.mem s z then (if Rng.bernoulli rng 0.4 then Strategy.remove s z) else Strategy.add s z
+  done;
+  s
+
+let test_chain_walk_matches_seen_folds () =
+  let families =
+    [
+      ("plain", fun rng -> random_instance rng);
+      ("tied", random_tied_instance);
+      ("slate", fun rng -> random_slate_instance rng);
+      ("budgeted", fun rng -> random_budgeted_instance rng);
+    ]
+  in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (family, make) ->
+      for seed = 0 to 39 do
+        let rng = Rng.create seed in
+        let s = churned_strategy (make rng) rng in
+        let what x = Printf.sprintf "%s seed %d: %s" family seed x in
+        let same x a b =
+          if not (Int64.equal (bits a) (bits b)) then Alcotest.failf "%s: %h vs %h" (what x) a b
+        in
+        List.iter
+          (fun with_saturation ->
+            same "Revenue.total" (reference_total ~with_saturation s) (Revenue.total ~with_saturation s))
+          [ true; false ];
+        let reference = Revmax_stats.Mc.estimate ~jobs:1 ~samples:50 (Rng.create seed) (reference_revenue_once s) in
+        List.iter
+          (fun jobs ->
+            let est = Simulate.estimate_revenue ~jobs s ~samples:50 (Rng.create seed) in
+            same (Printf.sprintf "estimate mean, jobs %d" jobs) reference.mean est.Revmax_stats.Mc.mean;
+            same (Printf.sprintf "estimate std error, jobs %d" jobs) reference.std_error est.std_error)
+          [ 1; 4 ];
+        let revenue, adoptions, stockouts = reference_run_with_stock s (Rng.create seed) in
+        let report = Simulate.run_with_stock s (Rng.create seed) in
+        same "run_with_stock revenue" revenue report.Simulate.revenue;
+        Alcotest.(check (list string)) (what "adoptions") (List.map Triple.to_string adoptions)
+          (List.map Triple.to_string report.adoptions);
+        Alcotest.(check int) (what "stockouts") stockouts report.stockouts
+      done)
+    families
+
 let () =
   Alcotest.run "core"
     [
@@ -707,6 +893,8 @@ let () =
           Alcotest.test_case "remove exactly one" `Quick test_strategy_remove_exactly_one;
           Alcotest.test_case "chain remove clears tail" `Quick test_chain_remove_clears_tail;
           QCheck_alcotest.to_alcotest prop_chain_recompute_is_canonical;
+          Alcotest.test_case "chain growth = ascending build, bit for bit" `Quick
+            test_chain_growth_matches_ascending_build;
           Alcotest.test_case "chain order" `Quick test_strategy_chain_order;
           Alcotest.test_case "display constraint" `Quick test_strategy_constraints;
           Alcotest.test_case "capacity tracking" `Quick test_strategy_capacity_tracking;
@@ -745,6 +933,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_simulation_matches_revenue;
           Alcotest.test_case "exclusive adoptions" `Quick test_simulation_exclusive_adoptions;
           Alcotest.test_case "stock limits" `Quick test_run_with_stock_limits;
+          Alcotest.test_case "chain walk = sorted-list folds, bit for bit" `Quick
+            test_chain_walk_matches_seen_folds;
         ] );
       ( "capacity_oracle",
         [

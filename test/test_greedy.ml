@@ -54,11 +54,10 @@ let ordered_run ?with_saturation ?allowed ?base ?budget inst =
 let slotted s zs = List.map (fun z -> (z, Strategy.slot_of s z)) zs
 
 (* One bank run: the fast path and the reference must select the same
-   triples in the same slots in the same order, and on plain instances do
-   the same work. On slates the fast path keeps a selected triple's
-   other-slot entries until they surface and re-evaluates them with their
-   pair, while the reference retires them at once, so counts may differ.
-   [max_evaluations] gives each side a fresh budget of that size. *)
+   triples in the same slots in the same order, and do the same work —
+   the same evaluation and pop counts, slates included: both retire a
+   selected triple's other-slot entries at once. [max_evaluations] gives
+   each side a fresh budget of that size. *)
 let check_reference ~what ?with_saturation ?allowed ?base ?max_evaluations inst =
   let budget () = Option.map (fun n -> Budget.create ~max_evaluations:n ()) max_evaluations in
   let s, st, order = ordered_run ?with_saturation ?allowed ?base ?budget:(budget ()) inst in
@@ -67,21 +66,17 @@ let check_reference ~what ?with_saturation ?allowed ?base ?max_evaluations inst 
     Alcotest.failf "%s: selection sequences differ (%d vs reference %d selections)" what
       (List.length order) (List.length r.picks);
   if st.Greedy.truncated <> r.truncated then Alcotest.failf "%s: truncation differs" what;
-  if
-    (not (Instance.is_slate inst))
-    && (st.Greedy.marginal_evaluations <> r.evaluations || st.Greedy.pops <> r.pops)
-  then
+  if st.Greedy.marginal_evaluations <> r.evaluations || st.Greedy.pops <> r.pops then
     Alcotest.failf "%s: %d evaluations and %d pops, reference %d and %d" what
       st.Greedy.marginal_evaluations st.Greedy.pops r.evaluations r.pops
 
 (* Fixed seeds 0–79, not fresh qcheck seeds: the reference's naive oracle
    and the fast path's incremental one differ in their last bits, so an
    exact tie could break differently on some instance; this bank is known
-   to have none. Every (seed, saturation) pair runs the whole greedy. On
-   unslated instances, whose counts must match, it also runs under an
-   evaluation budget, over a random valid base with an [allowed] filter,
-   and under both; the budget is a third of the whole run's evaluations
-   and selections, so it expires mid-run. *)
+   to have none. Every (seed, saturation) pair runs the whole greedy, then
+   under an evaluation budget, over a random valid base with an [allowed]
+   filter, and under both; the budget is a third of the whole run's
+   evaluations and selections, so it expires mid-run. *)
 let reference_bank families () =
   List.iter
     (fun (family, make) ->
@@ -93,38 +88,18 @@ let reference_bank families () =
               Printf.sprintf "%s seed %d saturation %b, %s" family seed with_saturation run
             in
             check_reference ~what:(what "whole run") ~with_saturation inst;
-            if not (Instance.is_slate inst) then begin
-              let _, st = Greedy.run ~with_saturation inst in
-              let work = st.Greedy.marginal_evaluations + st.Greedy.selected in
-              let max_evaluations = 1 + (work / 3) in
-              let base = random_valid_strategy inst (Rng.create (1000 + seed)) in
-              let allowed (z : Triple.t) = (z.u + z.i + z.t) mod 3 <> 0 in
-              check_reference ~what:(what "budget") ~with_saturation ~max_evaluations inst;
-              check_reference ~what:(what "allowed + base") ~with_saturation ~allowed ~base inst;
-              check_reference ~what:(what "allowed + base + budget") ~with_saturation ~allowed ~base
-                ~max_evaluations inst
-            end)
+            let _, st = Greedy.run ~with_saturation inst in
+            let work = st.Greedy.marginal_evaluations + st.Greedy.selected in
+            let max_evaluations = 1 + (work / 3) in
+            let base = random_valid_strategy inst (Rng.create (1000 + seed)) in
+            let allowed (z : Triple.t) = (z.u + z.i + z.t) mod 3 <> 0 in
+            check_reference ~what:(what "budget") ~with_saturation ~max_evaluations inst;
+            check_reference ~what:(what "allowed + base") ~with_saturation ~allowed ~base inst;
+            check_reference ~what:(what "allowed + base + budget") ~with_saturation ~allowed ~base
+              ~max_evaluations inst)
           [ true; false ]
       done)
     families
-
-(* Exact key ties are common when probabilities, prices and saturation
-   factors come from two-value sets, which the bank needs to pin the tie
-   order (larger key first, then smaller entry). *)
-let random_tied_instance rng =
-  let num_users = 1 + Rng.int rng 3 and num_items = 1 + Rng.int rng 4 in
-  let horizon = 1 + Rng.int rng 3 in
-  let pick a b = if Rng.bernoulli rng 0.5 then a else b in
-  let adoption =
-    List.init num_users (fun u ->
-        List.init num_items (fun i -> (u, i, Array.init horizon (fun _ -> pick 0.25 0.5))))
-  in
-  Instance.create ~num_users ~num_items ~horizon ~display_limit:2
-    ~class_of:(Array.init num_items (fun i -> i mod 2))
-    ~capacity:(Array.init num_items (fun _ -> 1 + Rng.int rng num_users))
-    ~saturation:(Array.init num_items (fun _ -> pick 0.5 1.0))
-    ~price:(Array.init num_items (fun _ -> Array.init horizon (fun _ -> pick 1.0 2.0)))
-    ~adoption:(List.concat adoption) ()
 
 (* the incremental fast path against the naive-oracle reference *)
 let test_gg_evaluators_identical =

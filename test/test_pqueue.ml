@@ -1,6 +1,9 @@
 module Bh = Revmax_pqueue.Binary_heap
 module Tl = Revmax_pqueue.Two_level_heap
 
+(* [Tl.insert] takes its key through a cell *)
+let tl_insert h ~key e = Tl.insert h [| key |] e
+
 (* ----- Binary_heap unit tests ----- *)
 
 let test_heap_basic () =
@@ -66,9 +69,9 @@ let check_root msg h (e, k) =
 let test_tl_global_max () =
   (* width 4: entries 0..3 form group 0, 4..7 group 1 *)
   let h = Tl.create ~groups:2 ~width:4 in
-  Tl.insert h ~key:1.0 0;
-  Tl.insert h ~key:4.0 1;
-  Tl.insert h ~key:3.0 4;
+  tl_insert h ~key:1.0 0;
+  tl_insert h ~key:4.0 1;
+  tl_insert h ~key:3.0 4;
   Alcotest.(check int) "size" 3 (Tl.size h);
   check_root "global max" h (1, 4.0);
   Tl.drop_max h;
@@ -78,21 +81,21 @@ let test_tl_global_max () =
 
 let test_tl_drain_pair () =
   let h = Tl.create ~groups:8 ~width:2 in
-  Tl.insert h ~key:2.0 14;
+  tl_insert h ~key:2.0 14;
   Tl.drop_max h;
   Alcotest.(check bool) "empty" true (Tl.is_empty h);
   Alcotest.check_raises "root of an empty heap" (Invalid_argument "Two_level_heap: empty heap")
     (fun () -> ignore (Tl.max_elt h));
   (* a drained group takes entries again *)
-  Tl.insert h ~key:1.0 15;
+  tl_insert h ~key:1.0 15;
   check_root "refilled group" h (15, 1.0)
 
 let test_tl_refresh () =
   let h = Tl.create ~groups:2 ~width:2 in
   let cell = [| 0.0 |] in
-  Tl.insert h ~key:10.0 0;
-  Tl.insert h ~key:9.0 1;
-  Tl.insert h ~key:5.0 2;
+  tl_insert h ~key:10.0 0;
+  tl_insert h ~key:9.0 1;
+  tl_insert h ~key:5.0 2;
   (* demote group 0 below group 1 *)
   Tl.refresh_pair_into h 0 cell ~f:(fun e -> cell.(0) <- (if e = 0 then 1.0 else 0.5));
   Alcotest.(check int) "size after refresh" 3 (Tl.size h);
@@ -109,12 +112,12 @@ let test_tl_refresh () =
 let test_tl_missing_pair_noops () =
   let h = Tl.create ~groups:100 ~width:1 in
   let cell = [| 0.0 |] in
-  Tl.insert h ~key:1.0 1;
+  tl_insert h ~key:1.0 1;
   Tl.refresh_pair_into h 99 cell ~f:(fun _ -> Alcotest.fail "f called on an empty group");
   Alcotest.(check int) "untouched" 1 (Tl.size h);
   check_root "no-op refresh disturbed the heap" h (1, 1.0);
   Alcotest.check_raises "group overflow" (Invalid_argument "Two_level_heap.insert: group full")
-    (fun () -> Tl.insert h ~key:2.0 1)
+    (fun () -> tl_insert h ~key:2.0 1)
 
 (* The flat model: a list of (entry, key); the heap must agree with its
    strict maximum — higher key first, equal keys smaller entry first. *)
@@ -125,7 +128,8 @@ let model_max model = List.hd (List.sort model_order model)
 (* Model-based test of the whole API. Ops: insert (op ≤ 4), refresh_pair_into
    with a deterministic rekey mirrored in the model, the greedy's
    fresh-root step (only when [sign]: read the root key with
-   max_key_into and drop the root when it is positive), and drop_max.
+   max_key_into and drop the root when it is positive), remove of an
+   entry that may or may not be stored (op = 10), and drop_max.
    Keys come from a 5-value set so ties are common, and may be ≤ 0 so the
    sign test keeps the root. After every op the heap's root and size must
    match the model; at the end the drain order must be the model's sorted
@@ -134,7 +138,7 @@ let tl_model_prop ~name ~sign =
   let open QCheck2 in
   let groups = 4 and width = 5 in
   Test.make ~name ~count:300
-    Gen.(list (triple (int_bound 9) (int_bound (groups * width - 1)) (int_bound 1000)))
+    Gen.(list (triple (int_bound 10) (int_bound (groups * width - 1)) (int_bound 1000)))
     (fun ops ->
       let h = Tl.create ~groups ~width in
       let cell = [| 0.0 |] in
@@ -156,7 +160,7 @@ let tl_model_prop ~name ~sign =
             | None -> ()
             | Some d ->
                 let e = (pick + d) mod n in
-                Tl.insert h ~key:(key_of salt) e;
+                tl_insert h ~key:(key_of salt) e;
                 model := (e, key_of salt) :: !model;
                 check_against_model "insert"
           end
@@ -176,6 +180,11 @@ let tl_model_prop ~name ~sign =
               model := List.filter (fun e -> e <> root) !model
             end;
             check_against_model "sign test"
+          end
+          else if op = 10 then begin
+            Tl.remove h pick;
+            model := List.filter (fun (e, _) -> e <> pick) !model;
+            check_against_model "remove"
           end
           else begin
             model := List.filter (fun e -> e <> model_max !model) !model;
@@ -214,7 +223,7 @@ let prop_tl_matches_flat =
           (fun (g, key) ->
             let e = (g * width) + fill.(g) in
             fill.(g) <- fill.(g) + 1;
-            Tl.insert tl ~key e;
+            tl_insert tl ~key e;
             (e, key))
           inserts
       in
@@ -228,8 +237,8 @@ let prop_tl_matches_flat =
       in
       drain [] = List.sort model_order flat)
 
-(* Once created the arena allocates nothing: a cycle of insert, refresh,
-   the greedy's max_key_into sign test and drop_max moves the minor-heap
+(* Once created the arena allocates nothing: a cycle of insert, remove,
+   refresh, the greedy's max_key_into sign test and drop_max moves the minor-heap
    counter by exactly what an empty measurement does. Native only —
    bytecode boxes every float. Keys are literals or travel through the
    cell, so no float is boxed at a call. *)
@@ -242,8 +251,12 @@ let test_tl_no_allocation () =
     let cycle () =
       for g = 0 to 15 do
         for j = 0 to 7 do
-          Tl.insert h ~key:(if j land 1 = 0 then 0.5 else 2.0) ((g * 8) + j)
+          cell.(0) <- (if j land 1 = 0 then 0.5 else 2.0);
+          Tl.insert h cell ((g * 8) + j)
         done
+      done;
+      for g = 0 to 15 do
+        Tl.remove h ((g * 8) + 3)
       done;
       for g = 0 to 15 do
         Tl.refresh_pair_into h g cell ~f

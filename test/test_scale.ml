@@ -1,7 +1,8 @@
 (* Out-of-core scale machinery: pack files and the memory-mapped instance
    backend (bit-identical to the heap path through every planner), the
-   hierarchical process-level planner's equivalence to the flat in-process
-   one, and the pipe wire codec both planners' processes speak. *)
+   footprint of a plan, the hierarchical process-level planner's
+   equivalence to the flat in-process one, and the pipe wire codec both
+   planners' processes speak. *)
 
 module Rng = Revmax_prelude.Rng
 module Instance = Revmax.Instance
@@ -11,6 +12,7 @@ module Revenue = Revmax.Revenue
 module Greedy = Revmax.Greedy
 module Shard_greedy = Revmax.Shard_greedy
 module Hier_greedy = Revmax_hier.Hier_greedy
+module Scalability = Revmax_datagen.Scalability
 module Wire = Revmax_hier.Wire
 open Helpers
 
@@ -384,6 +386,74 @@ let test_wire_rejects_corruption () =
   | _ -> Alcotest.fail "truncated frame accepted");
   Unix.close r
 
+(* ----- footprint ----- *)
+
+(* words reachable from [s] that its instance does not account for *)
+let own_words s =
+  Obj.reachable_words (Obj.repr s) - Obj.reachable_words (Obj.repr (Strategy.instance s))
+
+(* the wide, shallow family of the mmap benchmark workload: 10 candidate
+   items per user, T = 4, k = 3, one class per ten items *)
+let wide_shallow users =
+  let base = Scalability.with_users Scalability.default_config users in
+  {
+    base with
+    Scalability.num_items = users / 10;
+    num_classes = users / 100;
+    items_per_user = 10;
+    horizon = 4;
+    display_limit = 3;
+  }
+
+(* A plan of mostly one- and two-member chains costs a small constant per
+   selection: two flat arrays per chain, one membership bit per (pair,
+   time). Native only: bytecode lays out the same values, but this is a
+   statement about the native planner's heap. *)
+let test_plan_words_per_selection () =
+  if Sys.backend_type = Sys.Native then
+    with_temp_pack (fun path ->
+        Scalability.generate_pack (wide_shallow 3000) ~seed:16 ~path;
+        let inst = Instance.of_mmap path in
+        let s, st = Greedy.run inst in
+        let per_selection = float_of_int (own_words s) /. float_of_int st.Greedy.selected in
+        if st.Greedy.selected < 10_000 || per_selection > 25.0 then
+          Alcotest.failf "%d selections at %.1f words each (at most 25)" st.Greedy.selected
+            per_selection)
+
+(* A strategy is sized by its view: on a quarter view its display fill
+   covers the view's users, not the parent's, and out-of-view users go
+   through the overflow path — with global user ids in [violations]. *)
+let test_view_strategy_is_view_sized () =
+  let inst = Scalability.generate (wide_shallow 4000) ~seed:7 in
+  let view = (Instance.shard ~shards:4 inst).(1) in
+  let lo, hi = Instance.user_range view in
+  let plo, phi = Instance.pair_range view in
+  let horizon = Instance.horizon view in
+  let s = Strategy.create view in
+  (* per view pair a count and [T] bits, per view user [T+1] display
+     counters, per item a holder count, plus small tables *)
+  let bound =
+    (phi - plo) + ((phi - plo) * horizon / 64) + ((hi - lo) * (horizon + 1))
+    + Instance.num_items view + 1024
+  in
+  let words = own_words s in
+  if words > bound then
+    Alcotest.failf "empty strategy on users [%d, %d) holds %d words (bound %d, %d users overall)" lo
+      hi words bound (Instance.num_users view);
+  (* over-fill one display in the view and one on each side of it *)
+  let k = Instance.display_limit view in
+  let fill u = List.iter (fun i -> Strategy.add s (triple u i 2)) (List.init (k + 1) Fun.id) in
+  List.iter fill [ hi; lo; lo - 1 ];
+  let users =
+    List.filter_map
+      (function Revmax_prelude.Err.Display_limit { u; time; _ } -> Some (u, time) | _ -> None)
+      (Strategy.violations s)
+  in
+  Alcotest.(check (list (pair int int))) "display violations, global ids" [ (lo - 1, 2); (lo, 2); (hi, 2) ] users;
+  Alcotest.(check int) "out-of-view display count" (k + 1) (Strategy.display_count s ~u:hi ~time:2);
+  List.iter (fun i -> Strategy.remove s (triple hi i 2)) (List.init (k + 1) Fun.id);
+  Alcotest.(check int) "drained" 0 (Strategy.display_count s ~u:hi ~time:2)
+
 let () =
   Alcotest.run "scale"
     [
@@ -398,6 +468,13 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_greedy_mmap_identity;
           QCheck_alcotest.to_alcotest prop_shard_mmap_identity;
+        ] );
+      ( "footprint",
+        [
+          Alcotest.test_case "a plan costs at most 25 words per selection" `Quick
+            test_plan_words_per_selection;
+          Alcotest.test_case "a view's strategy is sized by the view" `Quick
+            test_view_strategy_is_view_sized;
         ] );
       ( "hier",
         [
