@@ -37,10 +37,12 @@ let prob_capacity_free_mc s (z : Triple.t) ~samples rng =
       let adopters = ref 0 in
       List.iter
         (fun v ->
-          let chain = Strategy.chain s ~u:v ~cls:(Instance.class_of inst z.i) in
-          match Simulate.simulate_chain inst chain rng with
-          | Some (a : Triple.t) when a.i = z.i && a.t <= z.t -> incr adopters
-          | Some _ | None -> ())
+          match Strategy.chain_view s ~u:v ~cls:(Instance.class_of inst z.i) with
+          | None -> ()
+          | Some c -> (
+              match Simulate.simulate_chain inst c rng with
+              | Some (a : Triple.t) when a.i = z.i && a.t <= z.t -> incr adopters
+              | Some _ | None -> ()))
         users;
       if !adopters <= cap - 1 then incr hits
     done;

@@ -90,6 +90,8 @@ let item c j = c.d.(c.ctx.ist * j)
 
 let time c j = c.d.((c.ctx.ist * j) + 1)
 
+let q c j = c.f.(fb j + oq)
+
 let triple c j = Triple.make ~u:c.user ~i:(item c j) ~t:(time c j)
 
 let to_list c =
@@ -208,14 +210,11 @@ let ensure_capacity c n =
     c.d <- d
   end
 
-let insert ?qz ?slot c (z : Triple.t) =
+let insert ?slot ~qz c (z : Triple.t) =
   Metrics.incr c_inserts;
   if mem c z then invalid_arg "Chain.insert: duplicate triple";
   ensure_capacity c (c.len + 1);
   let inst = c.ctx.inst and ist = c.ctx.ist and inv = c.ctx.inv in
-  let qz =
-    match qz with Some q -> q | None -> Instance.q inst ~u:z.u ~i:z.i ~time:z.t
-  in
   let one_minus_qz = 1.0 -. qz in
   (* splice z's effects into the existing aggregates and accumulate z's own
      memory / competition in the same O(L) pass. The accumulators live in

@@ -54,6 +54,11 @@ val item : t -> int -> int
 val time : t -> int -> int
 (** [time c j]: the time step of the [j]-th member in chain order. *)
 
+val q : t -> int -> float
+(** [q c j]: the adoption probability cached for the [j]-th member — the
+    [qz] it was inserted with, so the slot-scaled q̃ on slate
+    strategies. *)
+
 val to_list : t -> Triple.t list
 (** Triples in chain order (freshly allocated). *)
 
@@ -67,12 +72,13 @@ val slot_of : t -> Triple.t -> int option
 (** The slot a member was inserted with; [None] for non-members and on
     non-slate instances. *)
 
-val insert : ?qz:float -> ?slot:int -> t -> Triple.t -> unit
-(** Splice a triple in, updating every cached aggregate in O(L). [qz]
-    overrides the stored primitive probability (default
-    [Instance.q]) — how slate strategies store the slot-scaled
-    effective q̃ = m_slot · q(u,i,t); [slot] is recorded on slate
-    instances only. Raises [Invalid_argument] on a duplicate. *)
+val insert : ?slot:int -> qz:float -> t -> Triple.t -> unit
+(** Splice a triple in, updating every cached aggregate in O(L). [qz] is
+    the member's adoption probability: [q(u,i,t)], or on slate
+    strategies the slot-scaled effective q̃ = m_slot · q(u,i,t). It is
+    taken from the caller, who has usually just looked the pair up,
+    rather than looked up again. [slot] is recorded on slate instances
+    only. Raises [Invalid_argument] on a duplicate. *)
 
 val remove : t -> Triple.t -> unit
 (** Remove exactly the given triple and rebuild the cached aggregates.

@@ -39,8 +39,8 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   let ulo, uhi = users in
   let plo, phi = Instance.pair_range ~users inst in
   (* Candidates are carried through the heaps as packed integer ids — the
-     {e entry id} eid = (pid − plo)·stride + t over the instance's CSR
-     pair ids (pid), with plo the range's first pair — so every per-run
+     {e entry id} eid = (pid − plo)·horizon + t − 1 over the instance's
+     CSR pair ids (pid), with plo the range's first pair — so every per-run
      array is O(range candidate pairs), never O(num_users · num_items):
      the dense (u·num_items + i) keying of the previous revision
      materialized 80 GB of per-candidate state at 10^6 users × 10^4
@@ -52,28 +52,32 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      whichever rows are planned. A heap element is then an immediate int:
      popping the root, checking feasibility and calling the oracle touch
      no heap records, no float boxes, and trigger no GC write barrier. *)
+  (* [stride] indexes the per-item price and per-user display tables by
+     time 0..T, as Strategy does; entry ids skip the unused t = 0. *)
   let stride = horizon + 1 in
   (* Slate instances fold the ordered slot into the candidate space: the
-     entry id becomes eid = ((pid − plo)·stride + t)·nsl + (slot − 1) with
-     nsl = display_limit, so each (pair, time) contributes one entry per
-     slot and slot assignment is decided by the same heap order as
+     entry id becomes eid = ((pid − plo)·horizon + t − 1)·nsl + (slot − 1)
+     with nsl = display_limit, so each (pair, time) contributes one entry
+     per slot and slot assignment is decided by the same heap order as
      everything else. On plain instances nsl = 1 and every formula below
-     reduces to the historical eid = (pid − plo)·stride + t — same ids,
-     same ties, bit-identical selections. [mult.(slot − 1)] scales the
-     candidate's q; the plain path multiplies by 1.0, which is IEEE-exact. *)
+     reduces to eid = (pid − plo)·horizon + t − 1. Ids stay strictly
+     increasing in (pair, time, slot), so every heap tie falls as it
+     always did. [mult.(slot − 1)] scales the candidate's q; the plain
+     path multiplies by 1.0, which is IEEE-exact. *)
   let nsl = if Instance.is_slate inst then display_limit else 1 in
   let mult =
     match Instance.slot_multipliers inst with Some m -> m | None -> [| 1.0 |]
   in
-  let estride = stride * nsl in
+  let estride = horizon * nsl in
   let npairs = phi - plo in
-  let neid = npairs * estride in
-  (* staleness stamp per entry — the chain length at the last evaluation.
-     Chain lengths are small integers, exact in floating point, so the
-     stamp compares exactly. The adoption probability itself is no longer
-     mirrored per entry: [Instance.pair_q_into] reads the same IEEE
-     double straight from the CSR row (heap array or mmapped pack). *)
-  let stamp = Array.make neid 0.0 in
+  (* staleness stamp per pair — its chain's length when the pair's
+     entries were last evaluated. Registration and a refresh evaluate
+     every live entry of a pair against one chain length, so one stamp
+     per pair answers the stale test as one per entry would. The adoption
+     probability itself is not mirrored: [Instance.pair_q_into] reads the
+     same IEEE double straight from the CSR row (heap array or mmapped
+     pack). *)
+  let stamp = Array.make npairs 0 in
   let cls_arr = Array.init num_items (Instance.class_of inst) in
   let prf = Array.make (num_items * stride) 0.0 in
   let beta_arr = Array.init num_items (Instance.saturation inst) in
@@ -85,14 +89,13 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      one user whose items share a class shares a slot, so the cache is
      O(view pairs) — the previous dense (u·num_classes + cls) array would
      be 4 GB at 10^6 users × 500 classes, almost all of it never touched.
-     Slots are assigned in pair-id order via a per-user class mark; chain
-     pointers are stable for the whole run (a greedy only adds triples,
-     and Strategy never replaces a live chain), so slots flip from None to
-     Some at most once, at the first accept into that chain. *)
+     Slots are numbered in the pair-id order of their first pairs, via a
+     per-user class mark. Chain pointers are stable for the whole run (a
+     greedy only adds triples, and Strategy never replaces a live chain),
+     so a slot leaves the shared empty sentinel at most once, at the first
+     accept into that chain. *)
   let chain_slot = Array.make npairs 0 in
   let nslots = ref 0 in
-  let slot_u = Array.make (max 1 npairs) 0 in
-  let slot_cls = Array.make (max 1 npairs) 0 in
   let mark = Array.make (max 1 num_classes) 0 in
   let mark_user = Array.make (max 1 num_classes) (-1) in
   Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
@@ -104,22 +107,27 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
       if mark_user.(cls) <> u then begin
         mark_user.(cls) <- u;
         mark.(cls) <- !nslots;
-        slot_u.(!nslots) <- u;
-        slot_cls.(!nslots) <- cls;
         incr nslots
       end;
       chain_slot.(rel) <- mark.(cls));
-  let chains = Array.make (max 1 !nslots) None in
+  let empty = Chain.create inst in
+  let chains = Array.make (max 1 !nslots) empty in
   (* a non-empty strategy already holds triples: its chains, display fill
      and holder counts seed this run's caches and mirrors *)
   let seeded = Strategy.size s > 0 in
-  if seeded then
-    for sl = 0 to !nslots - 1 do
-      match Strategy.chain_view s ~u:slot_u.(sl) ~cls:slot_cls.(sl) with
-      | Some _ as c -> chains.(sl) <- c
-      | None -> ()
-    done;
-  let chain_size_slot sl = match chains.(sl) with None -> 0 | Some c -> Chain.length c in
+  if seeded then begin
+    (* the pair that first shows slot [next] is that slot's first pair *)
+    let next = ref 0 in
+    for rel = 0 to npairs - 1 do
+      if chain_slot.(rel) = !next then begin
+        (match Strategy.chain_view s ~u:pu.(rel) ~cls:cls_arr.(pi_arr.(rel)) with
+        | Some c -> chains.(!next) <- c
+        | None -> ());
+        incr next
+      end
+    done
+  end;
+  let chain_size_slot sl = Chain.length chains.(sl) in
   (* result cell of the oracle and of [Tl.max_key_into]: floats enter and
      leave the per-cycle calls through preallocated cells, because without
      flambda every float argument or result of a non-inlined call is boxed
@@ -134,20 +142,22 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   let marginal_into eid i t =
     incr evals;
     (match budget with Some b -> Budget.spend b 1 | None -> ());
-    match chains.(chain_slot.(eid / estride)) with
-    | Some c ->
-        let cells = Chain.oracle_cells c in
-        (* q is read into the cell, not returned: a float result of
-           [Instance.pair_q] is boxed at the call *)
-        Instance.pair_q_into inst ~pid:(plo + (eid / estride)) ~time:t cells 3;
-        cells.(3) <- mult.(eid mod nsl) *. cells.(3);
-        cells.(4) <- prf.((i * stride) + t);
-        cells.(5) <- beta_arr.(i);
-        Chain.marginal_cells ~with_saturation c ~time:t ~res
-    | None ->
-        Instance.pair_q_into inst ~pid:(plo + (eid / estride)) ~time:t res 0;
-        res.(0) <- mult.(eid mod nsl) *. res.(0);
-        res.(0) <- (if res.(0) <= 0.0 then 0.0 else prf.((i * stride) + t) *. res.(0))
+    let c = chains.(chain_slot.(eid / estride)) in
+    if c != empty then begin
+      let cells = Chain.oracle_cells c in
+      (* q is read into the cell, not returned: a float result of
+         [Instance.pair_q] is boxed at the call *)
+      Instance.pair_q_into inst ~pid:(plo + (eid / estride)) ~time:t cells 3;
+      cells.(3) <- mult.(eid mod nsl) *. cells.(3);
+      cells.(4) <- prf.((i * stride) + t);
+      cells.(5) <- beta_arr.(i);
+      Chain.marginal_cells ~with_saturation c ~time:t ~res
+    end
+    else begin
+      Instance.pair_q_into inst ~pid:(plo + (eid / estride)) ~time:t res 0;
+      res.(0) <- mult.(eid mod nsl) *. res.(0);
+      res.(0) <- (if res.(0) <= 0.0 then 0.0 else prf.((i * stride) + t) *. res.(0))
+    end
   in
   (* the budget is consulted between selections only, and only after at
      least one selection, so an expired budget still yields a non-empty
@@ -243,14 +253,14 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
       (* a triple occupies one slot: its other slots' entries can never
          be feasible again, so they leave the pair's group now rather
          than be re-evaluated with it and popped one by one *)
-      let e0 = ((rel * stride) + t) * nsl in
+      let e0 = ((rel * horizon) + t - 1) * nsl in
       for k = 0 to nsl - 1 do
         if k <> slot - 1 then Tl.remove h (e0 + k)
       done
     end;
-    (match chains.(sl) with
-    | Some _ -> () (* same chain, mutated in place *)
-    | None -> chains.(sl) <- Strategy.chain_view_of_triple s z);
+    (* a cached chain is the same one, mutated in place *)
+    (if chains.(sl) == empty then
+       match Strategy.chain_view_of_triple s z with Some c -> chains.(sl) <- c | None -> ());
     incr selected;
     (* a selection is a unit of work even when its key came from the
        closed-form path below and cost no oracle call *)
@@ -278,6 +288,7 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
       let i = pi_arr.(rel) in
       let sl = chain_slot.(rel) in
       let held = Bytes.get holds rel <> '\000' in
+      stamp.(rel) <- chain_size_slot sl;
       for t = 1 to horizon do
         Instance.pair_q_into inst ~pid ~time:t qcell 0;
         if
@@ -289,26 +300,23 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
           for slot = 1 to nsl do
             res.(0) <- mult.(slot - 1) *. qcell.(0);
             if res.(0) > 0.0 then begin
-              let eid = (((rel * stride) + t) * nsl) + slot - 1 in
-              stamp.(eid) <- float_of_int (chain_size_slot sl);
+              let eid = (((rel * horizon) + t - 1) * nsl) + slot - 1 in
               build_key eid i t sl;
               Tl.insert h res eid
             end
           done
         end
       done);
-  (* Recompute one entry's key and staleness stamp; the fresh key is left in
-     [res.(0)] for [Tl.refresh_pair_into] to store. Hoisted so the refresh
-     calls share one closure instead of allocating one per event. *)
+  (* Recompute one entry's key; the fresh key is left in [res.(0)] for
+     [Tl.refresh_pair_into] to store. Hoisted so the refresh calls share
+     one closure instead of allocating one per event. *)
   let refresh_entry eid' =
-    let rel' = eid' / estride in
-    stamp.(eid') <- float_of_int (chain_size_slot chain_slot.(rel'));
-    marginal_into eid' pi_arr.(rel') ((eid' / nsl) mod stride)
+    marginal_into eid' pi_arr.(eid' / estride) (((eid' / nsl) mod horizon) + 1)
   in
   let rec loop () =
     if (not (quota_full ())) && (not (out_of_budget ())) && not (Tl.is_empty h) then begin
       let eid = Tl.max_elt h in
-      let t = (eid / nsl) mod stride in
+      let t = ((eid / nsl) mod horizon) + 1 in
       let rel = eid / estride in
       let slot = (eid mod nsl) + 1 in
       let i = pi_arr.(rel) in
@@ -323,12 +331,13 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
       end
       else begin
         let sl = chain_slot.(rel) in
-        if stamp.(eid) < float_of_int (chain_size_slot sl) then begin
+        if stamp.(rel) < chain_size_slot sl then begin
           (* stale root: re-evaluate its (user, item) group in place — all
              of the pair's live entries — through the cell ABI
              (allocation-free), and look again. Trusting the stale key as
              an upper bound (classic CELF) would be unsound: a marginal can
              rise as its chain grows (DESIGN.md §5a, §5b). *)
+          stamp.(rel) <- chain_size_slot sl;
           Tl.refresh_pair_into h rel res ~f:refresh_entry;
           loop ()
         end

@@ -4,11 +4,12 @@
     paper's two implementation-level optimizations — the two-level heap data
     structure and lazy-forward evaluation.
 
-    {b Lazy forward.} Every key carries a stamp: the length of its (user,
-    class) chain when the key was computed. The loop pops the largest key.
-    A root whose stamp is behind its chain has its whole (user, item)
-    group re-evaluated and goes back into the heap; only a root whose key
-    is current is selected, or ends the run when it is non-positive. The
+    {b Lazy forward.} Every (user, item) pair carries a stamp: the length
+    of its (user, class) chain when the pair's keys were computed. The
+    loop pops the largest key. A root whose stamp is behind its chain has
+    its whole (user, item) group re-evaluated and goes back into the
+    heap; only a root whose key is current is selected, or ends the run
+    when it is non-positive. The
     paper grounds this in the submodularity of [Rev] (Theorem 2), under
     which a stale key bounds its fresh marginal from above. That does not
     hold here (DESIGN.md §5a): a marginal can rise as the strategy grows,
@@ -32,7 +33,25 @@
       is returned with [truncated = true] in the statistics. Every prefix
       is a valid strategy: each accepted triple passed the feasibility
       checks against the strategy as it stood, and the strategy only
-      grows. *)
+      grows.
+
+    {b Footprint.} Beyond the strategy it plans into, a run's own state
+    is allocated before its first selection. Per candidate pair of the
+    planned range it is at most [8.4 + 1.25·T·k'] words, where [k'] is
+    the display limit on slate instances and 1 otherwise:
+    - a staleness stamp, three decode mirrors (user, item, chain slot),
+      a chain-cache slot and a holder byte: 5.1 words;
+    - the two-level heap's group of [T·k'] entries: 8 bytes per key and
+      2 per entry offset, [1.25·T·k'] words, plus 3.25 words of upper
+      level and size.
+    On top of that come [T + 1] words per user of the range (display
+    fill; on slates [(T + 1)·k'] more bytes of slot map) and [T + 5] per
+    item. On the wide, shallow pack of the benchmark (T = 4, ten pairs
+    per user) that is 14.0 words per pair, and on the T = 15 dense family
+    26.8; the test suite holds it to at most 16 and 30 words there, and
+    CI's bench-scale cell to 16 at T = 4. A pair's group must fit a
+    16-bit offset: [T·k' ≤ 65,536], or the run raises
+    [Invalid_argument]. *)
 
 type stats = {
   marginal_evaluations : int;  (** marginal-revenue evaluations *)

@@ -6,12 +6,13 @@ module Metrics = Revmax_prelude.Metrics
    the total is jobs-invariant *)
 let c_worlds = Metrics.counter "simulate.worlds"
 
-(* Draw the desire coins of a chain, then find the earliest time step whose
-   only desired triple also passes its saturation coin. *)
-let simulate_chain inst chain rng =
-  let desires =
-    List.map (fun (z : Triple.t) -> (z, Rng.bernoulli rng (Instance.q inst ~u:z.u ~i:z.i ~time:z.t))) chain
-  in
+(* Draw the desire coins of a chain, each with the q its member caches —
+   the slot-scaled q̃ on slates, which [Revenue.total] uses too — then
+   find the earliest time step whose only desired triple also passes its
+   saturation coin. *)
+let simulate_chain inst c rng =
+  let chain = Chain.to_list c in
+  let desires = List.mapi (fun j z -> (z, Rng.bernoulli rng (Chain.q c j))) chain in
   (* the adoption candidate is the unique desired triple at the earliest time
      carrying any desire; competition kills simultaneous desires *)
   let earliest =
@@ -37,7 +38,7 @@ let world_revenue inst chains rng =
   let acc = ref 0.0 in
   Array.iter
     (fun c ->
-      match simulate_chain inst (Chain.to_list c) rng with
+      match simulate_chain inst c rng with
       | None -> ()
       | Some z -> acc := !acc +. Instance.price inst ~i:z.i ~time:z.t)
     chains;
@@ -61,7 +62,7 @@ let run_with_stock s rng =
   let would_adopt = ref [] in
   Array.iter
     (fun c ->
-      match simulate_chain inst (Chain.to_list c) rng with
+      match simulate_chain inst c rng with
       | None -> ()
       | Some z -> would_adopt := z :: !would_adopt)
     (Strategy.chains_in_order s);

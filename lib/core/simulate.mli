@@ -2,19 +2,22 @@
     empirically and to drive the behavioural examples.
 
     The grounding (documented in DESIGN.md): each triple [(u,i,t) ∈ S] draws
-    an independent {e desire} coin with its primitive probability [q(u,i,t)]
-    and an independent {e saturation} coin with probability
-    [β_i^{M_S(u,i,t)}]. The user adopts [i] at [t] iff the triple's desire
-    and saturation coins both succeed and {e no other} same-class triple at
-    the same or an earlier time has a successful desire coin. Under this
+    an independent {e desire} coin with its adoption probability — the
+    primitive [q(u,i,t)], or on slate instances the slot-scaled q̃ its
+    chain caches, as {!Revenue.total} reads it — and an independent
+    {e saturation} coin with probability [β_i^{M_S(u,i,t)}]. The user
+    adopts [i] at [t] iff the triple's desire and saturation coins both
+    succeed and {e no other} same-class triple at the same or an earlier
+    time has a successful desire coin. Under this
     semantics adoptions within a class are mutually exclusive, and the
     marginal adoption probability of every triple is exactly [qS(u,i,t)] of
     Definition 1 — so the empirical mean revenue is an unbiased estimate of
     [Rev(S)]. *)
 
-val simulate_chain :
-  Instance.t -> Triple.t list -> Revmax_prelude.Rng.t -> Triple.t option
-(** Simulate one (user, class) chain; the adopted triple, if any. *)
+val simulate_chain : Instance.t -> Chain.t -> Revmax_prelude.Rng.t -> Triple.t option
+(** Simulate one (user, class) chain; the adopted triple, if any. Desire
+    coins are drawn in chain order with the members' cached q
+    ({!Chain.q}). *)
 
 val revenue_once : Strategy.t -> Revmax_prelude.Rng.t -> float
 (** Total revenue of one simulated world. *)

@@ -76,10 +76,11 @@ let bump tbl key delta =
   if next = 0 then Hashtbl.remove tbl key else Hashtbl.replace tbl key next;
   prev
 
-(* the pair's id relative to the view, or -1 when it has none there *)
-let rel_pair t ~u ~i =
-  let pid = Instance.pair_find t.inst ~u ~i in
-  if pid >= t.plo && pid < t.phi then pid - t.plo else -1
+(* a pair id relative to the view, or -1 when it is none of the view's
+   (or [pid] is -1, no candidate pair at all) *)
+let rel_of_pid t pid = if pid >= t.plo && pid < t.phi then pid - t.plo else -1
+
+let rel_pair t ~u ~i = rel_of_pid t (Instance.pair_find t.inst ~u ~i)
 
 let overflow_key t ~u ~i = (i * Instance.num_users t.inst) + u
 
@@ -128,11 +129,9 @@ let in_range t ~u ~i ~time =
   && time >= 1 && time <= t.horizon
 
 (* A view pair's membership is one bit; an overflow pair, if it holds
-   anything, is looked up in its chain. *)
-let mem_at t ~u ~i ~time =
-  in_range t ~u ~i ~time
-  &&
-  let rel = rel_pair t ~u ~i in
+   anything, is looked up in its chain. [rel] is the pair's {!rel_of_pid}
+   and the ids are in range. *)
+let mem_rel t ~rel ~u ~i ~time =
   if rel >= 0 then get_member t (member_bit t ~rel ~time)
   else
     count t.pair_overflow (overflow_key t ~u ~i) > 0
@@ -140,6 +139,8 @@ let mem_at t ~u ~i ~time =
     match find_chain t ~u ~i with
     | Some c -> Chain.mem c (Triple.make ~u ~i ~t:time)
     | None -> false
+
+let mem_at t ~u ~i ~time = in_range t ~u ~i ~time && mem_rel t ~rel:(rel_pair t ~u ~i) ~u ~i ~time
 
 let instance t = t.inst
 
@@ -185,7 +186,10 @@ let effective_q t (z : Triple.t) =
     let slot = match slot_of t z with Some s -> s | None -> next_free_slot t z in
     Instance.slot_factor t.inst ~slot *. q
 
-let add_unchecked ?slot t (z : Triple.t) =
+(* [pid] is the triple's pair id, -1 when it has no candidate pair (its q
+   is then 0, as [Instance.q] reads it) *)
+let add_unchecked ?slot t (z : Triple.t) ~pid =
+  let q = if pid < 0 then 0.0 else Instance.pair_q t.inst ~pid ~time:z.t in
   let ck = chain_key t ~u:z.u ~i:z.i in
   let chain =
     match Hashtbl.find t.chains ck with
@@ -195,57 +199,58 @@ let add_unchecked ?slot t (z : Triple.t) =
         Hashtbl.replace t.chains ck c;
         c
   in
-  if not (Instance.is_slate t.inst) then Chain.insert chain z
+  if not (Instance.is_slate t.inst) then Chain.insert chain z ~qz:q
   else begin
     let s = match slot with Some s -> s | None -> next_free_slot t z in
     ignore (bump t.slot_occ (occ_key t z s) 1);
-    Chain.insert chain z ~slot:s
-      ~qz:(Instance.slot_factor t.inst ~slot:s *. Instance.q t.inst ~u:z.u ~i:z.i ~time:z.t)
+    Chain.insert chain z ~slot:s ~qz:(Instance.slot_factor t.inst ~slot:s *. q)
   end;
-  let rel = rel_pair t ~u:z.u ~i:z.i in
+  let rel = rel_of_pid t pid in
   if rel >= 0 then set_member t (member_bit t ~rel ~time:z.t) true;
   bump_display t ~u:z.u ~time:z.t 1;
   if bump_pair t ~rel ~u:z.u ~i:z.i 1 = 0 then t.item_distinct.(z.i) <- t.item_distinct.(z.i) + 1;
   t.cardinality <- t.cardinality + 1
 
-(* the malformed-triple checks shared by [add] and [add_result]: a bad
-   [slot] argument is a caller bug (raises either way); a range or
-   duplicate problem is strategy state and comes back as a result *)
-let precheck ?slot t (z : Triple.t) =
-  (match slot with
+(* a bad [slot] argument is a caller bug: [add] and [add_result] both
+   raise on it *)
+let check_slot ?slot t =
+  match slot with
   | Some s when s < 1 || s > Instance.display_limit t.inst ->
       invalid_arg "Strategy.add: slot outside 1..display_limit"
   | Some _ when not (Instance.is_slate t.inst) ->
       invalid_arg "Strategy.add: slot given on a non-slate instance"
-  | _ -> ());
+  | _ -> ()
+
+(* An in-range triple's pair id is looked up once, for the duplicate test
+   and then for the add itself. A range or duplicate problem is strategy
+   state: [add_result] returns it, [add] raises. *)
+let mem_pid t ~pid (z : Triple.t) = mem_rel t ~rel:(rel_of_pid t pid) ~u:z.u ~i:z.i ~time:z.t
+
+let add_result ?slot t (z : Triple.t) =
+  check_slot ?slot t;
   match range_error t z with
   | Some msg ->
       Error (Err.Invalid_strategy [ Err.Triple_out_of_range { u = z.u; i = z.i; t = z.t; msg } ])
   | None ->
-      if mem t z then
+      let pid = Instance.pair_find t.inst ~u:z.u ~i:z.i in
+      if mem_pid t ~pid z then
         Error (Err.Invalid_strategy [ Err.Duplicate_triple { u = z.u; i = z.i; t = z.t } ])
-      else Ok ()
+      else begin
+        (* unlike [add], the checked variant also guards the global quantity
+           budget: exceeding it is never useful to a loader or caller that
+           asked for a result, and the typed witness names the overshoot *)
+        let cap = Instance.max_total_cap t.inst in
+        if t.cardinality >= cap then
+          Error (Err.Invalid_strategy [ Err.Quantity_budget { count = t.cardinality + 1; cap } ])
+        else Ok (add_unchecked ?slot t z ~pid)
+      end
 
-let add_result ?slot t (z : Triple.t) =
-  match precheck ?slot t z with
-  | Error _ as e -> e
-  | Ok () ->
-      (* unlike [add], the checked variant also guards the global quantity
-         budget: exceeding it is never useful to a loader or caller that
-         asked for a result, and the typed witness names the overshoot *)
-      let cap = Instance.max_total_cap t.inst in
-      if t.cardinality >= cap then
-        Error (Err.Invalid_strategy [ Err.Quantity_budget { count = t.cardinality + 1; cap } ])
-      else Ok (add_unchecked ?slot t z)
-
-let add ?slot t z =
-  match precheck ?slot t z with
-  | Ok () -> add_unchecked ?slot t z
-  | Error (Err.Invalid_strategy (Err.Duplicate_triple _ :: _)) ->
-      invalid_arg "Strategy.add: duplicate triple"
-  | Error (Err.Invalid_strategy (Err.Triple_out_of_range _ :: _)) ->
-      invalid_arg "Strategy: triple out of range"
-  | Error e -> invalid_arg (Err.message e)
+let add ?slot t (z : Triple.t) =
+  check_slot ?slot t;
+  if Option.is_some (range_error t z) then invalid_arg "Strategy: triple out of range";
+  let pid = Instance.pair_find t.inst ~u:z.u ~i:z.i in
+  if mem_pid t ~pid z then invalid_arg "Strategy.add: duplicate triple";
+  add_unchecked ?slot t z ~pid
 
 let remove t (z : Triple.t) =
   if not (mem t z) then invalid_arg "Strategy.remove: absent triple";

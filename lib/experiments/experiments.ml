@@ -841,6 +841,18 @@ let bench_scale (cfg : Config.t) =
   in
   Log.out "memory: the flat shards=1 plan holds %.1f words per selection beyond its instance\n"
     strategy_words_per_selection;
+  (* the greedy's own per-run state per candidate pair: what a run that
+     stops after its first selection allocates, less the strategy it
+     plans into (greedy.mli's footprint formula) *)
+  let greedy_setup_words_per_pair =
+    let words f = snd (Util.allocated_words f) in
+    let budget = Revmax_prelude.Budget.create ~max_evaluations:1 () in
+    let run = words (fun () -> Greedy.run ~budget inst) in
+    let strategy = words (fun () -> Strategy.create inst) in
+    (run -. strategy) /. float_of_int (max 1 (Instance.pair_count inst))
+  in
+  Log.out "memory: greedy set-up allocates %.1f words per candidate pair\n"
+    greedy_setup_words_per_pair;
   (* machine-readable cell, consumed by CI (artifact + gates) *)
   let out =
     Option.value (Sys.getenv_opt "REVMAX_BENCH_OUT") ~default:"BENCH_scale.json"
@@ -875,8 +887,9 @@ let bench_scale (cfg : Config.t) =
     all_runs;
   add "  ],\n";
   add
-    "  \"memory\": { \"peak_rss_kb\": %d, \"rss_ceiling_kb\": %d, \"ocaml_top_heap_words\": %d, \"strategy_words_per_selection\": %.2f }\n"
-    rss_kb rss_ceiling_kb gc.Gc.top_heap_words strategy_words_per_selection;
+    "  \"memory\": { \"peak_rss_kb\": %d, \"rss_ceiling_kb\": %d, \"ocaml_top_heap_words\": %d, \"strategy_words_per_selection\": %.2f, \"greedy_setup_words_per_pair\": %.2f }\n"
+    rss_kb rss_ceiling_kb gc.Gc.top_heap_words strategy_words_per_selection
+    greedy_setup_words_per_pair;
   add "}\n";
   let oc = open_out out in
   Fun.protect

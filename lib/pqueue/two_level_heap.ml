@@ -7,22 +7,28 @@ let c_pops = Metrics.counter "two_level_heap.pops"
 let c_refresh_pairs = Metrics.counter "two_level_heap.refresh_pairs"
 
 (* One flat arena. Group g's lower heap lives in slots
-   [g·width, g·width + size.(g)) of [keys]/[ents], in heap order; the
-   upper heap is three flat arrays over groups — [ukey]/[ugrp] in heap
-   order and [upos], each group's upper position (−1 when absent). Every
-   sift therefore reads and writes unboxed float and int arrays only: no
-   records, handles or options, and no GC write barrier.
+   [g·width, g·width + size g) of [keys]/[offs], in heap order; a slot
+   holds its entry as the 16-bit offset [e − g·width] inside the group,
+   two bytes of [offs]. [last] keeps, in two bytes per group, a non-empty
+   group's last occupied slot (its size − 1); a group is non-empty iff it
+   is in the upper heap, so an empty one needs no size and a full group of
+   65,536 still fits. The upper heap is three flat arrays over groups —
+   [ukey]/[ugrp] in heap order and [upos], each group's upper position
+   (−1 when absent). Every sift therefore reads and writes unboxed float
+   and int arrays and bytes only: no records, handles or options, and no
+   GC write barrier.
 
    Both levels use 8-ary hole sifts under one strict total order — higher
    key first, equal keys smaller entry (upper level: smaller group) first
    — so pop order is a function of the stored (key, entry) pairs alone.
-   Since a group is [e / width], the two-level order is exactly the flat
-   (key, entry) order. *)
+   Within a group the offset orders as the entry does, and a group is
+   [e / width], so the two-level order is exactly the flat (key, entry)
+   order. *)
 type t = {
   width : int;
   keys : float array;
-  ents : int array;
-  size : int array;
+  offs : Bytes.t;
+  last : Bytes.t;
   ukey : float array;
   ugrp : int array;
   upos : int array;
@@ -32,13 +38,16 @@ type t = {
 
 let arity = 8
 
+let max_width = 65_536
+
 let create ~groups ~width =
   if groups < 0 || width < 1 then invalid_arg "Two_level_heap.create: bad dimensions";
+  if width > max_width then invalid_arg "Two_level_heap.create: width above 65536";
   {
     width;
     keys = Array.make (groups * width) 0.0;
-    ents = Array.make (groups * width) 0;
-    size = Array.make groups 0;
+    offs = Bytes.make (2 * groups * width) '\000';
+    last = Bytes.make (2 * groups) '\000';
     ukey = Array.make groups 0.0;
     ugrp = Array.make groups 0;
     upos = Array.make groups (-1);
@@ -50,34 +59,39 @@ let size t = t.total
 
 let is_empty t = t.total = 0
 
-(* 8-ary hole sifts over the heap in slots [base, base + n) of [keys] and
-   [ids]. A non-empty [pos] tracks each id's position (the upper level;
-   the lower level needs none). *)
-let sift_up (keys : float array) (ids : int array) (pos : int array) base i0 =
-  let hk = keys.(base + i0) and hv = ids.(base + i0) in
-  let track = Array.length pos > 0 in
+let group_size t g = if t.upos.(g) < 0 then 0 else Bytes.get_uint16_le t.last (2 * g) + 1
+
+(* the size of a group that stays non-empty *)
+let set_group_size t g n = Bytes.set_uint16_le t.last (2 * g) (n - 1)
+
+let off t k = Bytes.get_uint16_le t.offs (2 * k)
+
+let set_off t k v = Bytes.set_uint16_le t.offs (2 * k) v
+
+(* 8-ary hole sifts of the lower heap in slots [base, base + n) *)
+let lower_sift_up t base i0 =
+  let keys = t.keys in
+  let hk = keys.(base + i0) and hv = off t (base + i0) in
   let i = ref i0 in
   let continue_ = ref true in
   while !continue_ && !i > 0 do
     let parent = (!i - 1) / arity in
-    let kp = keys.(base + parent) and vp = ids.(base + parent) in
+    let kp = keys.(base + parent) and vp = off t (base + parent) in
     if kp < hk || (kp = hk && vp > hv) then begin
       keys.(base + !i) <- kp;
-      ids.(base + !i) <- vp;
-      if track then pos.(vp) <- !i;
+      set_off t (base + !i) vp;
       i := parent
     end
     else continue_ := false
   done;
   if !i <> i0 then begin
     keys.(base + !i) <- hk;
-    ids.(base + !i) <- hv;
-    if track then pos.(hv) <- !i
+    set_off t (base + !i) hv
   end
 
-let sift_down (keys : float array) (ids : int array) (pos : int array) base n i0 =
-  let hk = keys.(base + i0) and hv = ids.(base + i0) in
-  let track = Array.length pos > 0 in
+let lower_sift_down t base n i0 =
+  let keys = t.keys in
+  let hk = keys.(base + i0) and hv = off t (base + i0) in
   let i = ref i0 in
   let continue_ = ref true in
   while !continue_ do
@@ -86,33 +100,77 @@ let sift_down (keys : float array) (ids : int array) (pos : int array) base n i0
     let largest = ref !i and lk = ref hk and lv = ref hv in
     for c = first to last do
       let kc = keys.(base + c) in
-      if kc > !lk || (kc = !lk && ids.(base + c) < !lv) then begin
+      if kc > !lk || (kc = !lk && off t (base + c) < !lv) then begin
         largest := c;
         lk := kc;
-        lv := ids.(base + c)
+        lv := off t (base + c)
       end
     done;
     if !largest <> !i then begin
       keys.(base + !i) <- !lk;
-      ids.(base + !i) <- !lv;
-      if track then pos.(!lv) <- !i;
+      set_off t (base + !i) !lv;
       i := !largest
     end
     else continue_ := false
   done;
   if !i <> i0 then begin
     keys.(base + !i) <- hk;
-    ids.(base + !i) <- hv;
-    if track then pos.(hv) <- !i
+    set_off t (base + !i) hv
   end
 
-let no_pos = [||]
+(* the same sifts over the upper heap, tracking each group's position *)
+let upper_sift_up t i0 =
+  let keys = t.ukey and ids = t.ugrp and pos = t.upos in
+  let hk = keys.(i0) and hv = ids.(i0) in
+  let i = ref i0 in
+  let continue_ = ref true in
+  while !continue_ && !i > 0 do
+    let parent = (!i - 1) / arity in
+    let kp = keys.(parent) and vp = ids.(parent) in
+    if kp < hk || (kp = hk && vp > hv) then begin
+      keys.(!i) <- kp;
+      ids.(!i) <- vp;
+      pos.(vp) <- !i;
+      i := parent
+    end
+    else continue_ := false
+  done;
+  if !i <> i0 then begin
+    keys.(!i) <- hk;
+    ids.(!i) <- hv;
+    pos.(hv) <- !i
+  end
 
-let lower_sift_down t base n i = sift_down t.keys t.ents no_pos base n i
-
-let upper_sift_up t i = sift_up t.ukey t.ugrp t.upos 0 i
-
-let upper_sift_down t i = sift_down t.ukey t.ugrp t.upos 0 t.usize i
+let upper_sift_down t i0 =
+  let keys = t.ukey and ids = t.ugrp and pos = t.upos and n = t.usize in
+  let hk = keys.(i0) and hv = ids.(i0) in
+  let i = ref i0 in
+  let continue_ = ref true in
+  while !continue_ do
+    let first = (arity * !i) + 1 in
+    let last = if first + arity - 1 < n - 1 then first + arity - 1 else n - 1 in
+    let largest = ref !i and lk = ref hk and lv = ref hv in
+    for c = first to last do
+      let kc = keys.(c) in
+      if kc > !lk || (kc = !lk && ids.(c) < !lv) then begin
+        largest := c;
+        lk := kc;
+        lv := ids.(c)
+      end
+    done;
+    if !largest <> !i then begin
+      keys.(!i) <- !lk;
+      ids.(!i) <- !lv;
+      pos.(!lv) <- !i;
+      i := !largest
+    end
+    else continue_ := false
+  done;
+  if !i <> i0 then begin
+    keys.(!i) <- hk;
+    ids.(!i) <- hv;
+    pos.(hv) <- !i
+  end
 
 (* re-key group [g] in the upper heap to its lower root's key, inserting
    it when absent *)
@@ -133,8 +191,8 @@ let upper_sync t g =
     if k > old then upper_sift_up t p else if k < old then upper_sift_down t p
   end
 
-(* take group [g] out of the upper heap; the last group fills its place
-   and sifts whichever way its key says *)
+(* take group [g] out of the upper heap, which marks it empty; the last
+   group fills its place and sifts whichever way its key says *)
 let upper_remove t g =
   let p = t.upos.(g) in
   t.upos.(g) <- -1;
@@ -160,20 +218,21 @@ let upper_rekey_root t =
 let insert t cell e =
   Metrics.incr c_inserts;
   let g = e / t.width in
-  let base = g * t.width and n = t.size.(g) in
+  let base = g * t.width and n = group_size t g in
   if n >= t.width then invalid_arg "Two_level_heap.insert: group full";
   t.keys.(base + n) <- cell.(0);
-  t.ents.(base + n) <- e;
-  t.size.(g) <- n + 1;
+  set_off t (base + n) (e - base);
+  set_group_size t g (n + 1);
   t.total <- t.total + 1;
-  sift_up t.keys t.ents no_pos base n;
+  lower_sift_up t base n;
   upper_sync t g
 
 let check_nonempty t = if t.usize = 0 then invalid_arg "Two_level_heap: empty heap"
 
 let max_elt t =
   check_nonempty t;
-  t.ents.(t.ugrp.(0) * t.width)
+  let base = t.ugrp.(0) * t.width in
+  base + off t base
 
 let max_key_into t cell =
   check_nonempty t;
@@ -185,13 +244,13 @@ let drop_max t =
   Metrics.incr c_pops;
   let g = t.ugrp.(0) in
   let base = g * t.width in
-  let n = t.size.(g) - 1 in
-  t.size.(g) <- n;
+  let n = group_size t g - 1 in
   t.total <- t.total - 1;
   if n = 0 then upper_remove t g
   else begin
+    set_group_size t g n;
     t.keys.(base) <- t.keys.(base + n);
-    t.ents.(base) <- t.ents.(base + n);
+    set_off t base (off t (base + n));
     lower_sift_down t base n 0;
     upper_rekey_root t
   end
@@ -200,19 +259,20 @@ let drop_max t =
    slot: up or down, the other sift is then a no-op *)
 let remove t e =
   let g = e / t.width in
-  let base = g * t.width and n = t.size.(g) in
+  let base = g * t.width and n = group_size t g in
+  let o = e - base in
   let k = ref 0 in
-  while !k < n && t.ents.(base + !k) <> e do incr k done;
+  while !k < n && off t (base + !k) <> o do incr k done;
   if !k < n then begin
     let n = n - 1 in
-    t.size.(g) <- n;
     t.total <- t.total - 1;
     if n = 0 then upper_remove t g
     else begin
+      set_group_size t g n;
       if !k < n then begin
         t.keys.(base + !k) <- t.keys.(base + n);
-        t.ents.(base + !k) <- t.ents.(base + n);
-        sift_up t.keys t.ents no_pos base !k;
+        set_off t (base + !k) (off t (base + n));
+        lower_sift_up t base !k;
         lower_sift_down t base n !k
       end;
       upper_sync t g
@@ -222,13 +282,13 @@ let remove t e =
 (* Every key of group [g] goes through [cell.(0)] in heap-array order; the
    group is then heapified bottom-up and re-keyed in the upper level. *)
 let refresh_pair_into t g cell ~f =
-  let n = t.size.(g) in
+  let n = group_size t g in
   if n > 0 then begin
     Metrics.incr c_refresh_pairs;
     let base = g * t.width in
     for i = base to base + n - 1 do
       cell.(0) <- t.keys.(i);
-      f t.ents.(i);
+      f (base + off t i);
       t.keys.(i) <- cell.(0)
     done;
     for i = (n - 2) / arity downto 0 do

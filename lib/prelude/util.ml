@@ -77,6 +77,20 @@ let time_it f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* OCaml 5.1 adds an allocation made directly in the major heap (a block
+   above the minor heap's size limit) to [major_words] only at the next
+   minor collection, so each read is preceded by one; without it a
+   pair-sized array can read as 0 words *)
+let allocated_words f =
+  let words () =
+    Gc.minor ();
+    let st = Gc.quick_stat () in
+    st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
+  in
+  let w0 = words () in
+  let r = f () in
+  (r, words () -. w0)
+
 let with_index a = Array.mapi (fun i x -> (i, x)) a
 
 let group_by key l =

@@ -43,6 +43,13 @@ val time_it : (unit -> 'a) -> 'a * float
 (** [time_it f] runs [f ()] and returns its result together with the elapsed
     wall-clock time in seconds. *)
 
+val allocated_words : (unit -> 'a) -> 'a * float
+(** [allocated_words f] runs [f ()] and returns its result together with
+    the words it allocated, minor and major heap alike (what it retains
+    or frees does not matter). Each read of the counters runs a minor
+    collection first: OCaml 5.1 counts a block allocated directly in the
+    major heap only at the next one. *)
+
 val with_index : 'a array -> (int * 'a) array
 (** Pair every element with its index. *)
 

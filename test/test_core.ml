@@ -7,6 +7,11 @@ module Simulate = Revmax.Simulate
 module Capacity_oracle = Revmax.Capacity_oracle
 open Helpers
 
+(* insert into a chain with the instance's own q, as a plain strategy's
+   add stores it *)
+let insert_q inst c (z : Triple.t) =
+  Revmax.Chain.insert c z ~qz:(Instance.q inst ~u:z.u ~i:z.i ~time:z.t)
+
 (* ----- Instance ----- *)
 
 let test_instance_accessors () =
@@ -132,7 +137,7 @@ let test_chain_remove_clears_tail () =
   let inst = example1_instance 0.4 in
   let z1 = triple 0 0 1 and z2 = triple 0 1 2 and z3 = triple 0 0 3 in
   let c = Chain.create inst in
-  List.iter (Chain.insert c) [ z1; z2; z3 ];
+  List.iter (insert_q inst c) [ z1; z2; z3 ];
   (* removing the middle triple shifts z3 left and vacates the old tail *)
   Chain.remove c z2;
   Alcotest.(check int) "length after remove" 2 (Chain.length c);
@@ -140,9 +145,9 @@ let test_chain_remove_clears_tail () =
   Alcotest.(check (list string)) "survivors in order" [ "(0, 0, 1)"; "(0, 0, 3)" ]
     (List.map Triple.to_string (Chain.to_list c));
   (* re-insert at the old boundary: index 2, exactly the vacated slot *)
-  Chain.insert c z2;
+  insert_q inst c z2;
   let fresh = Chain.create inst in
-  List.iter (Chain.insert fresh) [ z1; z2; z3 ];
+  List.iter (insert_q inst fresh) [ z1; z2; z3 ];
   Alcotest.(check (list string)) "re-insert restores the chain"
     (List.map Triple.to_string (Chain.to_list fresh))
     (List.map Triple.to_string (Chain.to_list c));
@@ -360,7 +365,7 @@ let prop_chain_recompute_is_canonical =
                 (Rng.uniform_in rng 0.2 1.0 *. Instance.q inst ~u:z.u ~i:z.i ~time:z.t))
             ascending;
           let insert c z =
-            if scaled then Chain.insert ~qz:(Hashtbl.find qz z) c z else Chain.insert c z
+            if scaled then Chain.insert ~qz:(Hashtbl.find qz z) c z else insert_q inst c z
           in
           let canonical = Chain.create inst in
           List.iter (insert canonical) ascending;
@@ -635,9 +640,11 @@ let test_simulation_exclusive_adoptions () =
   (* within one class a user adopts at most once per simulated world *)
   let inst = example1_instance 0.9 in
   let chain = [ triple 0 0 1; triple 0 1 2; triple 0 0 3 ] in
+  let c = Revmax.Chain.create inst in
+  List.iter (insert_q inst c) chain;
   let rng = Rng.create 5 in
   for _ = 1 to 1000 do
-    match Simulate.simulate_chain inst chain rng with
+    match Simulate.simulate_chain inst c rng with
     | None -> ()
     | Some z -> if not (List.exists (Triple.equal z) chain) then Alcotest.fail "alien adoption"
   done
@@ -719,7 +726,7 @@ let test_chain_growth_matches_ascending_build () =
   in
   let agree c members =
     let fresh = Chain.create inst in
-    List.iter (Chain.insert fresh) members;
+    List.iter (insert_q inst fresh) members;
     Alcotest.(check (list string)) "members" (List.map Triple.to_string members)
       (List.map Triple.to_string (Chain.to_list c));
     List.iter
@@ -744,7 +751,7 @@ let test_chain_growth_matches_ascending_build () =
   let drops = ref [ 2; 4; 8 ] in
   List.iter
     (fun z ->
-      Chain.insert c z;
+      insert_q inst c z;
       members := !members @ [ z ];
       agree c !members;
       match !drops with
@@ -780,11 +787,14 @@ let reference_total ?with_saturation s =
   seen_fold s (fun chain -> acc := !acc +. Revenue.chain_revenue ?with_saturation ?q_of inst chain);
   !acc
 
+(* the live chain of a member list *)
+let chain_of s zs = Option.get (Strategy.chain_view_of_triple s (List.hd zs))
+
 let reference_revenue_once s rng =
   let inst = Strategy.instance s in
   let acc = ref 0.0 in
   seen_fold s (fun chain ->
-      match Simulate.simulate_chain inst chain rng with
+      match Simulate.simulate_chain inst (chain_of s chain) rng with
       | None -> ()
       | Some z -> acc := !acc +. Instance.price inst ~i:z.i ~time:z.t);
   !acc
@@ -793,7 +803,7 @@ let reference_run_with_stock s rng =
   let inst = Strategy.instance s in
   let would_adopt = ref [] in
   seen_fold s (fun chain ->
-      match Simulate.simulate_chain inst chain rng with
+      match Simulate.simulate_chain inst (chain_of s chain) rng with
       | None -> ()
       | Some z -> would_adopt := z :: !would_adopt);
   let arr = Array.of_list !would_adopt in

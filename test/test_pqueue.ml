@@ -237,6 +237,36 @@ let prop_tl_matches_flat =
       in
       drain [] = List.sort model_order flat)
 
+(* A slot holds its entry as a 16-bit offset inside its group: the widest
+   group, 65,536 entries, fills completely, keeps every offset apart and
+   drains in the flat order; one entry wider is refused up front. *)
+let test_tl_widest_group () =
+  let width = 65_536 in
+  let h = Tl.create ~groups:2 ~width in
+  let key e = float_of_int ((e * 7919) mod 13) in
+  for off = width - 1 downto 0 do
+    tl_insert h ~key:(key (width + off)) (width + off)
+  done;
+  Alcotest.(check int) "a full group" width (Tl.size h);
+  Alcotest.check_raises "group overflow" (Invalid_argument "Two_level_heap.insert: group full")
+    (fun () -> tl_insert h ~key:0.0 width);
+  Tl.remove h (width + 65_535);
+  let expected =
+    List.init (width - 1) (fun off -> (width + off, key (width + off))) |> List.sort model_order
+  in
+  let rec drain acc =
+    if Tl.is_empty h then List.rev acc
+    else begin
+      let r = tl_root h in
+      Tl.drop_max h;
+      drain (r :: acc)
+    end
+  in
+  if drain [] <> expected then Alcotest.fail "the widest group drains out of order";
+  Alcotest.check_raises "width 65,537"
+    (Invalid_argument "Two_level_heap.create: width above 65536") (fun () ->
+      ignore (Tl.create ~groups:1 ~width:(width + 1)))
+
 (* Once created the arena allocates nothing: a cycle of insert, remove,
    refresh, the greedy's max_key_into sign test and drop_max moves the minor-heap
    counter by exactly what an empty measurement does. Native only —
@@ -298,6 +328,7 @@ let () =
           Alcotest.test_case "refresh" `Quick test_tl_refresh;
           Alcotest.test_case "missing pair no-ops" `Quick test_tl_missing_pair_noops;
           Alcotest.test_case "no allocation after create" `Quick test_tl_no_allocation;
+          Alcotest.test_case "widest group: 65,536 entries" `Quick test_tl_widest_group;
           QCheck_alcotest.to_alcotest prop_tl_model_sign;
           QCheck_alcotest.to_alcotest prop_tl_matches_flat;
           QCheck_alcotest.to_alcotest prop_tl_model_refresh;

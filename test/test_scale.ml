@@ -420,6 +420,54 @@ let test_plan_words_per_selection () =
           Alcotest.failf "%d selections at %.1f words each (at most 25)" st.Greedy.selected
             per_selection)
 
+(* The greedy's per-run state — candidate registration, the heap arena,
+   stamps and mirrors — per candidate pair: the words a run that stops
+   after its first selection allocates, less the strategy it plans into. *)
+let greedy_setup_words_per_pair inst =
+  let words f = snd (Revmax_prelude.Util.allocated_words f) in
+  let budget = Revmax_prelude.Budget.create ~max_evaluations:1 () in
+  let run = words (fun () -> Greedy.run ~budget inst) in
+  let strategy = words (fun () -> Strategy.create inst) in
+  (run -. strategy) /. float_of_int (Instance.pair_count inst)
+
+(* plan-dense's long-chain family: 40 items in 2 classes, T = 15, k = 5,
+   each pair a candidate with probability 0.8, capacities = users *)
+let dense_instance ~users ~seed =
+  let items = 40 and horizon = 15 in
+  let rng = Rng.create seed in
+  let adoption = ref [] in
+  for u = 0 to users - 1 do
+    for i = 0 to items - 1 do
+      if Rng.bernoulli rng 0.8 then
+        adoption := (u, i, Array.init horizon (fun _ -> Rng.uniform_in rng 0.02 0.10)) :: !adoption
+    done
+  done;
+  Instance.create ~num_users:users ~num_items:items ~horizon ~display_limit:5
+    ~class_of:(Array.init items (fun i -> i mod 2))
+    ~capacity:(Array.make items users)
+    ~saturation:(Array.init items (fun _ -> Rng.uniform_in rng 0.7 1.0))
+    ~price:(Array.init items (fun _ -> Array.init horizon (fun _ -> Rng.uniform_in rng 1.0 10.0)))
+    ~adoption:!adoption ()
+
+(* Set-up costs a small constant per candidate pair (greedy.mli's
+   footprint formula): one stamp, three mirrors, a chain slot and the
+   heap's 1.25 words per (time, slot) entry plus 3.25 per group. *)
+let check_setup_words ~what ~bound inst =
+  if Sys.backend_type = Sys.Native then begin
+    let per_pair = greedy_setup_words_per_pair inst in
+    if per_pair > bound then
+      Alcotest.failf "%s: greedy set-up costs %.1f words per candidate pair (at most %.0f)" what
+        per_pair bound
+  end
+
+let test_setup_words_wide_shallow () =
+  with_temp_pack (fun path ->
+      Scalability.generate_pack (wide_shallow 3000) ~seed:16 ~path;
+      check_setup_words ~what:"T = 4 pack" ~bound:16.0 (Instance.of_mmap path))
+
+let test_setup_words_dense () =
+  check_setup_words ~what:"T = 15 dense" ~bound:30.0 (dense_instance ~users:400 ~seed:16)
+
 (* A strategy is sized by its view: on a quarter view its display fill
    covers the view's users, not the parent's, and out-of-view users go
    through the overflow path — with global user ids in [violations]. *)
@@ -475,6 +523,10 @@ let () =
             test_plan_words_per_selection;
           Alcotest.test_case "a view's strategy is sized by the view" `Quick
             test_view_strategy_is_view_sized;
+          Alcotest.test_case "greedy set-up costs at most 16 words per candidate pair at T = 4"
+            `Quick test_setup_words_wide_shallow;
+          Alcotest.test_case "greedy set-up costs at most 30 words per candidate pair at T = 15"
+            `Quick test_setup_words_dense;
         ] );
       ( "hier",
         [

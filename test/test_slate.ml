@@ -18,6 +18,8 @@ module Shard_greedy = Revmax.Shard_greedy
 module Exact = Revmax.Exact
 module Hier_greedy = Revmax_hier.Hier_greedy
 module Pipeline = Revmax_datagen.Pipeline
+module Simulate = Revmax.Simulate
+module Capacity_oracle = Revmax.Capacity_oracle
 open Helpers
 
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
@@ -269,6 +271,45 @@ let test_slot_conflict_witness_and_message () =
         (Err.constraint_message v)
   | _ -> Alcotest.fail "expected exactly one violation"
 
+(* On a slate a member's desire coin is drawn with its slot-scaled q̃, the
+   q [Revenue.total] reads, so the simulated mean estimates it without
+   bias; with the raw q a slot-2 member desires twice as often. Both
+   Monte-Carlo consumers are held to it: the revenue estimate, and the
+   capacity oracle's, which simulates the same chains. The strategy gives
+   every user every item, most of them in slot 2, past the capacities of
+   1 on purpose so that the oracle has other holders to count. *)
+let test_simulation_unbiased_on_slates () =
+  let horizon = 3 in
+  let q u i k = 0.3 +. (0.1 *. float_of_int ((u + i + k) mod 4)) in
+  let base =
+    Instance.create ~num_users:3 ~num_items:3 ~horizon ~display_limit:2 ~class_of:[| 0; 1; 2 |]
+      ~capacity:[| 1; 1; 1 |] ~saturation:[| 0.5; 0.6; 0.7 |]
+      ~price:(Array.init 3 (fun i -> Array.init horizon (fun k -> float_of_int (3 + i + k))))
+      ~adoption:
+        (List.concat_map
+           (fun u -> List.init 3 (fun i -> (u, i, Array.init horizon (q u i))))
+           [ 0; 1; 2 ])
+      ()
+  in
+  let inst = Instance.with_slate base [| 1.0; 0.5 |] in
+  let s = Strategy.create inst in
+  List.iter
+    (fun u ->
+      List.iter
+        (fun (i, t, slot) -> Strategy.add ~slot s (triple u i t))
+        [ (0, 1, 1); (1, 1, 2); (2, 2, 1); (0, 2, 2); (1, 3, 2) ])
+    [ 0; 1; 2 ];
+  let expected = Revenue.total s in
+  let est = Simulate.estimate_revenue s ~samples:100_000 (Rng.create 11) in
+  if not (Revmax_stats.Mc.within_ci est expected) then
+    Alcotest.failf "simulated %.4f ± %.4f against Revenue.total %.4f" est.Revmax_stats.Mc.mean
+      est.Revmax_stats.Mc.std_error expected;
+  let z = triple 0 1 3 in
+  let exact = Capacity_oracle.prob_capacity_free s z in
+  let mc = Capacity_oracle.prob_capacity_free_mc s z ~samples:100_000 (Rng.create 12) in
+  if Float.abs (mc -. exact) > 0.01 then
+    Alcotest.failf "capacity oracle: simulated %.4f against exact %.4f" mc exact
+
 (* greedy stops on the cap as *completion*, not budget exhaustion: the
    truncated flag stays false so resume/monitoring logic keeps its meaning *)
 let test_cap_stop_is_not_truncation () =
@@ -303,6 +344,8 @@ let () =
           Alcotest.test_case "decay can raise greedy revenue" `Quick
             test_decay_can_raise_greedy_revenue;
           Alcotest.test_case "position_curve admissible" `Quick test_position_curve_admissible;
+          Alcotest.test_case "simulated revenue is unbiased on slates" `Quick
+            test_simulation_unbiased_on_slates;
         ] );
       ( "witnesses",
         [
