@@ -3,28 +3,13 @@ module Err = Revmax_prelude.Err
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 type float_ba = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* Candidate pairs live in one CSR structure shared by both storage
-   backends: [row_off.(u) .. row_off.(u+1)) indexes user [u]'s candidate
-   pairs (item-ascending), and a global {e pair id} [pid] addresses the
-   per-pair facts. The heap backend keeps the adoption vectors as ordinary
-   float arrays (plus the historical (u·num_items + i) hashtable for O(1)
-   point lookups); the packed backend memory-maps them from a pack file,
-   so a 10^6-user instance's O(users · degree · horizon) payload never
-   enters the OCaml heap — only the O(num_items) item facts and the
-   O(num_users) row offsets do. *)
-type backend =
-  | Heap_b of {
-      items : int array; (* pid -> item id *)
-      qs : float array array; (* pid -> adoption probabilities, length horizon *)
-      q_index : (int, float array) Hashtbl.t; (* (u * num_items + i) -> probs *)
-      ratings : (int, float) Hashtbl.t;
-    }
-  | Packed_b of {
-      item : int_ba; (* pid -> item id *)
-      q : float_ba; (* pid * horizon + (time - 1) -> probability *)
-      rating : float_ba; (* pid -> rating, NaN = absent; length 0 = no ratings *)
-    }
-
+(* Candidate pairs live in the pack file's CSR layout, whether the instance
+   was built by [create] or mapped by [of_mmap]: [row_off.(u) ..
+   row_off.(u+1)) indexes user [u]'s candidate pairs (item-ascending), and a
+   global {e pair id} [pid] addresses three flat Bigarrays. [create] fills
+   them in place; [of_mmap] maps them from a pack file. Either way the
+   O(pairs · horizon) payload lives off the OCaml heap — only the
+   O(num_items) item facts and the O(num_users) row offsets enter it. *)
 type t = {
   num_users : int;
   num_items : int;
@@ -37,7 +22,9 @@ type t = {
   saturation : float array;
   price : float array array;
   row_off : int array; (* num_users + 1 CSR offsets into the pair arrays *)
-  backend : backend;
+  item : int_ba; (* pid -> item id *)
+  q : float_ba; (* pid * horizon + (time - 1) -> probability *)
+  rating : float_ba; (* pid -> rating, NaN = absent; length 0 = no ratings *)
   num_candidate_triples : int;
   (* the view's user range [u_lo, u_hi); the full instance has [0, num_users).
      Views produced by [shard] share every array above except [capacity]
@@ -59,7 +46,11 @@ exception Bad_field of string * string
 
 let fail field msg = raise (Bad_field (field, msg))
 
-(* shared between [create_checked] and the pack writer *)
+let int_ba n : int_ba = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+let float_ba n : float_ba = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n
+
+(* shared between [create_checked], the pack writer and [of_mmap]; class
+   ids below [num_items] bound the class table by the item count *)
 let check_item_arrays ~num_items ~horizon ~class_of ~capacity ~saturation ~price =
   if Array.length class_of <> num_items then
     fail "class_of"
@@ -75,7 +66,10 @@ let check_item_arrays ~num_items ~horizon ~class_of ~capacity ~saturation ~price
       (Printf.sprintf "%d rows differ from num_items %d" (Array.length price) num_items);
   Array.iteri
     (fun i c ->
-      if c < 0 then fail "class_of" (Printf.sprintf "item %d has negative class id %d" i c))
+      if c < 0 then fail "class_of" (Printf.sprintf "item %d has negative class id %d" i c);
+      if c >= num_items then
+        fail "class_of"
+          (Printf.sprintf "item %d: class id %d is not below num_items %d" i c num_items))
     class_of;
   Array.iteri
     (fun i c ->
@@ -119,6 +113,147 @@ let check_slot_mult ~display_limit mult =
 let check_max_total cap =
   if cap < 0 then fail "max_total" "quantity budget must be non-negative"
 
+let class_table class_of =
+  let num_classes = Array.fold_left (fun m c -> max m (c + 1)) 0 class_of in
+  let class_sizes = Array.make num_classes 0 in
+  Array.iter (fun c -> class_sizes.(c) <- class_sizes.(c) + 1) class_of;
+  (num_classes, class_sizes)
+
+(* binary search for item [i] inside user [u]'s item-ascending row *)
+let row_find (item : int_ba) row_off ~u ~i =
+  let res = ref (-1) in
+  let lo = ref row_off.(u) and hi = ref (row_off.(u + 1) - 1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let x = item.{mid} in
+    if x = i then begin
+      res := mid;
+      lo := !hi + 1
+    end
+    else if x < i then lo := mid + 1
+    else hi := mid - 1
+  done;
+  !res
+
+(* ----- building the CSR arrays from an adoption list ----- *)
+
+let check_adoption ~num_users ~num_items ~horizon (u, i, qs) =
+  if u < 0 || u >= num_users || i < 0 || i >= num_items then
+    fail "adoption" (Printf.sprintf "pair (%d, %d) out of range" u i);
+  if Array.length qs <> horizon then
+    fail "adoption"
+      (Printf.sprintf "pair (%d, %d): vector length %d differs from horizon %d" u i
+         (Array.length qs) horizon);
+  (* a [for] loop, not [Array.iter]: its closure would box every float *)
+  for d = 0 to horizon - 1 do
+    let p = qs.(d) in
+    if p < 0.0 || p > 1.0 || Float.is_nan p then
+      fail "adoption" (Printf.sprintf "pair (%d, %d): probability %g outside [0,1]" u i p)
+  done
+
+(* The error path: raise the first faulty element of [adoption] in list
+   order — out of range, of the wrong length, with a probability outside
+   [0,1], or repeating an earlier element's pair. Only this path keeps a
+   table of the pairs seen. *)
+let first_fault ~num_users ~num_items ~horizon adoption =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun ((u, i, _) as e) ->
+      check_adoption ~num_users ~num_items ~horizon e;
+      if Hashtbl.mem seen (u, i) then
+        fail "adoption" (Printf.sprintf "duplicate (user, item) pair (%d, %d)" u i);
+      Hashtbl.replace seen (u, i) ())
+    adoption;
+  invalid_arg "Instance.first_fault: no faulty element"
+
+(* an in-place heapsort of row [lo, lo + n) of [item], so a row of any
+   length sorts in O(n log n) without allocating *)
+let rec sift_down (item : int_ba) lo root len =
+  let c = (2 * root) + 1 in
+  if c < len then begin
+    let c = if c + 1 < len && item.{lo + c} < item.{lo + c + 1} then c + 1 else c in
+    if item.{lo + root} < item.{lo + c} then begin
+      let x = item.{lo + root} in
+      item.{lo + root} <- item.{lo + c};
+      item.{lo + c} <- x;
+      sift_down item lo c len
+    end
+  end
+
+let sort_row item lo n =
+  for root = (n / 2) - 1 downto 0 do
+    sift_down item lo root n
+  done;
+  for last = n - 1 downto 1 do
+    let x = item.{lo} in
+    item.{lo} <- item.{lo + last};
+    item.{lo + last} <- x;
+    sift_down item lo 0 last
+  done
+
+(* Counts pairs per user, lays each row's items out in list order and
+   sorts them in place, then writes every entry's q block at its pair id —
+   no per-pair vector, copy or table on the OCaml heap. Returns the row
+   offsets, the pair items and q, and the candidate triple count. *)
+let build_rows ~num_users ~num_items ~horizon adoption =
+  let row_off = Array.make (num_users + 1) 0 in
+  (try
+     List.iter
+       (fun ((u, _, _) as e) ->
+         check_adoption ~num_users ~num_items ~horizon e;
+         row_off.(u + 1) <- row_off.(u + 1) + 1)
+       adoption
+   with Bad_field _ -> first_fault ~num_users ~num_items ~horizon adoption);
+  for u = 0 to num_users - 1 do
+    row_off.(u + 1) <- row_off.(u + 1) + row_off.(u)
+  done;
+  let num_pairs = row_off.(num_users) in
+  let item = int_ba num_pairs and q = float_ba (num_pairs * horizon) in
+  let next = Array.sub row_off 0 num_users in
+  List.iter
+    (fun (u, i, _) ->
+      item.{next.(u)} <- i;
+      next.(u) <- next.(u) + 1)
+    adoption;
+  for u = 0 to num_users - 1 do
+    let lo = row_off.(u) in
+    sort_row item lo (row_off.(u + 1) - lo);
+    for pid = lo + 1 to row_off.(u + 1) - 1 do
+      if item.{pid - 1} = item.{pid} then first_fault ~num_users ~num_items ~horizon adoption
+    done
+  done;
+  let triples = ref 0 in
+  List.iter
+    (fun (u, i, qs) ->
+      let pid = row_find item row_off ~u ~i in
+      for d = 0 to horizon - 1 do
+        let p = qs.(d) in
+        q.{(pid * horizon) + d} <- p;
+        if p > 0.0 then incr triples
+      done)
+    adoption;
+  (row_off, item, q, !triples)
+
+(* ratings live per candidate pair: NaN marks an absent one, so neither a
+   NaN rating nor one on a non-candidate pair is representable; a later
+   rating of the same pair replaces an earlier one *)
+let build_ratings ~num_users ~num_items row_off item ratings =
+  if ratings = [] then float_ba 0
+  else begin
+    let rating = float_ba (Bigarray.Array1.dim item) in
+    Bigarray.Array1.fill rating Float.nan;
+    List.iter
+      (fun (u, i, r) ->
+        if u < 0 || u >= num_users || i < 0 || i >= num_items then
+          fail "ratings" (Printf.sprintf "pair (%d, %d) out of range" u i);
+        let pid = row_find item row_off ~u ~i in
+        if pid < 0 then fail "ratings" (Printf.sprintf "pair (%d, %d) is not a candidate" u i);
+        if Float.is_nan r then fail "ratings" (Printf.sprintf "pair (%d, %d): rating is NaN" u i);
+        rating.{pid} <- r)
+      ratings;
+    rating
+  end
+
 let create_checked ~num_users ~num_items ~horizon ~display_limit ~class_of ~capacity ~saturation
     ~price ?(ratings = []) ?slot_mult ?max_total ~adoption () =
   try
@@ -141,64 +276,9 @@ let create_checked ~num_users ~num_items ~horizon ~display_limit ~class_of ~capa
           check_max_total cap;
           cap
     in
-    let num_classes = Array.fold_left (fun m c -> max m (c + 1)) 0 class_of in
-    let class_sizes = Array.make num_classes 0 in
-    Array.iter (fun c -> class_sizes.(c) <- class_sizes.(c) + 1) class_of;
-    let q_index = Hashtbl.create (max 16 (List.length adoption)) in
-    let buckets = Array.make num_users [] in
-    let triples = ref 0 in
-    List.iter
-      (fun (u, i, qs) ->
-        if u < 0 || u >= num_users || i < 0 || i >= num_items then
-          fail "adoption" (Printf.sprintf "pair (%d, %d) out of range" u i);
-        if Array.length qs <> horizon then
-          fail "adoption"
-            (Printf.sprintf "pair (%d, %d): vector length %d differs from horizon %d" u i
-               (Array.length qs) horizon);
-        Array.iter
-          (fun p ->
-            if p < 0.0 || p > 1.0 || Float.is_nan p then
-              fail "adoption" (Printf.sprintf "pair (%d, %d): probability %g outside [0,1]" u i p))
-          qs;
-        let key = (u * num_items) + i in
-        if Hashtbl.mem q_index key then
-          fail "adoption" (Printf.sprintf "duplicate (user, item) pair (%d, %d)" u i);
-        let qs = Array.copy qs in
-        Hashtbl.replace q_index key qs;
-        buckets.(u) <- (i, qs) :: buckets.(u);
-        Array.iter (fun p -> if p > 0.0 then incr triples) qs)
-      adoption;
-    let rows =
-      Array.map
-        (fun l ->
-          let a = Array.of_list l in
-          Array.sort (fun (i1, _) (i2, _) -> compare i1 i2) a;
-          a)
-        buckets
-    in
-    let num_pairs = Array.fold_left (fun acc r -> acc + Array.length r) 0 rows in
-    let row_off = Array.make (num_users + 1) 0 in
-    let items = Array.make num_pairs 0 in
-    let qs_arr = Array.make num_pairs [||] in
-    let off = ref 0 in
-    Array.iteri
-      (fun u row ->
-        row_off.(u) <- !off;
-        Array.iter
-          (fun (i, qv) ->
-            items.(!off) <- i;
-            qs_arr.(!off) <- qv;
-            incr off)
-          row)
-      rows;
-    row_off.(num_users) <- !off;
-    let rating_tbl = Hashtbl.create (max 16 (List.length ratings)) in
-    List.iter
-      (fun (u, i, r) ->
-        if u < 0 || u >= num_users || i < 0 || i >= num_items then
-          fail "ratings" (Printf.sprintf "pair (%d, %d) out of range" u i);
-        Hashtbl.replace rating_tbl ((u * num_items) + i) r)
-      ratings;
+    let num_classes, class_sizes = class_table class_of in
+    let row_off, item, q, triples = build_rows ~num_users ~num_items ~horizon adoption in
+    let rating = build_ratings ~num_users ~num_items row_off item ratings in
     Ok
       {
         num_users;
@@ -212,8 +292,10 @@ let create_checked ~num_users ~num_items ~horizon ~display_limit ~class_of ~capa
         saturation = Array.copy saturation;
         price = Array.map Array.copy price;
         row_off;
-        backend = Heap_b { items; qs = qs_arr; q_index; ratings = rating_tbl };
-        num_candidate_triples = !triples;
+        item;
+        q;
+        rating;
+        num_candidate_triples = triples;
         u_lo = 0;
         u_hi = num_users;
         slot_mult;
@@ -252,8 +334,6 @@ let price_into t ~i ~time cells k =
   check_time t time;
   cells.(k) <- t.price.(i).(time - 1)
 
-let is_packed t = match t.backend with Heap_b _ -> false | Packed_b _ -> true
-
 (* ----- pair-indexed access (the out-of-core hot path) ----- *)
 
 let pair_count t = t.row_off.(t.num_users)
@@ -262,47 +342,13 @@ let pair_range ?users t =
   let lo, hi = match users with Some r -> r | None -> (t.u_lo, t.u_hi) in
   (t.row_off.(lo), t.row_off.(hi))
 
-let pair_item t pid =
-  match t.backend with Heap_b h -> h.items.(pid) | Packed_b p -> p.item.{pid}
+let pair_item t pid = t.item.{pid}
 
-let pair_q t ~pid ~time =
-  match t.backend with
-  | Heap_b h -> h.qs.(pid).(time - 1)
-  | Packed_b p -> p.q.{(pid * t.horizon) + time - 1}
+let pair_q t ~pid ~time = t.q.{(pid * t.horizon) + time - 1}
 
-let pair_q_into t ~pid ~time cells k =
-  match t.backend with
-  | Heap_b h -> cells.(k) <- h.qs.(pid).(time - 1)
-  | Packed_b p -> cells.(k) <- p.q.{(pid * t.horizon) + time - 1}
+let pair_q_into t ~pid ~time cells k = cells.(k) <- t.q.{(pid * t.horizon) + time - 1}
 
-(* binary search for item [i] inside user [u]'s item-ascending row *)
-let pair_find t ~u ~i =
-  let res = ref (-1) in
-  let lo = ref t.row_off.(u) and hi = ref (t.row_off.(u + 1) - 1) in
-  (match t.backend with
-  | Heap_b h ->
-      while !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        let x = h.items.(mid) in
-        if x = i then begin
-          res := mid;
-          lo := !hi + 1
-        end
-        else if x < i then lo := mid + 1
-        else hi := mid - 1
-      done
-  | Packed_b p ->
-      while !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        let x = p.item.{mid} in
-        if x = i then begin
-          res := mid;
-          lo := !hi + 1
-        end
-        else if x < i then lo := mid + 1
-        else hi := mid - 1
-      done);
-  !res
+let pair_find t ~u ~i = row_find t.item t.row_off ~u ~i
 
 (* largest u with row_off.(u) <= pid; pids are dense so this is total *)
 let pair_user t pid =
@@ -329,36 +375,23 @@ let iter_candidate_pairs ?users t f =
 
 let q t ~u ~i ~time =
   check_time t time;
-  match t.backend with
-  | Heap_b h -> (
-      (* exception form instead of [find_opt]: no [Some] allocation on a hot
-         oracle lookup *)
-      match Hashtbl.find h.q_index ((u * t.num_items) + i) with
-      | qs -> qs.(time - 1)
-      | exception Not_found -> 0.0)
-  | Packed_b p ->
-      let pid = pair_find t ~u ~i in
-      if pid < 0 then 0.0 else p.q.{(pid * t.horizon) + time - 1}
+  let pid = pair_find t ~u ~i in
+  if pid < 0 then 0.0 else t.q.{(pid * t.horizon) + time - 1}
 
-let is_candidate t ~u ~i =
-  match t.backend with
-  | Heap_b h -> Hashtbl.mem h.q_index ((u * t.num_items) + i)
-  | Packed_b _ -> pair_find t ~u ~i >= 0
+let is_candidate t ~u ~i = pair_find t ~u ~i >= 0
 
 let candidates t u =
   let off = t.row_off.(u) in
-  let n = t.row_off.(u + 1) - off in
-  match t.backend with
-  | Heap_b h -> Array.init n (fun k -> (h.items.(off + k), h.qs.(off + k)))
-  | Packed_b p ->
-      Array.init n (fun k ->
-          let pid = off + k in
-          (p.item.{pid}, Array.init t.horizon (fun d -> p.q.{(pid * t.horizon) + d})))
+  Array.init
+    (t.row_off.(u + 1) - off)
+    (fun k ->
+      let pid = off + k in
+      (t.item.{pid}, Array.init t.horizon (fun d -> t.q.{(pid * t.horizon) + d})))
 
 let candidate_items_in_class t ~u ~cls =
   let acc = ref [] in
   for pid = t.row_off.(u + 1) - 1 downto t.row_off.(u) do
-    let i = pair_item t pid in
+    let i = t.item.{pid} in
     if t.class_of.(i) = cls then acc := i :: !acc
   done;
   !acc
@@ -368,7 +401,7 @@ let num_candidate_triples t = t.num_candidate_triples
 let iter_candidate_triples t f =
   for u = t.u_lo to t.u_hi - 1 do
     for pid = t.row_off.(u) to t.row_off.(u + 1) - 1 do
-      let i = pair_item t pid in
+      let i = t.item.{pid} in
       for time = 1 to t.horizon do
         let p = pair_q t ~pid ~time in
         if p > 0.0 then f (Triple.make ~u ~i ~t:time) p
@@ -377,16 +410,13 @@ let iter_candidate_triples t f =
   done
 
 let rating t ~u ~i =
-  match t.backend with
-  | Heap_b h -> Hashtbl.find_opt h.ratings ((u * t.num_items) + i)
-  | Packed_b p ->
-      if Bigarray.Array1.dim p.rating = 0 then None
-      else
-        let pid = pair_find t ~u ~i in
-        if pid < 0 then None
-        else
-          let r = p.rating.{pid} in
-          if Float.is_nan r then None else Some r
+  if Bigarray.Array1.dim t.rating = 0 then None
+  else
+    let pid = pair_find t ~u ~i in
+    if pid < 0 then None
+    else
+      let r = t.rating.{pid} in
+      if Float.is_nan r then None else Some r
 
 (* ----- constraint variants: slates and quantity budgets ----- *)
 
@@ -716,24 +746,28 @@ module Pack = struct
     w.w_next_user <- u + 1;
     w.w_row_off.(u + 1) <- w.w_pairs
 
+  (* the slate section, then the deferred header slots; closes the file *)
+  let close_with_counts w ~pairs ~triples ~has_ratings =
+    w.w_closed <- true;
+    Array.iter (put_f64 w) w.w_slot_mult;
+    seek_out w.oc (8 * s_num_pairs);
+    put_i64 w pairs;
+    put_i64 w triples;
+    put_i64 w (if has_ratings then 1 else 0);
+    close_out w.oc
+
   let finish w =
     if w.w_closed then invalid_arg "Instance.Pack.finish: writer is closed";
     if w.w_next_user <> w.w_num_users then
       invalid_arg
         (Printf.sprintf "Instance.Pack.finish: %d of %d users added" w.w_next_user w.w_num_users);
-    w.w_closed <- true;
     Buffer.output_buffer w.oc w.w_items;
     Array.iter (put_i64 w) w.w_row_off;
     if w.w_has_ratings then Buffer.output_buffer w.oc w.w_ratings;
-    Array.iter (put_f64 w) w.w_slot_mult;
-    (* patch the deferred header slots *)
-    seek_out w.oc (8 * s_num_pairs);
-    put_i64 w w.w_pairs;
-    put_i64 w w.w_triples;
-    put_i64 w (if w.w_has_ratings then 1 else 0);
-    close_out w.oc
+    close_with_counts w ~pairs:w.w_pairs ~triples:w.w_triples ~has_ratings:w.w_has_ratings
 end
 
+(* the arrays are the pack's sections, so they are written as they are *)
 let pack_to_file t path =
   if t.u_lo <> 0 || t.u_hi <> t.num_users then
     invalid_arg "Instance.pack_to_file: cannot pack a shard view";
@@ -743,12 +777,20 @@ let pack_to_file t path =
       ~saturation:t.saturation ~price:t.price ?slot_mult:(slot_multipliers t)
       ?max_total:(max_total t) ()
   in
-  for u = 0 to t.num_users - 1 do
-    let row = candidates t u in
-    let ratings = Array.map (fun (i, _) -> rating t ~u ~i) row in
-    Pack.add_user w ~u ~ratings row
+  let pairs = pair_count t in
+  for k = 0 to (pairs * t.horizon) - 1 do
+    Pack.put_f64 w t.q.{k}
   done;
-  Pack.finish w
+  for pid = 0 to pairs - 1 do
+    Pack.put_i64 w t.item.{pid}
+  done;
+  Array.iter (Pack.put_i64 w) t.row_off;
+  let has_ratings = Bigarray.Array1.dim t.rating > 0 in
+  if has_ratings then
+    for pid = 0 to pairs - 1 do
+      Pack.put_f64 w t.rating.{pid}
+    done;
+  Pack.close_with_counts w ~pairs ~triples:t.num_candidate_triples ~has_ratings
 
 let of_mmap_checked path =
   try
@@ -781,25 +823,37 @@ let of_mmap_checked path =
     if num_users < 0 || num_items < 0 || num_pairs < 0 || horizon < 1 || display_limit < 1 then
       fail "header" "dimensions out of range";
     if max_total_plus1 < 0 then fail "max_total" "quantity budget out of range";
-    let expected_size =
-      Pack.header_bytes
-      + (8 * num_items * (3 + horizon))
-      + (8 * num_pairs * (horizon + 1))
-      + (8 * (num_users + 1))
-      + (if has_ratings then 8 * num_pairs else 0)
-      + if has_slate then 8 * display_limit else 0
+    (* every section is whole words, so each count is held to the file's
+       word count before a product is formed: [expected_words] is a sum of
+       six terms of at most [words] each and cannot overflow *)
+    let words = file_size / 8 in
+    let fits n ~per = n = 0 || (per > 0 && n <= words / per) in
+    if
+      not
+        (fits num_items ~per:(3 + horizon)
+        && fits num_pairs ~per:(horizon + 1)
+        && num_users < words
+        && ((not has_slate) || display_limit <= words))
+    then fail "size" (Printf.sprintf "header counts exceed the file's %d bytes" file_size);
+    let expected_words =
+      Pack.header_words
+      + (num_items * (3 + horizon))
+      + (num_pairs * (horizon + 1))
+      + (num_users + 1)
+      + (if has_ratings then num_pairs else 0)
+      + if has_slate then display_limit else 0
     in
-    if file_size <> expected_size then
+    if file_size mod 8 <> 0 || words <> expected_words then
       fail "size"
-        (Printf.sprintf "file is %d bytes, header implies %d" file_size expected_size);
+        (Printf.sprintf "file is %d bytes, header implies %d" file_size (8 * expected_words));
     let map_i64 pos dim : int_ba =
-      if dim = 0 then Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
+      if dim = 0 then int_ba 0
       else
         Bigarray.array1_of_genarray
           (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.int Bigarray.c_layout false [| dim |])
     in
     let map_f64 pos dim : float_ba =
-      if dim = 0 then Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
+      if dim = 0 then float_ba 0
       else
         Bigarray.array1_of_genarray
           (Unix.map_file fd ~pos:(Int64.of_int pos) Bigarray.float64 Bigarray.c_layout false
@@ -843,8 +897,7 @@ let of_mmap_checked path =
     let item = map_i64 off_item num_pairs in
     let q = map_f64 off_q (num_pairs * horizon) in
     let rating =
-      if has_ratings then map_f64 off_rating num_pairs
-      else Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0
+      if has_ratings then map_f64 off_rating num_pairs else float_ba 0
     in
     let slot_mult =
       if not has_slate then [||]
@@ -877,9 +930,7 @@ let of_mmap_checked path =
     if !triples <> num_triples then
       fail "num_candidate_triples"
         (Printf.sprintf "header claims %d candidate triples, data holds %d" num_triples !triples);
-    let num_classes = Array.fold_left (fun m c -> max m (c + 1)) 0 class_of in
-    let class_sizes = Array.make num_classes 0 in
-    Array.iter (fun c -> class_sizes.(c) <- class_sizes.(c) + 1) class_of;
+    let num_classes, class_sizes = class_table class_of in
     Ok
       {
         num_users;
@@ -893,7 +944,9 @@ let of_mmap_checked path =
         saturation;
         price;
         row_off;
-        backend = Packed_b { item; q; rating };
+        item;
+        q;
+        rating;
         num_candidate_triples = num_triples;
         u_lo = 0;
         u_hi = num_users;

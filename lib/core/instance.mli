@@ -10,7 +10,17 @@
     candidate pair is carried for the TopRA baseline.
 
     Time steps are 1-based ([1..horizon]) throughout the public API, matching
-    the paper's [\[T\] = {1, …, T}]. *)
+    the paper's [\[T\] = {1, …, T}].
+
+    {b One representation.} Every instance holds its candidate pairs in the
+    pack file's CSR layout (see {!Pack}): row offsets per user, and per
+    pair one item id, [T] probabilities at [pid·T + t − 1] and, when
+    ratings are attached, one rating (NaN = none), in three flat Bigarrays.
+    {!create} fills them off the OCaml heap; {!of_mmap} maps them from a
+    pack. The payload is [8·(T+1)] bytes per candidate pair, plus 8 with
+    ratings; the OCaml heap holds only O(users + items) words (row offsets,
+    item facts, prices). Both constructors therefore build the same thing,
+    and every accessor reads it the same way. *)
 
 type t
 
@@ -36,9 +46,16 @@ val create :
       non-negative.
     - [price.(i)] has length [horizon] and holds [p(i, 1) … p(i, T)]; prices
       must be finite and non-negative.
+    - [class_of.(i)] is below [num_items] (so there are at most as many
+      classes as items).
     - [adoption] lists candidate pairs as [(u, i, qs)] with [qs] of length
       [horizon], [qs.(t-1) = q(u,i,t) ∈ [0,1]]; at most one entry per (u,i).
-    - [ratings] optionally attaches predicted ratings to (u,i) pairs.
+      The list may come in any order; rows are stored item-ascending. On
+      several faults, the error names the first faulty entry in list order.
+    - [ratings] optionally attaches predicted ratings to candidate pairs:
+      a rating on a pair [adoption] does not list, or a NaN rating, is
+      rejected (field [ratings]); a later rating of a pair replaces an
+      earlier one.
     - [slot_mult] turns each (user, time) display into an ordered ad
       {e slate}: length [display_limit], non-increasing, each in [[0,1]];
       a recommendation in slot [s] has its [q(u,i,t)] scaled by
@@ -146,13 +163,16 @@ val without_quantity_budget : t -> t
 (** {1 Adoption probabilities} *)
 
 val q : t -> u:int -> i:int -> time:int -> float
-(** Primitive adoption probability [q(u,i,t)]; 0 for non-candidate pairs. *)
+(** Primitive adoption probability [q(u,i,t)]; 0 for non-candidate pairs.
+    An O(log row) search of the user's row ({!pair_find}); hot loops read
+    {!pair_q} by pair id instead. *)
 
 val is_candidate : t -> u:int -> i:int -> bool
 
 val candidates : t -> int -> (int * float array) array
-(** [candidates t u]: the user's candidate items with their per-time
-    probability vectors (index [t-1] is time [t]). Do not mutate. *)
+(** [candidates t u]: the user's candidate items, ascending, with their
+    per-time probability vectors (index [t-1] is time [t]). The arrays are
+    fresh copies: writing to them does not change the instance. *)
 
 val candidate_items_in_class : t -> u:int -> cls:int -> int list
 (** Candidate items of user [u] belonging to class [cls]. *)
@@ -164,7 +184,7 @@ val iter_candidate_triples : t -> (Triple.t -> float -> unit) -> unit
 (** Visit every positive-probability triple with its probability. *)
 
 val rating : t -> u:int -> i:int -> float option
-(** Predicted rating [r̂_ui] if attached. *)
+(** Predicted rating [r̂_ui] if attached (only candidate pairs carry one). *)
 
 (** {1 Pair-indexed access}
 
@@ -173,9 +193,8 @@ val rating : t -> u:int -> i:int -> float option
     offsets, item-ascending within the row. Pair ids are global (stable
     across {!shard} views) and strictly increasing in (user, item)
     lexicographic order, which makes them usable as deterministic heap
-    tie-breakers. The pair-indexed accessors below are the out-of-core
-    hot path: they read flat storage directly — no hashtable, and for a
-    memory-mapped instance no OCaml-heap data at all. *)
+    tie-breakers. The pair-indexed accessors below are the hot path: they
+    read the flat Bigarrays directly, with no OCaml-heap data at all. *)
 
 val pair_count : t -> int
 (** Total number of candidate pairs of the full instance. *)
@@ -215,19 +234,16 @@ val iter_candidate_pairs : ?users:int * int -> t -> (u:int -> pid:int -> unit) -
     [lo .. hi - 1] when [users = (lo, hi)], a sub-range of
     {!user_range}, whose pairs are exactly [pair_range ~users]. *)
 
-val is_packed : t -> bool
-(** Whether the instance is backed by a memory-mapped pack file. *)
-
 (** {1 Out-of-core packs}
 
     A {e pack} is an on-disk instance representation (little-endian,
     64-bit words) whose pair-level payload — adoption vectors, pair item
-    ids, optional ratings — is memory-mapped by {!of_mmap} instead of
-    loaded: only the O(num_items) item facts and O(num_users) row offsets
-    enter the OCaml heap, so a 10^6-user × 10^4-item instance plans
-    without materializing gigabytes of boxed candidates. The mapped path
-    yields bit-identical values to the heap path: the same IEEE doubles
-    are stored and read back verbatim. *)
+    ids, optional ratings — is the in-memory layout itself, so {!of_mmap}
+    maps it instead of loading it: only the O(num_items) item facts and
+    O(num_users) row offsets enter the OCaml heap, and a 10^6-user ×
+    10^4-item instance plans without materializing gigabytes of
+    candidates. A mapped instance and one built by {!create} hold the same
+    IEEE doubles in the same places, so they plan bit-identically. *)
 
 module Pack : sig
   type writer
@@ -269,10 +285,9 @@ module Pack : sig
 end
 
 val pack_to_file : t -> string -> unit
-(** Serialize a (full, heap- or pack-backed) instance to a pack file.
-    Raises [Invalid_argument] on a shard view. Ratings are carried per
-    candidate pair; a rating attached to a non-candidate pair is not
-    representable in the pack and is dropped. *)
+(** Serialize a full instance (built or mapped) to a pack file by writing
+    its arrays as the pack's sections. Raises [Invalid_argument] on a
+    shard view. *)
 
 val of_mmap : string -> t
 (** Open a pack file as a memory-mapped instance. Validates the header,
@@ -283,7 +298,9 @@ val of_mmap : string -> t
 
 val of_mmap_checked : string -> (t, Revmax_prelude.Err.t) result
 (** Like {!of_mmap} but never raises: violations yield
-    [Error (Invalid_instance {field; msg})]. *)
+    [Error (Invalid_instance {field; msg})]. Each header count is held to
+    the file's size before it multiplies or sizes anything, so a corrupt
+    header cannot overflow the size check or allocate beyond the file. *)
 
 (** {1 Derived views} *)
 

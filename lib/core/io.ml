@@ -79,6 +79,8 @@ let float_field st s =
 
 let default_file = "<channel>"
 
+let max_users = 1 lsl 24
+
 let read_instance_exn ?(file = default_file) ic =
   let st = { file; line_no = 0; line = ""; ic } in
   (match next_fields st with
@@ -92,11 +94,12 @@ let read_instance_exn ?(file = default_file) ic =
   in
   if num_users < 0 || num_items < 0 || horizon < 1 || display_limit < 1 then
     fail st "bad dimensions";
-  let class_of = Array.make num_items 0 in
-  let capacity = Array.make num_items 0 in
-  let saturation = Array.make num_items 0.0 in
-  let price = Array.init num_items (fun _ -> Array.make horizon 0.0) in
-  let seen_item = Array.make num_items false in
+  (* the user count sizes the instance's row offsets but needs no record,
+     so it is capped; every item needs a record and a price row needs its
+     prices on the line, so item tables are sized from what was read *)
+  if num_users > max_users then
+    fail st (Printf.sprintf "%d users exceed the text format's cap of %d" num_users max_users);
+  let items = Hashtbl.create 16 in
   let ratings = ref [] and adoption = ref [] in
   let finished = ref false in
   while not !finished do
@@ -106,13 +109,12 @@ let read_instance_exn ?(file = default_file) ic =
     | Some ("item" :: idx :: cls :: cap :: sat :: prices) ->
         let i = int_field st idx in
         if i < 0 || i >= num_items then fail ~col:(column_of st idx) st "item id out of range";
-        if seen_item.(i) then fail st "duplicate item record";
-        seen_item.(i) <- true;
-        class_of.(i) <- int_field st cls;
-        capacity.(i) <- int_field st cap;
-        saturation.(i) <- float_field st sat;
+        if Hashtbl.mem items i then fail st "duplicate item record";
+        let cls = int_field st cls in
+        let cap = int_field st cap in
+        let sat = float_field st sat in
         if List.length prices <> horizon then fail st "wrong number of prices";
-        List.iteri (fun t p -> price.(i).(t) <- float_field st p) prices
+        Hashtbl.replace items i (cls, cap, sat, Array.of_list (List.map (float_field st) prices))
     | Some [ "rating"; u; i; r ] ->
         ratings := (int_field st u, int_field st i, float_field st r) :: !ratings
     | Some ("q" :: u :: i :: qs) ->
@@ -122,10 +124,23 @@ let read_instance_exn ?(file = default_file) ic =
     | Some (tag :: _) -> fail ~col:(column_of st tag) st ("unknown record " ^ tag)
     | Some [] -> ()
   done;
-  Array.iteri (fun i seen -> if not seen then fail st (Printf.sprintf "item %d missing" i)) seen_item;
+  (* with fewer records than items, the first missing id is at most the
+     record count *)
+  if Hashtbl.length items < num_items then begin
+    let i = ref 0 in
+    while Hashtbl.mem items !i do
+      incr i
+    done;
+    fail st (Printf.sprintf "item %d missing" !i)
+  end;
+  let field f = Array.init num_items (fun i -> f (Hashtbl.find items i)) in
   match
-    Instance.create_checked ~num_users ~num_items ~horizon ~display_limit ~class_of ~capacity
-      ~saturation ~price ~ratings:!ratings ~adoption:!adoption ()
+    Instance.create_checked ~num_users ~num_items ~horizon ~display_limit
+      ~class_of:(field (fun (c, _, _, _) -> c))
+      ~capacity:(field (fun (_, c, _, _) -> c))
+      ~saturation:(field (fun (_, _, b, _) -> b))
+      ~price:(field (fun (_, _, _, p) -> p))
+      ~ratings:!ratings ~adoption:!adoption ()
   with
   | Ok inst -> inst
   | Error e -> Err.raise_ e

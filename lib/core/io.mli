@@ -18,11 +18,20 @@
     Strategies (`revmax-strategy 1`) are lists of `triple <u> <i> <t>` lines.
     Floats are printed with ["%.17g"] so round-trips are exact.
 
+    The reader allocates in proportion to what it reads: item tables are
+    sized from the [item] records, not from [dims], and a [dims] line
+    declaring more than {!max_users} users is a [Parse_error] (users need
+    no record, yet each costs the instance two row-offset words; instances
+    beyond the cap travel as packs, {!Instance.of_mmap}).
+
     Malformed input is reported as a structured
     {!Revmax_prelude.Err.Parse_error} carrying the file path, 1-based line
     number, and — for token-level problems such as a bad integer or float —
     the 1-based column of the offending token. The [_result] variants return
     it; the plain variants raise [Failure] with the rendered message. *)
+
+val max_users : int
+(** The text format's cap on the declared user count: [2^24]. *)
 
 val write_instance : out_channel -> Instance.t -> unit
 

@@ -57,17 +57,12 @@ let greedy_in_order ?(with_saturation = true) ?(allowed = fun _ -> true) ?base ?
     let h = Bh.create () in
     (* Algorithm 2 line 7: populate with marginal revenue given the current
        global S (which holds the recommendations of earlier rounds) *)
-    Array.iteri
-      (fun u row ->
-        Array.iter
-          (fun (i, qs) ->
-            if qs.(tm - 1) > 0.0 then begin
-              let z = Triple.make ~u ~i ~t:tm in
-              if allowed z && not (Strategy.mem s z) then
-                Bh.insert h ~key:(marginal z) { z; flag = chain_size_of z }
-            end)
-          row)
-      (Array.init (Instance.num_users inst) (Instance.candidates inst));
+    Instance.iter_candidate_pairs ~users:(0, Instance.num_users inst) inst (fun ~u ~pid ->
+        if Instance.pair_q inst ~pid ~time:tm > 0.0 then begin
+          let z = Triple.make ~u ~i:(Instance.pair_item inst pid) ~t:tm in
+          if allowed z && not (Strategy.mem s z) then
+            Bh.insert h ~key:(marginal z) { z; flag = chain_size_of z }
+        end);
     let rec consume () =
       if not (out_of_budget ()) then
         match Bh.delete_max h with

@@ -54,6 +54,9 @@ let with_quantity_fraction c frac =
 type drawn = {
   class_of : int array;
   price : float array array;
+  by_price : int array array;
+      (* per item, time indices from most expensive to cheapest; depends on
+         the item only, so it is sorted once here, not per (user, item) *)
   level : float array;
   capacity : int array;
   saturation : float array;
@@ -92,8 +95,16 @@ let draw_items c ~seed =
         | Pipeline.Beta_uniform -> Rng.unit_float beta_rng
         | Pipeline.Beta_fixed b -> b)
   in
+  let by_price =
+    Array.map
+      (fun row ->
+        let order = Util.with_index row in
+        Array.sort (fun (_, p1) (_, p2) -> compare p2 p1) order;
+        Array.map fst order)
+      price
+  in
   let adopt_rng = Rng.split rng in
-  { class_of; price; level; capacity; saturation; adopt_rng }
+  { class_of; price; by_price; level; capacity; saturation; adopt_rng }
 
 (* one user's candidate row, in the sample's draw order (the caller sorts
    if it needs item-ascending rows) *)
@@ -111,11 +122,8 @@ let user_row c d =
       in
       Array.sort compare probs;
       (* probs ascending *)
-      let order = Util.with_index d.price.(i) in
-      Array.sort (fun (_, p1) (_, p2) -> compare p2 p1) order;
-      (* order: time indices from most expensive to cheapest *)
       let qs = Array.make c.horizon 0.0 in
-      Array.iteri (fun pos (tidx, _) -> qs.(tidx) <- probs.(pos)) order;
+      Array.iteri (fun pos tidx -> qs.(tidx) <- probs.(pos)) d.by_price.(i);
       (i, qs))
     items
 

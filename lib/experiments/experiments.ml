@@ -853,6 +853,34 @@ let bench_scale (cfg : Config.t) =
   in
   Log.out "memory: greedy set-up allocates %.1f words per candidate pair\n"
     greedy_setup_words_per_pair;
+  (* what [Instance.create] allocates on the OCaml heap per candidate pair,
+     beyond its input: the mapped rows are listed as an adoption list and
+     rebuilt, and only the [create] is measured. Skipped (0) at full
+     scale, which never builds a heap instance. *)
+  let instance_create_words_per_pair =
+    if not heap_gate then 0.0
+    else begin
+      let adoption = ref [] in
+      for u = Instance.num_users inst - 1 downto 0 do
+        Array.iter (fun (i, qs) -> adoption := (u, i, qs) :: !adoption) (Instance.candidates inst u)
+      done;
+      let items = Instance.num_items inst and horizon = Instance.horizon inst in
+      let facts f = Array.init items (f inst) and adoption = !adoption in
+      let class_of = facts Instance.class_of and capacity = facts Instance.capacity in
+      let saturation = facts Instance.saturation
+      and price =
+        facts (fun inst i -> Array.init horizon (fun k -> Instance.price inst ~i ~time:(k + 1)))
+      in
+      let create () =
+        Instance.create ~num_users:(Instance.num_users inst) ~num_items:items ~horizon
+          ~display_limit:(Instance.display_limit inst) ~class_of ~capacity ~saturation ~price
+          ~adoption ()
+      in
+      snd (Util.allocated_words create) /. float_of_int (max 1 (Instance.pair_count inst))
+    end
+  in
+  Log.out "memory: Instance.create allocates %.2f words per candidate pair\n"
+    instance_create_words_per_pair;
   (* machine-readable cell, consumed by CI (artifact + gates) *)
   let out =
     Option.value (Sys.getenv_opt "REVMAX_BENCH_OUT") ~default:"BENCH_scale.json"
@@ -887,9 +915,9 @@ let bench_scale (cfg : Config.t) =
     all_runs;
   add "  ],\n";
   add
-    "  \"memory\": { \"peak_rss_kb\": %d, \"rss_ceiling_kb\": %d, \"ocaml_top_heap_words\": %d, \"strategy_words_per_selection\": %.2f, \"greedy_setup_words_per_pair\": %.2f }\n"
+    "  \"memory\": { \"peak_rss_kb\": %d, \"rss_ceiling_kb\": %d, \"ocaml_top_heap_words\": %d, \"strategy_words_per_selection\": %.2f, \"greedy_setup_words_per_pair\": %.2f, \"instance_create_words_per_pair\": %.2f }\n"
     rss_kb rss_ceiling_kb gc.Gc.top_heap_words strategy_words_per_selection
-    greedy_setup_words_per_pair;
+    greedy_setup_words_per_pair instance_create_words_per_pair;
   add "}\n";
   let oc = open_out out in
   Fun.protect

@@ -77,6 +77,52 @@ let test_instance_candidate_views () =
       check_float "q value" 0.4 q);
   Alcotest.(check int) "iterated all" 6 !count
 
+(* [candidates] copies out of the instance's arrays: writing into a
+   returned row leaves the instance as it was *)
+let test_candidates_are_fresh () =
+  let inst =
+    Instance.create ~num_users:1 ~num_items:1 ~horizon:2 ~display_limit:1 ~class_of:[| 0 |]
+      ~capacity:[| 1 |] ~saturation:[| 1.0 |] ~price:[| [| 1.0; 1.0 |] |]
+      ~adoption:[ (0, 0, [| 0.25; 0.5 |]) ]
+      ()
+  in
+  let _, qs = (Instance.candidates inst 0).(0) in
+  qs.(0) <- 0.9;
+  check_float "q(0,0,1) unchanged" 0.25 (Instance.q inst ~u:0 ~i:0 ~time:1);
+  let _, again = (Instance.candidates inst 0).(0) in
+  check_float "a second call reads the instance" 0.25 again.(0)
+
+(* A rating lives in its candidate pair's slot, NaN marking none: a rating
+   of a pair the adoption list does not name, or a NaN rating, is a typed
+   error, not a silently dropped or absent value. *)
+let test_ratings_need_candidate_pairs () =
+  let build ratings =
+    Instance.create_checked ~num_users:2 ~num_items:2 ~horizon:1 ~display_limit:1
+      ~class_of:[| 0; 1 |] ~capacity:[| 1; 1 |] ~saturation:[| 1.0; 1.0 |]
+      ~price:[| [| 1.0 |]; [| 2.0 |] |]
+      ~ratings
+      ~adoption:[ (0, 0, [| 0.5 |]); (1, 1, [| 0.5 |]) ]
+      ()
+  in
+  let rejected what ratings msg =
+    match build ratings with
+    | Error (Revmax_prelude.Err.Invalid_instance { field = "ratings"; msg = m }) ->
+        Alcotest.(check string) what msg m
+    | Error e -> Alcotest.failf "%s: wrong error %s" what (Revmax_prelude.Err.message e)
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+  in
+  rejected "non-candidate pair" [ (0, 0, 4.0); (0, 1, 3.0) ] "pair (0, 1) is not a candidate";
+  rejected "NaN rating" [ (1, 1, Float.nan) ] "pair (1, 1): rating is NaN";
+  rejected "out of range" [ (2, 0, 1.0) ] "pair (2, 0) out of range";
+  match build [ (1, 1, 2.0); (0, 0, 4.0); (1, 1, 3.0) ] with
+  | Ok inst ->
+      Alcotest.(check (option (float 0.0))) "rated pair" (Some 4.0) (Instance.rating inst ~u:0 ~i:0);
+      Alcotest.(check (option (float 0.0))) "the later rating wins" (Some 3.0)
+        (Instance.rating inst ~u:1 ~i:1);
+      Alcotest.(check (option (float 0.0))) "non-candidate pair" None
+        (Instance.rating inst ~u:0 ~i:1)
+  | Error e -> Alcotest.failf "candidate ratings rejected: %s" (Revmax_prelude.Err.message e)
+
 let test_saturation_disabled_view () =
   let inst = example4_instance () in
   let inst' = Instance.with_saturation_disabled inst in
@@ -896,6 +942,9 @@ let () =
           Alcotest.test_case "validation" `Quick test_instance_validation;
           Alcotest.test_case "candidate views" `Quick test_instance_candidate_views;
           Alcotest.test_case "saturation-disabled view" `Quick test_saturation_disabled_view;
+          Alcotest.test_case "candidates returns fresh arrays" `Quick test_candidates_are_fresh;
+          Alcotest.test_case "ratings need candidate pairs" `Quick
+            test_ratings_need_candidate_pairs;
         ] );
       ( "strategy",
         [

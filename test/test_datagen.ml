@@ -367,6 +367,29 @@ let test_scalability_variant_knobs_draw_invariant () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "fraction above 1 should be rejected"
 
+(* The generator's output, byte for byte: a change to how it computes the
+   rows it draws must leave the pack's digest where it was. *)
+let test_generate_pack_digest () =
+  let c =
+    Scalability.with_users
+      {
+        Scalability.default_config with
+        num_items = 60;
+        num_classes = 6;
+        items_per_user = 8;
+        horizon = 4;
+        display_limit = 3;
+      }
+      50
+  in
+  let path = Filename.temp_file "revmax-datagen" ".pack" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Scalability.generate_pack c ~seed:2014 ~path;
+      Alcotest.(check string) "pack digest" "ac596c8e17e3478f26873aec42c938f3"
+        (Digest.to_hex (Digest.file path)))
+
 let test_table1_row_shape () =
   let row = Scalability.table1_row small_scal_config ~seed:16 in
   Alcotest.(check int) "9 cells" 9 (List.length row);
@@ -422,6 +445,7 @@ let () =
           Alcotest.test_case "with_users rescale" `Quick test_scalability_with_users_rescales;
           Alcotest.test_case "variant knobs are draw-invariant and pack" `Quick
             test_scalability_variant_knobs_draw_invariant;
+          Alcotest.test_case "generate_pack bytes are pinned" `Quick test_generate_pack_digest;
           Alcotest.test_case "table1 row" `Quick test_table1_row_shape;
         ] );
     ]

@@ -235,6 +235,79 @@ let prop_corruptions_rejected =
          | Error e ->
              QCheck2.Test.fail_reportf "corruption %S: unexpected error: %s" name (Err.message e)))
 
+(* A copy of the adoption loop [Instance.create_checked] ran when it still
+   kept a (u·items + i) hashtable: the message of the first faulty entry
+   in list order, checking range, length, probabilities, then whether an
+   earlier entry named the same pair. *)
+let reference_adoption_fault s =
+  let seen = Hashtbl.create 16 in
+  let exception Found of string in
+  try
+    List.iter
+      (fun (u, i, qs) ->
+        if u < 0 || u >= s.num_users || i < 0 || i >= s.num_items then
+          raise (Found (Printf.sprintf "pair (%d, %d) out of range" u i));
+        if Array.length qs <> s.horizon then
+          raise
+            (Found
+               (Printf.sprintf "pair (%d, %d): vector length %d differs from horizon %d" u i
+                  (Array.length qs) s.horizon));
+        Array.iter
+          (fun p ->
+            if p < 0.0 || p > 1.0 || Float.is_nan p then
+              raise (Found (Printf.sprintf "pair (%d, %d): probability %g outside [0,1]" u i p)))
+          qs;
+        let key = (u * s.num_items) + i in
+        if Hashtbl.mem seen key then
+          raise (Found (Printf.sprintf "duplicate (user, item) pair (%d, %d)" u i));
+        Hashtbl.replace seen key ())
+      s.adoption;
+    None
+  with Found msg -> Some msg
+
+(* Shuffle the adoption list and insert up to four copies of its entries
+   at random places, each out of range, with a wrong-length vector, with a
+   probability outside [0,1], or unchanged (a duplicate pair), so faults
+   of several kinds compete for "first". *)
+let several_faults rng s =
+  let a = Array.of_list (List.map (fun (u, i, qs) -> (u, i, Array.copy qs)) s.adoption) in
+  Rng.shuffle rng a;
+  let l = ref (Array.to_list a) in
+  for _ = 1 to Rng.int rng 5 do
+    let n = List.length !l in
+    let pos = Rng.int rng (n + 1) in
+    let u, i, qs = List.nth !l (Rng.int rng n) in
+    let entry =
+      match Rng.int rng 5 with
+      | 0 -> ((if Rng.bernoulli rng 0.5 then s.num_users else -1), i, Array.copy qs)
+      | 1 -> (u, (if Rng.bernoulli rng 0.5 then s.num_items else -1), Array.copy qs)
+      | 2 -> (u, i, Array.make (s.horizon + 1) 0.5)
+      | 3 ->
+          let qs = Array.copy qs in
+          qs.(Rng.int rng s.horizon) <- [| 1.5; -0.5; Float.nan |].(Rng.int rng 3);
+          (u, i, qs)
+      | _ -> (u, i, Array.copy qs)
+    in
+    l := List.filteri (fun k _ -> k < pos) !l @ (entry :: List.filteri (fun k _ -> k >= pos) !l)
+  done;
+  { s with adoption = !l }
+
+let prop_first_fault_in_list_order =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"several faults: the first in list order, message for message"
+       ~count:300 (QCheck2.Gen.int_range 0 1_000_000) (fun seed ->
+         let rng = Rng.create seed in
+         let s = several_faults rng (random_spec rng) in
+         match (reference_adoption_fault s, build s) with
+         | None, Ok _ -> true
+         | Some expected, Error (Err.Invalid_instance { field = "adoption"; msg }) ->
+             if msg <> expected then
+               QCheck2.Test.fail_reportf "reported %S, the reference loop %S" msg expected;
+             true
+         | None, Error e -> QCheck2.Test.fail_reportf "clean list rejected: %s" (Err.message e)
+         | Some expected, Ok _ -> QCheck2.Test.fail_reportf "accepted despite %S" expected
+         | Some _, Error e -> QCheck2.Test.fail_reportf "unexpected error %s" (Err.message e)))
+
 (* ------------------------------------------------------------------ *)
 (* File-level corruptions                                              *)
 (* ------------------------------------------------------------------ *)
@@ -321,6 +394,253 @@ let test_byte_flips_never_raise () =
             Alcotest.failf "seed %d: flipped byte %d escaped as %s" seed pos
               (Printexc.to_string e))
   done
+
+(* ------------------------------------------------------------------ *)
+(* Decoders: corrupt counts, and fuzzed text instances and packs        *)
+(* ------------------------------------------------------------------ *)
+
+let expect_invalid what field r =
+  match r () with
+  | Error (Err.Invalid_instance { field = f; _ }) when f = field -> ()
+  | Error e ->
+      Alcotest.failf "%s: expected Invalid_instance on %s, got %s" what field (Err.message e)
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+  | exception e -> Alcotest.failf "%s: exception escaped: %s" what (Printexc.to_string e)
+
+let one_item_spec cls =
+  {
+    num_users = 1;
+    num_items = 1;
+    horizon = 1;
+    display_limit = 1;
+    class_of = [| cls |];
+    capacity = [| 1 |];
+    saturation = [| 1.0 |];
+    price = [| [| 1.0 |] |];
+    adoption = [ (0, 0, [| 0.5 |]) ];
+  }
+
+(* a class id sizes the class table, so it must stay below the item count *)
+let test_class_id_2_pow_40 () =
+  expect_invalid "class id 2^40" "class_of" (fun () -> build (one_item_spec (1 lsl 40)))
+
+let test_class_id_max_int () =
+  expect_invalid "class id max_int - 1" "class_of" (fun () -> build (one_item_spec (max_int - 1)))
+
+(* [f path bytes] on the bytes of a pack of a small random instance *)
+let with_pack_bytes inst f =
+  let path = Filename.temp_file "revmax-fault" ".pack" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Instance.pack_to_file inst path;
+      f path (Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)))
+
+let load_pack path b =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+  Instance.of_mmap_checked path
+
+let header_bytes = 96
+let set_slot b slot v = Bytes.set_int64_le b (8 * slot) (Int64.of_int v)
+let get_slot b slot = Int64.to_int (Bytes.get_int64_le b (8 * slot))
+
+let test_pack_class_id_beyond_items () =
+  with_pack_bytes (random_instance (Rng.create 3)) (fun path b ->
+      (* class_of is the first section after the header *)
+      Bytes.set_int64_le b header_bytes (Int64.of_int (1 lsl 40));
+      expect_invalid "pack class id 2^40" "class_of" (fun () -> load_pack path b))
+
+(* num_items + 2^60 leaves 8 · num_items · (3 + T) unchanged modulo 2^63:
+   a size check that multiplies first would pass it *)
+let test_pack_header_counts_cannot_overflow () =
+  with_pack_bytes (random_instance (Rng.create 4)) (fun path b ->
+      set_slot b 4 (get_slot b 4 + (1 lsl 60));
+      expect_invalid "num_items + 2^60" "size" (fun () -> load_pack path b))
+
+let dims_file dims = "revmax-instance 1\ndims " ^ dims ^ "\nitem 0 0 1 1.0 1.0\nend\n"
+
+let test_text_huge_item_count () =
+  expect_parse_error "10^14 items" (dims_file "1 100000000000000 1 1")
+
+let test_text_huge_horizon () =
+  expect_parse_error "10^14 time steps" (dims_file "1 1 100000000000000 1")
+
+let test_text_huge_user_count () =
+  expect_parse_error "10^14 users" (dims_file "100000000000000 1 1 1");
+  expect_parse_error "one user beyond the cap"
+    (dims_file (Printf.sprintf "%d 1 1 1" (Io.max_users + 1)))
+
+(* The invariants a decoded instance must satisfy, read through the public
+   accessors: rows item-ascending and in range, probabilities in [0,1],
+   ratings never NaN, item facts in range and the counts consistent. *)
+let instance_is_valid inst =
+  let items = Instance.num_items inst and horizon = Instance.horizon inst in
+  let ok = ref (Instance.num_classes inst <= items) and triples = ref 0 and pairs = ref 0 in
+  for u = 0 to Instance.num_users inst - 1 do
+    let prev = ref (-1) in
+    Array.iter
+      (fun (i, qs) ->
+        incr pairs;
+        if i <= !prev || i >= items || Array.length qs <> horizon then ok := false;
+        prev := i;
+        Array.iter (fun p -> if not (p >= 0.0 && p <= 1.0) then ok := false else if p > 0.0 then incr triples) qs;
+        match Instance.rating inst ~u ~i with Some r when Float.is_nan r -> ok := false | _ -> ())
+      (Instance.candidates inst u)
+  done;
+  for i = 0 to items - 1 do
+    let c = Instance.class_of inst i and b = Instance.saturation inst i in
+    if c < 0 || c >= Instance.num_classes inst || Instance.capacity inst i < 0 then ok := false;
+    if not (b >= 0.0 && b <= 1.0) then ok := false;
+    for time = 1 to horizon do
+      let p = Instance.price inst ~i ~time in
+      if not (Float.is_finite p && p >= 0.0) then ok := false
+    done
+  done;
+  !ok && !triples = Instance.num_candidate_triples inst && !pairs = Instance.pair_count inst
+
+(* A small random instance with ratings on some candidate pairs and, now
+   and then, a slate and a quantity budget: every section a decoder
+   reads. *)
+let fuzz_base rng =
+  let inst = random_instance ~max_users:4 ~max_items:5 rng in
+  let ratings = ref [] and adoption = ref [] in
+  for u = 0 to Instance.num_users inst - 1 do
+    Array.iter
+      (fun (i, qs) ->
+        adoption := (u, i, qs) :: !adoption;
+        if Rng.bernoulli rng 0.5 then ratings := (u, i, Rng.uniform_in rng 1.0 5.0) :: !ratings)
+      (Instance.candidates inst u)
+  done;
+  let items = Instance.num_items inst and horizon = Instance.horizon inst in
+  let rated =
+    Instance.create ~num_users:(Instance.num_users inst) ~num_items:items ~horizon
+      ~display_limit:(Instance.display_limit inst)
+      ~class_of:(Array.init items (Instance.class_of inst))
+      ~capacity:(Array.init items (Instance.capacity inst))
+      ~saturation:(Array.init items (Instance.saturation inst))
+      ~price:(Array.init items (fun i -> Array.init horizon (fun k -> Instance.price inst ~i ~time:(k + 1))))
+      ~ratings:!ratings ~adoption:!adoption ()
+  in
+  if Rng.bernoulli rng 0.7 then rated
+  else
+    Instance.with_max_total
+      (Instance.with_slate rated (random_curve rng (Instance.display_limit rated)))
+      (1 + Rng.int rng 5)
+
+let corrupt_count rng old =
+  match Rng.int rng 7 with
+  | 0 -> 0
+  | 1 -> -1
+  | 2 -> old + 1 + Rng.int rng 3
+  | 3 -> 1 lsl 40
+  | 4 -> max_int
+  | 5 -> old + (1 lsl 60)
+  | _ -> Rng.int rng 100
+
+(* one mutation of a text instance: a byte flip, a truncation, an
+   overwritten dims count, or a line spliced in elsewhere *)
+let mutate_text rng text =
+  let n = String.length text in
+  if n = 0 then text
+  else
+    match Rng.int rng 4 with
+    | 0 ->
+        let b = Bytes.of_string text and pos = Rng.int rng n in
+        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 + Rng.int rng 255)));
+        Bytes.to_string b
+    | 1 -> String.sub text 0 (Rng.int rng n)
+    | 2 ->
+        let k = 1 + Rng.int rng 4 in
+        let corrupt j c =
+          if j <> k then c
+          else string_of_int (corrupt_count rng (Option.value ~default:0 (int_of_string_opt c)))
+        in
+        String.split_on_char '\n' text
+        |> List.map (fun line ->
+               match String.split_on_char ' ' line with
+               | "dims" :: _ as fields -> String.concat " " (List.mapi corrupt fields)
+               | _ -> line)
+        |> String.concat "\n"
+    | _ ->
+        let lines = String.split_on_char '\n' text in
+        let m = List.length lines in
+        let src = List.nth lines (Rng.int rng m) and pos = Rng.int rng (m + 1) in
+        String.concat "\n"
+          (List.filteri (fun k _ -> k < pos) lines @ (src :: List.filteri (fun k _ -> k >= pos) lines))
+
+(* one mutation of a pack: a byte flip, a truncation, an overwritten
+   header slot, or a run of words copied over another *)
+let mutate_pack rng b =
+  let n = Bytes.length b in
+  if n < 8 then b
+  else
+    match Rng.int rng 4 with
+    | 0 ->
+        let pos = Rng.int rng n in
+        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 + Rng.int rng 255)));
+        b
+    | 1 -> Bytes.sub b 0 (Rng.int rng n)
+    | 2 ->
+        let slot = Rng.int rng (min 12 (n / 8)) in
+        set_slot b slot (corrupt_count rng (get_slot b slot));
+        b
+    | _ ->
+        let words = n / 8 in
+        let len = 1 + Rng.int rng 4 in
+        let src = Rng.int rng (max 1 (words - len)) and dst = Rng.int rng (max 1 (words - len)) in
+        Bytes.blit b (8 * src) b (8 * dst) (8 * min len (words - max src dst));
+        b
+
+(* Each mutated input ends in [Ok] with a valid instance or in a typed
+   [Err]; no exception escapes, and what the decoder allocates stays
+   within [words_per_byte] words per input byte plus 1,024 words for its
+   fixed tables. (Unmutated inputs of this size allocate at most about 3.2
+   words per byte as text and 1.3 as a pack.) *)
+let fuzz_decoder ~name ~words_per_byte ~encode ~mutate ~decode =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name ~count:400 (QCheck2.Gen.int_range 0 1_000_000) (fun seed ->
+         let rng = Rng.create seed in
+         let bytes = ref (encode (fuzz_base rng)) in
+         for _ = 0 to Rng.int rng 3 do
+           bytes := mutate rng !bytes
+         done;
+         let path = Filename.temp_file "revmax-fuzz" ".bin" in
+         Fun.protect
+           ~finally:(fun () -> Sys.remove path)
+           (fun () ->
+             Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc !bytes);
+             let r, words =
+               Util.allocated_words (fun () -> try Ok (decode path) with e -> Error e)
+             in
+             let cap = (words_per_byte *. float_of_int (Bytes.length !bytes)) +. 1024.0 in
+             if words > cap then
+               QCheck2.Test.fail_reportf "%d input bytes allocated %.0f words (cap %.0f)"
+                 (Bytes.length !bytes) words cap;
+             match r with
+             | Ok (Ok inst) ->
+                 if not (instance_is_valid inst) then
+                   QCheck2.Test.fail_reportf "decoded an instance that breaks its invariants";
+                 true
+             | Ok (Error (Err.Parse_error _ | Err.Invalid_instance _)) -> true
+             | Ok (Error e) -> QCheck2.Test.fail_reportf "unexpected error class: %s" (Err.message e)
+             | Error e -> QCheck2.Test.fail_reportf "exception escaped: %s" (Printexc.to_string e))))
+
+let prop_fuzz_text =
+  fuzz_decoder ~name:"fuzzed text instances: a valid instance or a typed error"
+    ~words_per_byte:8.0
+    ~encode:(fun inst ->
+      let path = Filename.temp_file "revmax-fuzz" ".inst" in
+      Io.save_instance path inst;
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      Bytes.of_string text)
+    ~mutate:(fun rng b -> Bytes.of_string (mutate_text rng (Bytes.to_string b)))
+    ~decode:Io.load_instance_result
+
+let prop_fuzz_pack =
+  fuzz_decoder ~name:"fuzzed packs: a valid instance or a typed error" ~words_per_byte:2.0
+    ~encode:(fun inst -> with_pack_bytes inst (fun _ b -> b))
+    ~mutate:mutate_pack ~decode:Instance.of_mmap_checked
 
 (* ------------------------------------------------------------------ *)
 (* Harness faults: Runner.guarded                                      *)
@@ -677,6 +997,7 @@ let () =
           Alcotest.test_case "metamorphic: identity ok, corruptions rejected" `Quick
             test_corruptor_metamorphic;
           prop_corruptions_rejected;
+          prop_first_fault_in_list_order;
         ] );
       ( "io",
         [
@@ -687,6 +1008,23 @@ let () =
           Alcotest.test_case "byte flips never raise" `Quick test_byte_flips_never_raise;
           Alcotest.test_case "save_atomic: SIGKILL mid-save leaves target intact" `Quick
             test_save_atomic_kill_leaves_target_intact;
+        ] );
+      ( "decoders",
+        [
+          Alcotest.test_case "class id 2^40 is a typed error" `Quick test_class_id_2_pow_40;
+          Alcotest.test_case "class id max_int - 1 is a typed error" `Quick test_class_id_max_int;
+          Alcotest.test_case "a pack's class id beyond its items is a typed error" `Quick
+            test_pack_class_id_beyond_items;
+          Alcotest.test_case "pack header counts cannot overflow the size check" `Quick
+            test_pack_header_counts_cannot_overflow;
+          Alcotest.test_case "text dims with 10^14 items is a Parse_error" `Quick
+            test_text_huge_item_count;
+          Alcotest.test_case "text dims with a 10^14 horizon is a Parse_error" `Quick
+            test_text_huge_horizon;
+          Alcotest.test_case "text dims beyond the user cap is a Parse_error" `Quick
+            test_text_huge_user_count;
+          prop_fuzz_text;
+          prop_fuzz_pack;
         ] );
       ( "runner",
         [

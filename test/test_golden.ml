@@ -171,10 +171,10 @@ let check_fixture name build () =
           (String.concat "\n" mismatches)
 
 (* The same fixtures, re-run with the instance routed through a pack file
-   and opened memory-mapped. The mapped backend stores and reads back the
+   and opened memory-mapped. The pack stores and the mapping reads back the
    exact IEEE doubles, so the traces must match the {e existing} fixture
    byte-for-byte — there is deliberately no bless path here: a divergence
-   means the mmap backend broke, never that the fixture needs updating. *)
+   means the pack codec broke, never that the fixture needs updating. *)
 let check_fixture_mmap name build () =
   let path = Filename.temp_file "golden" ".pack" in
   let inst =

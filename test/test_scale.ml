@@ -1,5 +1,5 @@
-(* Out-of-core scale machinery: pack files and the memory-mapped instance
-   backend (bit-identical to the heap path through every planner), the
+(* Out-of-core scale machinery: pack files and memory-mapped instances
+   (bit-identical to built ones through every planner), the
    footprint of a plan, the hierarchical process-level planner's
    equivalence to the flat in-process one, and the pipe wire codec both
    planners' processes speak. *)
@@ -24,7 +24,7 @@ let with_temp_pack f =
   let path = Filename.temp_file "revmax" ".pack" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
-(* pack → mmap round trip of a heap instance; the mapping outlives the
+(* pack → mmap round trip of a built instance; the mapping outlives the
    file (mmap keeps the pages), so the temp file can be removed eagerly *)
 let mmap_of inst =
   with_temp_pack (fun path ->
@@ -112,7 +112,6 @@ let prop_pack_roundtrip =
       let rng = Rng.create seed in
       let inst = random_rated_instance rng in
       let mapped = mmap_of inst in
-      if not (Instance.is_packed mapped) then Alcotest.fail "of_mmap did not yield a packed instance";
       check_instances_equal ~what:(Printf.sprintf "seed %d" seed) inst mapped;
       (* a pack written from the mapped instance reads back equal too *)
       let repacked = mmap_of mapped in
@@ -300,8 +299,8 @@ let test_hier_on_mmap () =
   let inst = random_instance ~max_users:9 ~max_items:4 ~max_horizon:3 rng in
   let mapped = mmap_of inst in
   check_hier_equiv ~what:"mmap-backed hier" mapped ~procs:2 ~spp:2;
-  (* and across backends: the hierarchical plan on the mapped instance
-     equals the flat plan on the heap instance *)
+  (* and across constructors: the hierarchical plan on the mapped
+     instance equals the flat plan on the built one *)
   let flat, _ = Shard_greedy.solve ~shards:4 inst in
   let hier, _ = Hier_greedy.solve ~procs:2 ~shards_per_proc:2 mapped in
   if sorted hier <> sorted flat then Alcotest.fail "mmap hier differs from heap flat"
@@ -431,8 +430,9 @@ let greedy_setup_words_per_pair inst =
   (run -. strategy) /. float_of_int (Instance.pair_count inst)
 
 (* plan-dense's long-chain family: 40 items in 2 classes, T = 15, k = 5,
-   each pair a candidate with probability 0.8, capacities = users *)
-let dense_instance ~users ~seed =
+   each pair a candidate with probability 0.8, capacities = users; the
+   draws, and the [Instance.create] that builds them *)
+let dense_draws ~users ~seed =
   let items = 40 and horizon = 15 in
   let rng = Rng.create seed in
   let adoption = ref [] in
@@ -442,12 +442,15 @@ let dense_instance ~users ~seed =
         adoption := (u, i, Array.init horizon (fun _ -> Rng.uniform_in rng 0.02 0.10)) :: !adoption
     done
   done;
-  Instance.create ~num_users:users ~num_items:items ~horizon ~display_limit:5
-    ~class_of:(Array.init items (fun i -> i mod 2))
-    ~capacity:(Array.make items users)
-    ~saturation:(Array.init items (fun _ -> Rng.uniform_in rng 0.7 1.0))
-    ~price:(Array.init items (fun _ -> Array.init horizon (fun _ -> Rng.uniform_in rng 1.0 10.0)))
-    ~adoption:!adoption ()
+  let price = Array.init items (fun _ -> Array.init horizon (fun _ -> Rng.uniform_in rng 1.0 10.0)) in
+  let saturation = Array.init items (fun _ -> Rng.uniform_in rng 0.7 1.0) in
+  let class_of = Array.init items (fun i -> i mod 2) and capacity = Array.make items users in
+  let adoption = !adoption in
+  fun () ->
+    Instance.create ~num_users:users ~num_items:items ~horizon ~display_limit:5 ~class_of ~capacity
+      ~saturation ~price ~adoption ()
+
+let dense_instance ~users ~seed = dense_draws ~users ~seed ()
 
 (* Set-up costs a small constant per candidate pair (greedy.mli's
    footprint formula): one stamp, three mirrors, a chain slot and the
@@ -467,6 +470,19 @@ let test_setup_words_wide_shallow () =
 
 let test_setup_words_dense () =
   check_setup_words ~what:"T = 15 dense" ~bound:30.0 (dense_instance ~users:400 ~seed:16)
+
+(* [Instance.create] writes the candidate pairs into off-heap arrays: on
+   the OCaml heap it allocates only per-user row offsets and per-item
+   copies, nothing that grows with the pairs. Native only, like the other
+   word counts. *)
+let test_create_words_per_pair () =
+  if Sys.backend_type = Sys.Native then begin
+    let build = dense_draws ~users:400 ~seed:16 in
+    let inst, words = Revmax_prelude.Util.allocated_words build in
+    let per_pair = words /. float_of_int (Instance.pair_count inst) in
+    if per_pair > 2.0 then
+      Alcotest.failf "Instance.create allocates %.1f words per candidate pair (at most 2)" per_pair
+  end
 
 (* A strategy is sized by its view: on a quarter view its display fill
    covers the view's users, not the parent's, and out-of-view users go
@@ -527,6 +543,8 @@ let () =
             `Quick test_setup_words_wide_shallow;
           Alcotest.test_case "greedy set-up costs at most 30 words per candidate pair at T = 15"
             `Quick test_setup_words_dense;
+          Alcotest.test_case "Instance.create allocates at most 2 words per candidate pair"
+            `Quick test_create_words_per_pair;
         ] );
       ( "hier",
         [
