@@ -7,7 +7,7 @@
     competition product [Π (1 − q)] over earlier-or-tied triples, and the
     dynamic adoption probability (Definition 1). Two chain revenues are kept
     up to date — with saturation, and the β = 1 variant used by GlobalNo
-    planning — so {!Revenue.total_incremental} is O(#chains) and
+    planning — so {!Revenue.total_incremental} reads one float per chain and
     {!Revenue.marginal_incremental} is O(L) per candidate instead of the
     O(L²) full re-evaluation of the naive oracle.
 
@@ -21,7 +21,8 @@
     [2·capacity] (item and time per member; [3·capacity] with the slot on
     slate instances). No triple record is stored: the accessors that
     return triples build them. A one-member chain takes 18 words and a
-    two-member one 26, plus the strategy's 4-word table entry. The
+    two-member one 26; the strategy reaches it through the pointer each
+    view pair of its row and class holds. The
     oracle cells and the 1/Δt table are held once per {!ctx}, which every
     chain of one strategy shares. *)
 

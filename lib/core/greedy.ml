@@ -31,7 +31,6 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      a ref stores a fresh boxed float on every [:=], a cell stores unboxed *)
   let running_total = [| 0.0 |] in
   let num_items = Instance.num_items inst in
-  let num_classes = Instance.num_classes inst in
   let horizon = Instance.horizon inst in
   let display_limit = Instance.display_limit inst in
   (* the range's own users and pairs: the per-user mirrors below are
@@ -78,56 +77,20 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      same IEEE double straight from the CSR row (heap array or mmapped
      pack). *)
   let stamp = Array.make npairs 0 in
-  let cls_arr = Array.init num_items (Instance.class_of inst) in
   let prf = Array.make (num_items * stride) 0.0 in
   let beta_arr = Array.init num_items (Instance.saturation inst) in
   (* per-pair decode mirrors: pops recover (u, i) by two array reads
      instead of binary-searching the CSR rows *)
   let pu = Array.make npairs 0 in
   let pi_arr = Array.make npairs 0 in
-  (* Per-run chain cache, keyed by compact {e chain slots}: every pair of
-     one user whose items share a class shares a slot, so the cache is
-     O(view pairs) — the previous dense (u·num_classes + cls) array would
-     be 4 GB at 10^6 users × 500 classes, almost all of it never touched.
-     Slots are numbered in the pair-id order of their first pairs, via a
-     per-user class mark. Chain pointers are stable for the whole run (a
-     greedy only adds triples, and Strategy never replaces a live chain),
-     so a slot leaves the shared empty sentinel at most once, at the first
-     accept into that chain. *)
-  let chain_slot = Array.make npairs 0 in
-  let nslots = ref 0 in
-  let mark = Array.make (max 1 num_classes) 0 in
-  let mark_user = Array.make (max 1 num_classes) (-1) in
   Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
-      let rel = pid - plo in
-      let i = Instance.pair_item inst pid in
-      pu.(rel) <- u;
-      pi_arr.(rel) <- i;
-      let cls = cls_arr.(i) in
-      if mark_user.(cls) <> u then begin
-        mark_user.(cls) <- u;
-        mark.(cls) <- !nslots;
-        incr nslots
-      end;
-      chain_slot.(rel) <- mark.(cls));
-  let empty = Chain.create inst in
-  let chains = Array.make (max 1 !nslots) empty in
-  (* a non-empty strategy already holds triples: its chains, display fill
-     and holder counts seed this run's caches and mirrors *)
-  let seeded = Strategy.size s > 0 in
-  if seeded then begin
-    (* the pair that first shows slot [next] is that slot's first pair *)
-    let next = ref 0 in
-    for rel = 0 to npairs - 1 do
-      if chain_slot.(rel) = !next then begin
-        (match Strategy.chain_view s ~u:pu.(rel) ~cls:cls_arr.(pi_arr.(rel)) with
-        | Some c -> chains.(!next) <- c
-        | None -> ());
-        incr next
-      end
-    done
-  end;
-  let chain_size_slot sl = Chain.length chains.(sl) in
+      pu.(pid - plo) <- u;
+      pi_arr.(pid - plo) <- Instance.pair_item inst pid);
+  (* A pair's (user, class) chain is read through the strategy's own
+     per-pair pointer at every use: the key's first add points every pair
+     of the row's class at the new chain. Its length is 0 until then,
+     which selects the closed form p·q̃. *)
+  let chain_len rel = Chain.length (Strategy.pair_chain s (plo + rel)) in
   (* result cell of the oracle and of [Tl.max_key_into]: floats enter and
      leave the per-cycle calls through preallocated cells, because without
      flambda every float argument or result of a non-inlined call is boxed
@@ -136,14 +99,14 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   let res = [| 0.0 |] in
   (* the open-coded {!Revenue.marginal_incremental}: same arithmetic, but
      the instance facts come from the CSR row and the flat per-item arrays,
-     and the chain from the slot cache, so a steady-state evaluation
+     and the chain from the pair's pointer, so a steady-state evaluation
      performs no hashtable lookup and no allocation (these oracle calls are
      accounted under greedy.marginal_evaluations / chain.marginals) *)
   let marginal_into eid i t =
     incr evals;
     (match budget with Some b -> Budget.spend b 1 | None -> ());
-    let c = chains.(chain_slot.(eid / estride)) in
-    if c != empty then begin
+    let c = Strategy.pair_chain s (plo + (eid / estride)) in
+    if Chain.length c > 0 then begin
       let cells = Chain.oracle_cells c in
       (* q is read into the cell, not returned: a float result of
          [Instance.pair_q] is boxed at the call *)
@@ -200,6 +163,9 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      members are not registered, and [accept] retires the other slots'
      entries of the triple it selects. *)
   let slot_taken = Bytes.make (if nsl = 1 then 0 else (uhi - ulo) * stride * nsl) '\000' in
+  (* a non-empty strategy already holds triples: its display fill and
+     holder counts seed these mirrors *)
+  let seeded = Strategy.size s > 0 in
   if seeded then begin
     for i = 0 to num_items - 1 do
       holders.(i) <- Strategy.item_user_count s i
@@ -239,7 +205,7 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   (* the accepted marginal arrives through [res.(0)], not a float argument:
      without flambda a float parameter is boxed at the call boundary, and
      [accept] runs once per selected triple in the steady-state loop *)
-  let accept rel u i t slot sl =
+  let accept rel u i t slot =
     let z = Triple.make ~u ~i ~t in
     if nsl = 1 then Strategy.add s z else Strategy.add ~slot s z;
     let dk = ((u - ulo) * stride) + t in
@@ -258,9 +224,6 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
         if k <> slot - 1 then Tl.remove h (e0 + k)
       done
     end;
-    (* a cached chain is the same one, mutated in place *)
-    (if chains.(sl) == empty then
-       match Strategy.chain_view_of_triple s z with Some c -> chains.(sl) <- c | None -> ());
     incr selected;
     (* a selection is a unit of work even when its key came from the
        closed-form path below and cost no oracle call *)
@@ -275,8 +238,8 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      entry): on a chain known empty the marginal reduces to p·q̃
      (Algorithm 1 line 8), which avoids an oracle call per candidate at
      startup *)
-  let build_key eid i t sl =
-    if chain_size_slot sl = 0 then res.(0) <- prf.((i * stride) + t) *. res.(0)
+  let build_key eid i t rel =
+    if chain_len rel = 0 then res.(0) <- prf.((i * stride) + t) *. res.(0)
     else marginal_into eid i t
   in
   (* Registration allocates nothing: q and keys travel through cells, a
@@ -286,9 +249,8 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
       let rel = pid - plo in
       let i = pi_arr.(rel) in
-      let sl = chain_slot.(rel) in
       let held = Bytes.get holds rel <> '\000' in
-      stamp.(rel) <- chain_size_slot sl;
+      stamp.(rel) <- chain_len rel;
       for t = 1 to horizon do
         Instance.pair_q_into inst ~pid ~time:t qcell 0;
         if
@@ -301,7 +263,7 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
             res.(0) <- mult.(slot - 1) *. qcell.(0);
             if res.(0) > 0.0 then begin
               let eid = (((rel * horizon) + t - 1) * nsl) + slot - 1 in
-              build_key eid i t sl;
+              build_key eid i t rel;
               Tl.insert h res eid
             end
           done
@@ -330,14 +292,13 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
         loop ()
       end
       else begin
-        let sl = chain_slot.(rel) in
-        if stamp.(rel) < chain_size_slot sl then begin
+        if stamp.(rel) < chain_len rel then begin
           (* stale root: re-evaluate its (user, item) group in place — all
              of the pair's live entries — through the cell ABI
              (allocation-free), and look again. Trusting the stale key as
              an upper bound (classic CELF) would be unsound: a marginal can
              rise as its chain grows (DESIGN.md §5a, §5b). *)
-          stamp.(rel) <- chain_size_slot sl;
+          stamp.(rel) <- chain_len rel;
           Tl.refresh_pair_into h rel res ~f:refresh_entry;
           loop ()
         end
@@ -347,7 +308,7 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
           Tl.max_key_into h res;
           if res.(0) > 0.0 then begin
             Tl.drop_max h;
-            accept rel u i t slot sl;
+            accept rel u i t slot;
             loop ()
           end
         end

@@ -37,19 +37,21 @@
 
     {b Footprint.} Beyond the strategy it plans into, a run's own state
     is allocated before its first selection. Per candidate pair of the
-    planned range it is at most [8.4 + 1.25·T·k'] words, where [k'] is
+    planned range it is at most [6.4 + 1.25·T·k'] words, where [k'] is
     the display limit on slate instances and 1 otherwise:
-    - a staleness stamp, three decode mirrors (user, item, chain slot),
-      a chain-cache slot and a holder byte: 5.1 words;
+    - a staleness stamp, two decode mirrors (user, item) and a holder
+      byte: 3.1 words;
     - the two-level heap's group of [T·k'] entries: 8 bytes per key and
       2 per entry offset, [1.25·T·k'] words, plus 3.25 words of upper
       level and size.
+    No chain is cached: an evaluation reads the pair's (user, class)
+    chain through the strategy's own pointer ({!Strategy.pair_chain}).
     On top of that come [T + 1] words per user of the range (display
-    fill; on slates [(T + 1)·k'] more bytes of slot map) and [T + 5] per
+    fill; on slates [(T + 1)·k'] more bytes of slot map) and [T + 4] per
     item. On the wide, shallow pack of the benchmark (T = 4, ten pairs
-    per user) that is 14.0 words per pair, and on the T = 15 dense family
-    26.8; the test suite holds it to at most 16 and 30 words there, and
-    CI's bench-scale cell to 16 at T = 4. A pair's group must fit a
+    per user) that is 12.0 words per pair, and on the T = 15 dense family
+    25.7; the test suite holds it to at most 14 and 28 words there, and
+    CI's bench-scale cell to 14 at T = 4. A pair's group must fit a
     16-bit offset: [T·k' ≤ 65,536], or the run raises
     [Invalid_argument]. *)
 
@@ -90,7 +92,10 @@ val run :
     sequence is a prefix of the unbudgeted one's.
 
     With [base], the run plans on a {!Strategy.copy} of it: exactly
-    {!plan_rows} over the instance's whole user range on that copy. *)
+    {!plan_rows} over the instance's whole user range on that copy.
+    [base]'s instance view must hold [inst]'s rows, since the run reads
+    each pair's chain through the strategy's per-pair pointer
+    ({!Strategy.pair_chain}). *)
 
 val plan_rows :
   ?allowed:(Triple.t -> bool) ->

@@ -617,19 +617,24 @@ module Pack = struct
   let header_words = 12
   let header_bytes = 8 * header_words
 
+  (* The q stream goes straight into the pack. The two per-pair trailer
+     sections cannot (they follow the q stream), so they stream to sibling
+     scratch files that [finish] appends and removes: the writer's memory
+     stays O(items + users), whatever the pair count. *)
   type writer = {
     oc : out_channel;
+    path : string;
     w_num_users : int;
     w_num_items : int;
     w_horizon : int;
-    w_items : Buffer.t; (* pair item ids, i64, appended after the q stream *)
-    w_ratings : Buffer.t; (* pair ratings, f64, NaN = absent *)
+    mutable w_items : out_channel option; (* pair item ids, i64; opened at the first pair *)
+    mutable w_ratings : out_channel option;
+        (* pair ratings, f64, NaN = absent; opened at the first rating given *)
     w_row_off : int array;
     w_slot_mult : float array; (* empty = no slate section *)
     mutable w_next_user : int;
     mutable w_pairs : int;
     mutable w_triples : int;
-    mutable w_has_ratings : bool;
     mutable w_closed : bool;
     b8 : Bytes.t;
   }
@@ -642,13 +647,30 @@ module Pack = struct
     Bytes.set_int64_le w.b8 0 (Int64.bits_of_float v);
     output_bytes w.oc w.b8
 
-  let buf_i64 buf b8 v =
-    Bytes.set_int64_le b8 0 (Int64.of_int v);
-    Buffer.add_bytes buf b8
+  let items_path w = w.path ^ ".items"
+  let ratings_path w = w.path ^ ".ratings"
 
-  let buf_f64 buf b8 v =
-    Bytes.set_int64_le b8 0 (Int64.bits_of_float v);
-    Buffer.add_bytes buf b8
+  let scratch_i64 w oc v =
+    Bytes.set_int64_le w.b8 0 (Int64.of_int v);
+    output_bytes oc w.b8
+
+  let scratch_f64 w oc v =
+    Bytes.set_int64_le w.b8 0 (Int64.bits_of_float v);
+    output_bytes oc w.b8
+
+  (* copy a closed scratch file to the end of the pack, then remove it *)
+  let append_scratch w path =
+    let buf = Bytes.create 65536 in
+    In_channel.with_open_bin path (fun ic ->
+        let rec copy () =
+          let n = input ic buf 0 (Bytes.length buf) in
+          if n > 0 then begin
+            output w.oc buf 0 n;
+            copy ()
+          end
+        in
+        copy ());
+    Sys.remove path
 
   let create_writer ~path ~num_users ~num_items ~horizon ~display_limit ~class_of ~capacity
       ~saturation ~price ?slot_mult ?max_total () =
@@ -667,17 +689,17 @@ module Pack = struct
     let w =
       {
         oc;
+        path;
         w_num_users = num_users;
         w_num_items = num_items;
         w_horizon = horizon;
-        w_items = Buffer.create 4096;
-        w_ratings = Buffer.create 4096;
+        w_items = None;
+        w_ratings = None;
         w_row_off = Array.make (num_users + 1) 0;
         w_slot_mult = (match slot_mult with Some m -> Array.copy m | None -> [||]);
         w_next_user = 0;
         w_pairs = 0;
         w_triples = 0;
-        w_has_ratings = false;
         w_closed = false;
         b8 = Bytes.create 8;
       }
@@ -732,15 +754,28 @@ module Pack = struct
             if p > 0.0 then w.w_triples <- w.w_triples + 1;
             put_f64 w p)
           qs;
-        buf_i64 w.w_items w.b8 i;
-        (match ratings with
-        | Some r -> (
-            match r.(k) with
-            | Some v ->
-                w.w_has_ratings <- true;
-                buf_f64 w.w_ratings w.b8 v
-            | None -> buf_f64 w.w_ratings w.b8 Float.nan)
-        | None -> buf_f64 w.w_ratings w.b8 Float.nan);
+        let items =
+          match w.w_items with
+          | Some oc -> oc
+          | None ->
+              let oc = open_out_bin (items_path w) in
+              w.w_items <- Some oc;
+              oc
+        in
+        scratch_i64 w items i;
+        (* ratings spill only once the first one is given: the pairs
+           before it are backfilled as absent *)
+        let rating = match ratings with Some r -> r.(k) | None -> None in
+        (match (w.w_ratings, rating) with
+        | Some oc, r -> scratch_f64 w oc (Option.value r ~default:Float.nan)
+        | None, Some v ->
+            let oc = open_out_bin (ratings_path w) in
+            w.w_ratings <- Some oc;
+            for _ = 1 to w.w_pairs do
+              scratch_f64 w oc Float.nan
+            done;
+            scratch_f64 w oc v
+        | None, None -> ());
         w.w_pairs <- w.w_pairs + 1)
       row;
     w.w_next_user <- u + 1;
@@ -761,10 +796,18 @@ module Pack = struct
     if w.w_next_user <> w.w_num_users then
       invalid_arg
         (Printf.sprintf "Instance.Pack.finish: %d of %d users added" w.w_next_user w.w_num_users);
-    Buffer.output_buffer w.oc w.w_items;
+    Option.iter
+      (fun oc ->
+        close_out oc;
+        append_scratch w (items_path w))
+      w.w_items;
     Array.iter (put_i64 w) w.w_row_off;
-    if w.w_has_ratings then Buffer.output_buffer w.oc w.w_ratings;
-    close_with_counts w ~pairs:w.w_pairs ~triples:w.w_triples ~has_ratings:w.w_has_ratings
+    Option.iter
+      (fun oc ->
+        close_out oc;
+        append_scratch w (ratings_path w))
+      w.w_ratings;
+    close_with_counts w ~pairs:w.w_pairs ~triples:w.w_triples ~has_ratings:(Option.is_some w.w_ratings)
 end
 
 (* the arrays are the pack's sections, so they are written as they are *)

@@ -248,7 +248,11 @@ val iter_candidate_pairs : ?users:int * int -> t -> (u:int -> pid:int -> unit) -
 module Pack : sig
   type writer
   (** A streaming pack writer: candidate rows are written user by user,
-      so the full instance never needs to exist in memory. *)
+      so the full instance never needs to exist in memory. The per-pair
+      trailer sections (item ids, and ratings once the first one is
+      given) stream to sibling scratch files [path ^ ".items"] and
+      [path ^ ".ratings"], so the writer holds O(items + users) words
+      however many pairs it writes. *)
 
   val create_writer :
     path:string ->
@@ -280,8 +284,9 @@ module Pack : sig
 
   val finish : writer -> unit
   (** Writes the deferred trailer sections (pair items, row offsets,
-      ratings), patches the header counts, and closes the file. Raises
-      [Invalid_argument] unless every user was added. *)
+      ratings) by appending the scratch files and removing them, patches
+      the header counts, and closes the file. Raises [Invalid_argument]
+      unless every user was added. *)
 end
 
 val pack_to_file : t -> string -> unit

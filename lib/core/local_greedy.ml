@@ -21,7 +21,7 @@ type stats = Greedy.stats = {
   truncated : bool;
 }
 
-type elt = { z : Triple.t; mutable flag : int }
+type elt = { z : Triple.t; pid : int; mutable flag : int }
 
 let greedy_in_order ?(with_saturation = true) ?(allowed = fun _ -> true) ?base ?trace ?budget
     inst ~order =
@@ -37,9 +37,8 @@ let greedy_in_order ?(with_saturation = true) ?(allowed = fun _ -> true) ?base ?
   let evals = ref 0 and pops = ref 0 and selected = ref 0 in
   let truncated = ref false in
   let running_total = ref 0.0 in
-  let chain_size_of (z : Triple.t) =
-    Strategy.chain_size s ~u:z.u ~cls:(Instance.class_of inst z.i)
-  in
+  (* a candidate's (user, class) chain, read through its own pair *)
+  let chain_size_of pid = Chain.length (Strategy.pair_chain s pid) in
   let marginal (z : Triple.t) =
     incr evals;
     (match budget with Some b -> Budget.spend b 1 | None -> ());
@@ -61,7 +60,7 @@ let greedy_in_order ?(with_saturation = true) ?(allowed = fun _ -> true) ?base ?
         if Instance.pair_q inst ~pid ~time:tm > 0.0 then begin
           let z = Triple.make ~u ~i:(Instance.pair_item inst pid) ~t:tm in
           if allowed z && not (Strategy.mem s z) then
-            Bh.insert h ~key:(marginal z) { z; flag = chain_size_of z }
+            Bh.insert h ~key:(marginal z) { z; pid; flag = chain_size_of pid }
         end);
     let rec consume () =
       if not (out_of_budget ()) then
@@ -71,7 +70,7 @@ let greedy_in_order ?(with_saturation = true) ?(allowed = fun _ -> true) ?base ?
             incr pops;
             if not (Strategy.can_add s e.z) then consume ()
             else begin
-              let cur = chain_size_of e.z in
+              let cur = chain_size_of e.pid in
               if e.flag < cur then begin
                 (* lazy forward within the round *)
                 e.flag <- cur;

@@ -68,7 +68,7 @@ val marginal_incremental : ?with_saturation:bool -> Strategy.t -> Triple.t -> fl
     hot path of G-Greedy, SL/RL-Greedy, rolling and the exact solvers. *)
 
 val total_incremental : ?with_saturation:bool -> Strategy.t -> float
-(** [Rev(S)] from the cached per-chain revenues in O(#chains) — agrees with
-    {!total} up to floating-point rounding. The sum follows
-    {!Strategy.iter_chains}, the chains table's order, so its last bits
-    depend on the order chains were first added in. *)
+(** [Rev(S)] from the cached per-chain revenues, one walk over the
+    strategy's view pairs — agrees with {!total} up to floating-point
+    rounding. The sum follows {!Strategy.iter_chains}, pair order, so
+    its last bits depend on the rows and the members only. *)

@@ -3,12 +3,6 @@ module Err = Revmax_prelude.Err
 type t = {
   inst : Instance.t;
   ctx : Chain.ctx; (* oracle cells and 1/Δt table, shared by every chain *)
-  (* (u * num_classes + cls) -> array-backed chain with cached aggregates.
-     Deliberately a hashtable, not a flat array: [iter_chains] visits in
-     table order and [Revenue.total_incremental] folds a float sum over
-     that visit, so the container must preserve the historical iteration
-     order exactly. *)
-  chains : (int, Chain.t) Hashtbl.t;
   horizon : int;
   (* The feasibility bookkeeping lives in flat arrays sized by the view —
      these are probed on [add]/[can_add], which sit on the accept path of
@@ -28,11 +22,21 @@ type t = {
   plo : int;
   phi : int;
   (* membership: bit ((pid - plo) * horizon + time - 1) is set iff
-     (u, i, time) is a member, for the view's pairs; an overflow pair's
+     (u, i, time) is a member, for the view's pairs, so a pair's
+     repetition count is the number of its set bits; an overflow pair's
      members are found in its chain *)
   member : Bytes.t;
-  pair_reps : int array; (* (pid - plo) -> #triples of this candidate (user, item) pair *)
-  pair_overflow : (int, int) Hashtbl.t; (* (i * num_users) + u for out-of-range pairs *)
+  pair_overflow : (int, int) Hashtbl.t; (* (i * num_users) + u -> #triples, for pairs outside the view *)
+  (* (pid - plo) -> the chain of the pair's (user, class): every view pair
+     of one row and one class points at the same chain, or at [empty]
+     until the first add. The chain stays in place when removals empty
+     it, and the next add reuses it. *)
+  chains : Chain.t array;
+  empty : Chain.t; (* the one sentinel of this strategy; never inserted into *)
+  (* (u * num_classes + cls) -> chain, for (user, class) keys with no view
+     pair of that class: out-of-view users, or a non-candidate triple
+     whose class has no candidate pair in the user's row *)
+  chain_overflow : (int, Chain.t) Hashtbl.t;
   item_distinct : int array; (* item -> #distinct users holding it *)
   (* slate bookkeeping, touched only when the instance carries position
      multipliers: per ((u * (horizon+1) + time) * (k+1) + slot) occupancy
@@ -47,10 +51,11 @@ let create inst =
   let plo, phi = Instance.pair_range inst in
   let ulo, uhi = Instance.user_range inst in
   let horizon = Instance.horizon inst in
+  let ctx = Chain.context inst in
+  let empty = Chain.create_in ctx in
   {
     inst;
-    ctx = Chain.context inst;
-    chains = Hashtbl.create 256;
+    ctx;
     horizon;
     ulo;
     uhi;
@@ -59,8 +64,10 @@ let create inst =
     plo;
     phi;
     member = Bytes.make ((((phi - plo) * horizon) + 7) / 8) '\000';
-    pair_reps = Array.make (phi - plo) 0;
     pair_overflow = Hashtbl.create 16;
+    chains = Array.make (phi - plo) empty;
+    empty;
+    chain_overflow = Hashtbl.create 16;
     item_distinct = Array.make (Instance.num_items inst) 0;
     slot_occ = Hashtbl.create 16;
     cardinality = 0;
@@ -80,23 +87,11 @@ let bump tbl key delta =
    (or [pid] is -1, no candidate pair at all) *)
 let rel_of_pid t pid = if pid >= t.plo && pid < t.phi then pid - t.plo else -1
 
-let rel_pair t ~u ~i = rel_of_pid t (Instance.pair_find t.inst ~u ~i)
+let rel_pair t ~u ~i =
+  if u < 0 || u >= Instance.num_users t.inst then -1
+  else rel_of_pid t (Instance.pair_find t.inst ~u ~i)
 
 let overflow_key t ~u ~i = (i * Instance.num_users t.inst) + u
-
-(* add [delta] to the pair's repetition count, returning the previous
-   count (the 0 -> 1 and 1 -> 0 edges drive [item_distinct]) *)
-let bump_pair t ~rel ~u ~i delta =
-  if rel >= 0 then begin
-    let prev = t.pair_reps.(rel) in
-    t.pair_reps.(rel) <- prev + delta;
-    prev
-  end
-  else bump t.pair_overflow (overflow_key t ~u ~i) delta
-
-let pair_reps_count t ~u ~i =
-  let rel = rel_pair t ~u ~i in
-  if rel >= 0 then t.pair_reps.(rel) else count t.pair_overflow (overflow_key t ~u ~i)
 
 let member_bit t ~rel ~time = (rel * t.horizon) + time - 1
 
@@ -106,6 +101,23 @@ let set_member t k on =
   let b = Char.code (Bytes.get t.member (k lsr 3)) in
   let m = 1 lsl (k land 7) in
   Bytes.set t.member (k lsr 3) (Char.unsafe_chr (if on then b lor m else b land lnot m))
+
+(* a view pair's repetition count: the number of its set membership bits *)
+let pair_reps t rel =
+  let n = ref 0 in
+  for time = 1 to t.horizon do
+    if get_member t (member_bit t ~rel ~time) then incr n
+  done;
+  !n
+
+(* on the accept path: a loop, since a local recursive scan would
+   allocate its closure on every add *)
+let pair_held t rel =
+  let k = ref (member_bit t ~rel ~time:1) and stop = member_bit t ~rel ~time:t.horizon in
+  while !k <= stop && not (get_member t !k) do
+    incr k
+  done;
+  !k <= stop
 
 let display_stride t = t.horizon + 1
 
@@ -120,9 +132,56 @@ let bump_display t ~u ~time delta =
   end
   else ignore (bump t.display_overflow ((u * display_stride t) + time) delta)
 
-let chain_key t ~u ~i = (u * Instance.num_classes t.inst) + Instance.class_of t.inst i
+let pair_class t pid = Instance.class_of t.inst (Instance.pair_item t.inst pid)
 
-let find_chain t ~u ~i = Hashtbl.find_opt t.chains (chain_key t ~u ~i)
+(* the first pair of [u]'s row whose item is of class [cls], relative to
+   the view, or -1 when [u] is outside the view or the row has none:
+   O(row) *)
+let class_rel t ~u ~cls =
+  if u < t.ulo || u >= t.uhi then -1
+  else begin
+    let lo, hi = Instance.pair_row t.inst u in
+    let pid = ref lo in
+    while !pid < hi && pair_class t !pid <> cls do
+      incr pid
+    done;
+    if !pid < hi then !pid - t.plo else -1
+  end
+
+let overflow_chain_key t ~u ~cls = (u * Instance.num_classes t.inst) + cls
+
+(* The chain of a (user, class) key: [t.empty] or an emptied chain when
+   the key holds nothing. [rel] is a pair of that key in the view, or -1
+   when the caller has none at hand. *)
+let chain_at t ~rel ~u ~cls =
+  let rel = if rel >= 0 then rel else class_rel t ~u ~cls in
+  if rel >= 0 then t.chains.(rel)
+  else
+    match Hashtbl.find_opt t.chain_overflow (overflow_chain_key t ~u ~cls) with
+    | Some c -> c
+    | None -> t.empty
+
+(* the chain a triple (u, i) with view pair [rel] (-1 for none) joins *)
+let chain_of_pair t ~rel ~u ~i = chain_at t ~rel ~u ~cls:(Instance.class_of t.inst i)
+
+(* [chain_of_pair], creating the chain on the key's first add: it is
+   stored into every pair of the row with that class, O(row), or into
+   the overflow table when the row has none *)
+let chain_for_add t ~rel ~u ~i =
+  let c = chain_of_pair t ~rel ~u ~i in
+  if c != t.empty then c
+  else begin
+    let c = Chain.create_in t.ctx in
+    let cls = Instance.class_of t.inst i in
+    if rel >= 0 || class_rel t ~u ~cls >= 0 then begin
+      let lo, hi = Instance.pair_row t.inst u in
+      for pid = lo to hi - 1 do
+        if pair_class t pid = cls then t.chains.(pid - t.plo) <- c
+      done
+    end
+    else Hashtbl.replace t.chain_overflow (overflow_chain_key t ~u ~cls) c;
+    c
+  end
 
 let in_range t ~u ~i ~time =
   u >= 0 && u < Instance.num_users t.inst && i >= 0 && i < Instance.num_items t.inst
@@ -135,10 +194,7 @@ let mem_rel t ~rel ~u ~i ~time =
   if rel >= 0 then get_member t (member_bit t ~rel ~time)
   else
     count t.pair_overflow (overflow_key t ~u ~i) > 0
-    &&
-    match find_chain t ~u ~i with
-    | Some c -> Chain.mem c (Triple.make ~u ~i ~t:time)
-    | None -> false
+    && Chain.mem (chain_of_pair t ~rel ~u ~i) (Triple.make ~u ~i ~t:time)
 
 let mem_at t ~u ~i ~time = in_range t ~u ~i ~time && mem_rel t ~rel:(rel_pair t ~u ~i) ~u ~i ~time
 
@@ -175,7 +231,7 @@ let next_free_slot t (z : Triple.t) =
 
 let slot_of t (z : Triple.t) =
   if not (Instance.is_slate t.inst && mem t z) then None
-  else match find_chain t ~u:z.u ~i:z.i with Some c -> Chain.slot_of c z | None -> None
+  else Chain.slot_of (chain_of_pair t ~rel:(rel_pair t ~u:z.u ~i:z.i) ~u:z.u ~i:z.i) z
 
 let slot_occupied t (z : Triple.t) ~slot = occ_count t (occ_key t z slot) > 0
 
@@ -190,25 +246,25 @@ let effective_q t (z : Triple.t) =
    is then 0, as [Instance.q] reads it) *)
 let add_unchecked ?slot t (z : Triple.t) ~pid =
   let q = if pid < 0 then 0.0 else Instance.pair_q t.inst ~pid ~time:z.t in
-  let ck = chain_key t ~u:z.u ~i:z.i in
-  let chain =
-    match Hashtbl.find t.chains ck with
-    | c -> c
-    | exception Not_found ->
-        let c = Chain.create_in t.ctx in
-        Hashtbl.replace t.chains ck c;
-        c
-  in
+  let rel = rel_of_pid t pid in
+  let chain = chain_for_add t ~rel ~u:z.u ~i:z.i in
   if not (Instance.is_slate t.inst) then Chain.insert chain z ~qz:q
   else begin
     let s = match slot with Some s -> s | None -> next_free_slot t z in
     ignore (bump t.slot_occ (occ_key t z s) 1);
     Chain.insert chain z ~slot:s ~qz:(Instance.slot_factor t.inst ~slot:s *. q)
   end;
-  let rel = rel_of_pid t pid in
-  if rel >= 0 then set_member t (member_bit t ~rel ~time:z.t) true;
+  (* the pair's 0 -> 1 edge counts a new holder of the item *)
+  let first =
+    if rel >= 0 then begin
+      let first = not (pair_held t rel) in
+      set_member t (member_bit t ~rel ~time:z.t) true;
+      first
+    end
+    else bump t.pair_overflow (overflow_key t ~u:z.u ~i:z.i) 1 = 0
+  in
   bump_display t ~u:z.u ~time:z.t 1;
-  if bump_pair t ~rel ~u:z.u ~i:z.i 1 = 0 then t.item_distinct.(z.i) <- t.item_distinct.(z.i) + 1;
+  if first then t.item_distinct.(z.i) <- t.item_distinct.(z.i) + 1;
   t.cardinality <- t.cardinality + 1
 
 (* a bad [slot] argument is a caller bug: [add] and [add_result] both
@@ -254,61 +310,95 @@ let add ?slot t (z : Triple.t) =
 
 let remove t (z : Triple.t) =
   if not (mem t z) then invalid_arg "Strategy.remove: absent triple";
-  let ck = chain_key t ~u:z.u ~i:z.i in
-  (match Hashtbl.find_opt t.chains ck with
-  | None -> invalid_arg "Strategy.remove: chain entry missing"
-  | Some chain ->
-      (match Chain.slot_of chain z with
-      | Some s -> ignore (bump t.slot_occ (occ_key t z s) (-1))
-      | None -> ());
-      (* removes exactly one occurrence; raises if the chain lost track of
-         the triple instead of silently no-opping on a phantom removal *)
-      Chain.remove chain z;
-      if Chain.length chain = 0 then Hashtbl.remove t.chains ck);
   let rel = rel_pair t ~u:z.u ~i:z.i in
-  if rel >= 0 then set_member t (member_bit t ~rel ~time:z.t) false;
+  let chain = chain_of_pair t ~rel ~u:z.u ~i:z.i in
+  if Chain.length chain = 0 then invalid_arg "Strategy.remove: chain entry missing";
+  (match Chain.slot_of chain z with
+  | Some s -> ignore (bump t.slot_occ (occ_key t z s) (-1))
+  | None -> ());
+  (* removes exactly one occurrence; raises if the chain lost track of the
+     triple instead of silently no-opping on a phantom removal. An emptied
+     chain stays where it is, for the key's next add. *)
+  Chain.remove chain z;
+  (* the pair's 1 -> 0 edge loses a holder of the item *)
+  let last =
+    if rel >= 0 then begin
+      set_member t (member_bit t ~rel ~time:z.t) false;
+      not (pair_held t rel)
+    end
+    else bump t.pair_overflow (overflow_key t ~u:z.u ~i:z.i) (-1) = 1
+  in
   bump_display t ~u:z.u ~time:z.t (-1);
-  if bump_pair t ~rel ~u:z.u ~i:z.i (-1) = 1 then t.item_distinct.(z.i) <- t.item_distinct.(z.i) - 1;
+  if last then t.item_distinct.(z.i) <- t.item_distinct.(z.i) - 1;
   t.cardinality <- t.cardinality - 1
+
+(* ----- chain iteration ----- *)
+
+(* [f] on a view pair's chain when the pair is the first of its class in
+   its row and the chain is not empty: [mark.(cls) = u] once row [u]'s
+   class [cls] was visited, so a row costs O(row) with no pairwise
+   comparison of chains *)
+let visit_first t ~mark f ~u ~pid =
+  let cls = pair_class t pid in
+  if mark.(cls) <> u then begin
+    mark.(cls) <- u;
+    let c = t.chains.(pid - t.plo) in
+    if Chain.length c > 0 then f c
+  end
+
+let class_mark t = Array.make (max 1 (Instance.num_classes t.inst)) (-1)
+
+(* the visits are full applications: a partial application of
+   [visit_first] would allocate a closure on every pair it is called on *)
+let iter_chains t f =
+  let mark = class_mark t in
+  Instance.iter_candidate_pairs t.inst (fun ~u ~pid -> visit_first t ~mark f ~u ~pid);
+  Hashtbl.iter (fun _ c -> if Chain.length c > 0 then f c) t.chain_overflow
+
+let iter_user_chains t ~u f =
+  if u >= t.ulo && u < t.uhi then
+    let mark = class_mark t in
+    Instance.iter_candidate_pairs ~users:(u, u + 1) t.inst (fun ~u ~pid -> visit_first t ~mark f ~u ~pid);
+  let nc = Instance.num_classes t.inst in
+  Hashtbl.iter (fun key c -> if key / nc = u && Chain.length c > 0 then f c) t.chain_overflow
 
 (* One pass over the members as packed (user, time, item) keys, one
    descending sort of those ints, and the triples built in ascending
    order: the triples come into being only in their final order. *)
 let to_list t =
   let ni = Instance.num_items t.inst and stride = display_stride t in
-  Hashtbl.fold
-    (fun _ c acc ->
-      let acc = ref acc in
+  let acc = ref [] in
+  iter_chains t (fun c ->
       for j = 0 to Chain.length c - 1 do
         acc := ((((Chain.user c * stride) + Chain.time c j) * ni) + Chain.item c j) :: !acc
-      done;
-      !acc)
-    t.chains []
-  |> List.sort (fun a b -> Int.compare b a)
+      done);
+  List.sort (fun a b -> Int.compare b a) !acc
   |> List.rev_map (fun key ->
          Triple.make ~u:(key / ni / stride) ~i:(key mod ni) ~t:(key / ni mod stride))
 
 (* ----- row accessors: none of them sorts the strategy ----- *)
 
+let item_has_user t ~i ~u =
+  let rel = rel_pair t ~u ~i in
+  if rel >= 0 then pair_held t rel else count t.pair_overflow (overflow_key t ~u ~i) > 0
+
 let remove_pair t ~u ~i =
-  if pair_reps_count t ~u ~i > 0 then
+  if item_has_user t ~i ~u then
     for time = 1 to t.horizon do
       if mem_at t ~u ~i ~time then remove t (Triple.make ~u ~i ~t:time)
     done
 
-(* one pass over the chains of the item's class *)
+(* one pair lookup per view user, then the overflow pairs *)
 let item_holders t i =
-  let nc = Instance.num_classes t.inst and cls = Instance.class_of t.inst i in
-  Hashtbl.fold
-    (fun key c acc ->
-      let holds = ref false in
-      if key mod nc = cls then
-        for j = 0 to Chain.length c - 1 do
-          if Chain.item c j = i then holds := true
-        done;
-      if !holds then Chain.user c :: acc else acc)
-    t.chains []
-  |> List.sort_uniq Int.compare
+  let nu = Instance.num_users t.inst in
+  let acc =
+    ref (Hashtbl.fold (fun key _ acc -> if key / nu = i then (key mod nu) :: acc else acc) t.pair_overflow [])
+  in
+  for u = t.uhi - 1 downto t.ulo do
+    let rel = rel_pair t ~u ~i in
+    if rel >= 0 && pair_held t rel then acc := u :: !acc
+  done;
+  List.sort_uniq Int.compare !acc
 
 let of_list inst l =
   let t = create inst in
@@ -323,25 +413,21 @@ let copy t =
   List.iter (fun z -> add ?slot:(slot_of t z) fresh z) (to_list t);
   fresh
 
-let chain_view t ~u ~cls = Hashtbl.find_opt t.chains ((u * Instance.num_classes t.inst) + cls)
+let pair_chain t pid = t.chains.(pid - t.plo)
+
+let nonempty c = if Chain.length c > 0 then Some c else None
+
+let chain_view t ~u ~cls = nonempty (chain_at t ~rel:(-1) ~u ~cls)
 
 let chain t ~u ~cls =
   match chain_view t ~u ~cls with None -> [] | Some c -> Chain.to_list c
 
 let chain_of_triple t (z : Triple.t) = chain t ~u:z.u ~cls:(Instance.class_of t.inst z.i)
 
-let chain_view_of_triple t (z : Triple.t) = find_chain t ~u:z.u ~i:z.i
+let chain_view_of_triple t (z : Triple.t) =
+  nonempty (chain_of_pair t ~rel:(rel_pair t ~u:z.u ~i:z.i) ~u:z.u ~i:z.i)
 
-let chain_size t ~u ~cls =
-  match chain_view t ~u ~cls with None -> 0 | Some c -> Chain.length c
-
-let iter_chains t f = Hashtbl.iter (fun _ c -> f c) t.chains
-
-let iter_user_chains t ~u f =
-  let nc = Instance.num_classes t.inst in
-  for cls = 0 to nc - 1 do
-    match Hashtbl.find_opt t.chains ((u * nc) + cls) with Some c -> f c | None -> ()
-  done
+let chain_size t ~u ~cls = Chain.length (chain_at t ~rel:(-1) ~u ~cls)
 
 let recompute_chains ?u t =
   match u with None -> iter_chains t Chain.recompute | Some u -> iter_user_chains t ~u Chain.recompute
@@ -356,22 +442,20 @@ let by_head a b =
     let c = Int.compare (Chain.time a 0) (Chain.time b 0) in
     if c <> 0 then c else Int.compare (Chain.item a 0) (Chain.item b 0)
 
+(* counted first, so the array is the only allocation that grows with
+   the chains *)
 let chains_in_order t =
-  let a = Array.make (Hashtbl.length t.chains) (Chain.create_in t.ctx) in
+  let n = ref 0 in
+  iter_chains t (fun _ -> incr n);
+  let a = Array.make !n t.empty in
   let k = ref 0 in
-  Hashtbl.iter
-    (fun _ c ->
+  iter_chains t (fun c ->
       a.(!k) <- c;
-      incr k)
-    t.chains;
+      incr k);
   Array.stable_sort by_head a;
   a
 
-(* the three feasibility probes below run once per heap pop in heap modes
-   without their own mirrors; each is a single flat array read *)
 let item_user_count t i = t.item_distinct.(i)
-
-let item_has_user t ~i ~u = pair_reps_count t ~u ~i > 0
 
 let can_add t (z : Triple.t) =
   (not (mem t z))
@@ -448,7 +532,9 @@ let repeat_histogram t =
       hist.(idx) <- hist.(idx) + 1
     end
   in
-  Array.iter tally t.pair_reps;
+  for rel = 0 to t.phi - t.plo - 1 do
+    tally (pair_reps t rel)
+  done;
   Hashtbl.iter (fun _ count -> tally count) t.pair_overflow;
   hist
 

@@ -7,22 +7,29 @@
     - display counters per (user, time) and distinct-user counters per item,
       for the two validity constraints of Problem 1.
 
-    {b Footprint.} Membership is one bit per (candidate pair, time) and
-    the repetition count one word per candidate pair, both over the
-    instance view's CSR pair range; display fill is [T+1] words per view
-    user. Members live only in their {!Chain.t}s (18 words for a
-    one-member chain, 26 for two, plus a 4-word table entry), so a plan
-    of mostly short chains costs about 20 words per selection beyond its
-    instance. Users and pairs outside the view go through small overflow
-    tables.
+    {b Footprint.} Over the instance view's CSR pair range, each
+    candidate pair holds one bit per time step of membership (a pair's
+    repetition count is the number of its set bits) and one chain
+    pointer: every pair of a (user, class) row points at that key's
+    {!Chain.t}, or at the strategy's one empty sentinel until the key's
+    first add. An empty strategy is therefore one word plus [T] bits per
+    view pair, plus [T+1] words of display fill per view user. Members
+    live only in their chains (18 words for a one-member chain, 26 for
+    two), so a plan of mostly short chains costs about 17 words per
+    selection beyond its instance. (User, class) keys with no view pair
+    of that class (out-of-view users, or a non-candidate triple whose
+    class has no candidate in the row) and pairs outside the view go
+    through small overflow tables, which stay empty on every planner
+    path.
 
-    {b Orders.} The chains table keeps its (user, class) keys in the
-    order they were first added; {!iter_chains} visits them in the
-    table's order, a deterministic function of those keys and that
-    insertion sequence. {!Revenue.total_incremental} sums chain revenues
-    in that order, so RL-Greedy's first-maximum tie-break and [Exact]'s
-    slate branch read a sum whose last bits depend on it. {!Revenue.total}
-    and {!Simulate} walk {!chains_in_order} instead. *)
+    {b Orders.} {!iter_chains} visits the view's rows in pair order, each
+    non-empty chain at its row's first pair of that class, then the
+    overflow chains. The order depends only on the rows and the members,
+    not on the order the chains were first added in.
+    {!Revenue.total_incremental} sums chain revenues in that order, so
+    RL-Greedy's first-maximum tie-break and [Exact]'s slate branch read a
+    sum whose last bits depend on it. {!Revenue.total} and {!Simulate}
+    walk {!chains_in_order} instead. *)
 
 type t
 
@@ -86,9 +93,9 @@ val remove_pair : t -> u:int -> i:int -> unit
     removed triple. A no-op when the pair holds nothing. *)
 
 val item_holders : t -> int -> int list
-(** The distinct users holding item [i], ascending: one unordered pass
-    over the chains of the item's class, O(|S|) at most, without the sort
-    of {!to_list}. *)
+(** The distinct users holding item [i], ascending: one pair lookup per
+    view user, O(users · log row), plus the overflow pairs, without the
+    sort of {!to_list}. *)
 
 val recompute_chains : ?u:int -> t -> unit
 (** {!Chain.recompute} every chain, or only user [u]'s: afterwards each
@@ -140,19 +147,31 @@ val chain_of_triple : t -> Triple.t -> Triple.t list
 
 val chain_view : t -> u:int -> cls:int -> Chain.t option
 (** The live array-backed chain with its cached aggregates; [None] when the
-    (user, class) pair has no triples yet. The returned chain is the
-    strategy's own state — do not mutate it directly. *)
+    (user, class) pair holds no triples. The returned chain is the
+    strategy's own state — do not mutate it directly. A scan of the
+    user's row for a pair of the class, O(row). *)
 
 val chain_view_of_triple : t -> Triple.t -> Chain.t option
-(** {!chain_view} keyed by a triple's (user, class) pair. *)
+(** {!chain_view} keyed by a triple's (user, class) pair: one
+    {!Instance.pair_find} when the triple's (user, item) is a view pair,
+    the row scan of {!chain_view} otherwise. *)
+
+val pair_chain : t -> int -> Chain.t
+(** [pair_chain t pid]: the chain of view pair [pid]'s (user, class), read
+    from the pair's own pointer. It has length 0 when the key holds no
+    triples (it is then the strategy's empty sentinel, or a chain that
+    removals emptied). The strategy's own state — do not mutate it.
+    Raises [Invalid_argument] when [pid] is not a pair of the instance
+    view's range. *)
 
 val chain_size : t -> u:int -> cls:int -> int
-(** O(1); this is the paper's [|set(u, C(i))|], the lazy-forward flag
-    reference value of Algorithm 1. *)
+(** The paper's [|set(u, C(i))|], the lazy-forward flag reference value of
+    Algorithm 1: the row scan of {!chain_view}, O(row). Hot loops that
+    hold the pair id read [Chain.length (pair_chain t pid)] instead. *)
 
 val iter_chains : t -> (Chain.t -> unit) -> unit
-(** Visit every non-empty chain in the chains table's order (see
-    {b Orders} above): deterministic, and what
+(** Visit every non-empty chain once, in pair order (see {b Orders}
+    above): O(view pairs + overflow chains), and what
     {!Revenue.total_incremental}'s float sum follows. The callback must
     not modify the strategy. *)
 

@@ -56,7 +56,8 @@ val generate : config -> seed:int -> Revmax.Instance.t
 val generate_pack : config -> seed:int -> path:string -> unit
 (** Stream the same instance {!generate} would build straight into a pack
     file ({!Revmax.Instance.Pack}), one user row at a time — O(items +
-    one row) live memory, so instances far beyond RAM can be produced.
+    users) words of live memory (a row offset per user) plus one row,
+    nothing per pair, so instances far beyond RAM can be produced.
     For equal [seed] and [config],
     [Revmax.Instance.of_mmap path] observes exactly the instance
     [generate] returns (same RNG consumption order; the equivalence is

@@ -249,10 +249,14 @@ type snapshot = {
   s_adopted : (int * int) list;
   s_organic : (int * int) list;
   s_stale : int list;
-  s_triples : Triple.t list;
+  s_strategy : Strategy.t;
 }
 
-let load_snapshot path =
+(* Every record is checked against the instance as it is read, and the
+   strategy is rebuilt here, so a snapshot that does not describe a state
+   of this instance is a [Parse_error] naming its line, never an index
+   error or an out-of-range state later on. *)
+let load_snapshot inst path =
   if not (Sys.file_exists path) then None
   else
     In_channel.with_open_text path @@ fun ic ->
@@ -267,16 +271,32 @@ let load_snapshot path =
     in
     let int_f s = match int_of_string_opt s with Some v -> v | None -> fail ("bad integer " ^ s) in
     let i64_f s =
-      match Int64.of_string_opt s with Some v -> v | None -> fail ("bad sequence " ^ s)
+      match Int64.of_string_opt s with
+      | Some v when Int64.compare v 0L >= 0 -> v
+      | _ -> fail ("bad sequence " ^ s)
     in
     let float_f s =
-      match float_of_string_opt s with Some v -> v | None -> fail ("bad float " ^ s)
+      match float_of_string_opt s with
+      | Some v when Float.is_finite v -> v
+      | _ -> fail ("bad float " ^ s)
     in
+    let in_range what v n =
+      if v < 0 || v >= n then fail (Printf.sprintf "%s %d out of range" what v) else v
+    in
+    let user s = in_range "user" (int_f s) (Instance.num_users inst) in
+    let item s = in_range "item" (int_f s) (Instance.num_items inst) in
     (match next () with
     | [ "revmax-serve-snapshot"; "1" ] -> ()
     | _ -> fail "expected header: revmax-serve-snapshot 1");
     let s_seq = match next () with [ "seq"; v ] -> i64_f v | _ -> fail "expected: seq <n>" in
-    let s_now = match next () with [ "now"; v ] -> int_f v | _ -> fail "expected: now <t>" in
+    let s_now =
+      match next () with
+      | [ "now"; v ] ->
+          let t = int_f v in
+          if t < 0 || t > Instance.horizon inst then fail (Printf.sprintf "time %d out of range" t)
+          else t
+      | _ -> fail "expected: now <t>"
+    in
     let s_realized_rec, s_realized_org =
       match next () with
       | [ "realized"; a; b ] -> (float_f a, float_f b)
@@ -287,14 +307,35 @@ let load_snapshot path =
     while not !finished do
       match next () with
       | [ "end" ] -> finished := true
-      | [ "adopted"; u; i ] -> adopted := (int_f u, int_f i) :: !adopted
-      | [ "organic"; i; n ] -> organic := (int_f i, int_f n) :: !organic
-      | [ "stale"; u ] -> stale := int_f u :: !stale
+      | [ "adopted"; u; i ] ->
+          let u = user u in
+          adopted := (u, item i) :: !adopted
+      | [ "organic"; i; n ] ->
+          let i = item i in
+          let n = int_f n in
+          if n < 0 || n > Instance.capacity inst i then
+            fail (Printf.sprintf "organic count %d outside 0..capacity %d" n (Instance.capacity inst i));
+          organic := (i, n) :: !organic
+      | [ "stale"; u ] -> stale := user u :: !stale
       | [ "triple"; u; i; t ] ->
-          triples := Triple.make ~u:(int_f u) ~i:(int_f i) ~t:(int_f t) :: !triples
+          let z = Triple.make ~u:(int_f u) ~i:(int_f i) ~t:(int_f t) in
+          triples := (z, !line_no) :: !triples
       | tag :: _ -> fail ("unknown snapshot record " ^ tag)
       | [] -> ()
     done;
+    (* in sorted order, as [write_snapshot] lists them, so every chain is
+       built ascending; a bad or duplicate triple names its own line *)
+    let s_strategy = Strategy.create inst in
+    List.iter
+      (fun (z, line) ->
+        match Strategy.add_result s_strategy z with
+        | Ok () -> ()
+        | Error e ->
+            line_no := line;
+            fail (Err.message e))
+      (List.stable_sort (fun (a, _) (b, _) -> Triple.compare a b) (List.rev !triples));
+    (* a constraint breach is no one line's: it is reported at [end] *)
+    (match Strategy.validate s_strategy with Ok () -> () | Error e -> fail (Err.message e));
     Some
       {
         s_seq;
@@ -304,7 +345,7 @@ let load_snapshot path =
         s_adopted = List.rev !adopted;
         s_organic = List.rev !organic;
         s_stale = List.rev !stale;
-        s_triples = List.rev !triples;
+        s_strategy;
       }
 
 let save_snapshot st =
@@ -340,13 +381,13 @@ let rec mkdirs dir =
 
 let create cfg inst =
   mkdirs cfg.data_dir;
-  let snap = load_snapshot (snapshot_path cfg) in
+  let snap = load_snapshot inst (snapshot_path cfg) in
   let journal, records = Journal.openw ~sync_every:cfg.sync_every (journal_path cfg) in
   let sup = Supervisor.create ~policy:cfg.retry ~seed:cfg.seed () in
   let st =
     match snap with
     | Some s ->
-        let strategy_ = Strategy.of_list inst s.s_triples in
+        let strategy_ = s.s_strategy in
         let adopted = Hashtbl.create 64 in
         List.iter (fun p -> Hashtbl.replace adopted p ()) s.s_adopted;
         let organic = Array.make (Instance.num_items inst) 0 in

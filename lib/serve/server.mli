@@ -83,7 +83,10 @@ type t
 
 val create : config -> Revmax.Instance.t -> t
 (** Boot-or-recover: loads [data_dir]'s snapshot when present (raising
-    [Err.Error] if it is unreadable — snapshots are written atomically
+    [Err.Error (Parse_error _)], naming the line, if it is unreadable or
+    does not describe a state of [inst]: ids out of range, [now] outside
+    [0, T], consumed stock outside [0, capacity], a duplicate triple or a
+    strategy that breaks a constraint — snapshots are written atomically
     and fsynced, so corruption is bitrot, not a crash artifact), plans
     the initial strategy otherwise, heals and replays the journal, and
     writes a fresh snapshot so later recoveries are cheap. *)

@@ -933,6 +933,157 @@ let test_chain_walk_matches_seen_folds () =
       done)
     families
 
+(* ----- pair-indexed chains against a (user, class)-keyed model ----- *)
+
+(* Random add, remove, remove_pair and drain-then-re-add steps on plain,
+   slate and budgeted instances, half the time on a shard view (which then
+   holds out-of-view members too), with non-candidate triples mixed in.
+   The model keeps every member under its (user, class) key, in chain
+   order; after every step each accessor must read what the model says,
+   and [iter_chains] must visit each non-empty chain once: the view's rows
+   in pair order first, then the rest. *)
+let prop_pair_chains_match_model =
+  let module Chain = Revmax.Chain in
+  QCheck2.Test.make ~name:"pair-indexed chains = a (user, class)-keyed model" ~count:300 seed_gen
+    (fun seed ->
+      let rng = Rng.create seed in
+      let inst =
+        match Rng.int rng 3 with
+        | 0 -> random_instance ~max_users:4 ~max_items:5 ~max_classes:3 rng
+        | 1 -> random_slate_instance ~max_users:4 ~max_items:5 rng
+        | _ -> random_budgeted_instance ~max_users:4 ~max_items:5 rng
+      in
+      let on =
+        if Instance.num_users inst > 1 && Rng.bernoulli rng 0.5 then
+          (Instance.shard ~shards:2 inst).(Rng.int rng 2)
+        else inst
+      in
+      let s = Strategy.create on in
+      let nu = Instance.num_users inst and ni = Instance.num_items inst in
+      let nc = Instance.num_classes inst and horizon = Instance.horizon inst in
+      let cls i = Instance.class_of inst i in
+      let model : (int, Triple.t list) Hashtbl.t = Hashtbl.create 16 in
+      let key (z : Triple.t) = (z.u * nc) + cls z.i in
+      let find k = Option.value ~default:[] (Hashtbl.find_opt model k) in
+      let chain_order (a : Triple.t) (b : Triple.t) =
+        if a.t <> b.t then Int.compare a.t b.t else Int.compare a.i b.i
+      in
+      let members () = Hashtbl.fold (fun _ l acc -> l @ acc) model [] in
+      let mem z = List.exists (Triple.equal z) (find (key z)) in
+      let add z =
+        Strategy.add s z;
+        Hashtbl.replace model (key z) (List.sort chain_order (z :: find (key z)))
+      in
+      let remove z =
+        Strategy.remove s z;
+        Hashtbl.replace model (key z) (List.filter (fun z' -> not (Triple.equal z z')) (find (key z)))
+      in
+      let remove_pair u i =
+        Strategy.remove_pair s ~u ~i;
+        let k = (u * nc) + cls i in
+        Hashtbl.replace model k (List.filter (fun (z : Triple.t) -> z.i <> i) (find k))
+      in
+      let show l = String.concat " " (List.map Triple.to_string l) in
+      let chain_list = function None -> [] | Some c -> Chain.to_list c in
+      let check step =
+        let fail fmt = QCheck2.Test.fail_reportf ("%s: " ^^ fmt) step in
+        for u = 0 to nu - 1 do
+          for c = 0 to nc - 1 do
+            let expected = find ((u * nc) + c) in
+            let view = Strategy.chain_view s ~u ~cls:c in
+            (match view with
+            | Some ch when Chain.length ch = 0 -> fail "chain_view (%d, %d) is an empty chain" u c
+            | _ -> ());
+            if chain_list view <> expected then
+              fail "chain_view (%d, %d) = [%s], model [%s]" u c (show (chain_list view)) (show expected);
+            if Strategy.chain_size s ~u ~cls:c <> List.length expected then
+              fail "chain_size (%d, %d) = %d, model %d" u c (Strategy.chain_size s ~u ~cls:c)
+                (List.length expected)
+          done;
+          for i = 0 to ni - 1 do
+            let expected = find ((u * nc) + cls i) in
+            for t = 1 to horizon do
+              let got = chain_list (Strategy.chain_view_of_triple s (triple u i t)) in
+              if got <> expected then
+                fail "chain_view_of_triple (%d, %d, %d) = [%s], model [%s]" u i t (show got)
+                  (show expected)
+            done;
+            let holds = List.exists (fun (z : Triple.t) -> z.i = i) expected in
+            if Strategy.item_has_user s ~i ~u <> holds then fail "item_has_user (%d, %d)" i u
+          done
+        done;
+        let all = members () in
+        for i = 0 to ni - 1 do
+          let holders =
+            List.sort_uniq Int.compare
+              (List.filter_map (fun (z : Triple.t) -> if z.i = i then Some z.u else None) all)
+          in
+          if Strategy.item_holders s i <> holders then fail "item_holders %d" i;
+          if Strategy.item_user_count s i <> List.length holders then fail "item_user_count %d" i
+        done;
+        let reps = Hashtbl.create 16 in
+        List.iter
+          (fun (z : Triple.t) ->
+            Hashtbl.replace reps (z.u, z.i) (1 + Option.value ~default:0 (Hashtbl.find_opt reps (z.u, z.i))))
+          all;
+        let hist = Array.make horizon 0 in
+        Hashtbl.iter (fun _ r -> hist.(min r horizon - 1) <- hist.(min r horizon - 1) + 1) reps;
+        if Strategy.repeat_histogram s <> hist then fail "repeat_histogram";
+        if Strategy.to_list s <> List.sort Triple.compare all then
+          fail "to_list [%s], model [%s]" (show (Strategy.to_list s)) (show (List.sort Triple.compare all));
+        let visited = ref [] in
+        Strategy.iter_chains s (fun c -> visited := Chain.to_list c :: !visited);
+        let visited = List.rev !visited in
+        let ulo, uhi = Instance.user_range on in
+        let rows = ref [] and in_row = Hashtbl.create 16 in
+        for u = ulo to uhi - 1 do
+          let lo, hi = Instance.pair_row on u in
+          for pid = lo to hi - 1 do
+            let c = cls (Instance.pair_item on pid) in
+            if not (Hashtbl.mem in_row ((u * nc) + c)) then begin
+              Hashtbl.add in_row ((u * nc) + c) ();
+              match find ((u * nc) + c) with [] -> () | l -> rows := l :: !rows
+            end
+          done
+        done;
+        let rows = List.rev !rows in
+        let rest =
+          Hashtbl.fold (fun k l acc -> if l <> [] && not (Hashtbl.mem in_row k) then l :: acc else acc) model []
+        in
+        let n = List.length rows in
+        if List.filteri (fun k _ -> k < n) visited <> rows then
+          fail "iter_chains does not visit the view's rows in pair order";
+        if List.sort compare (List.filteri (fun k _ -> k >= n) visited) <> List.sort compare rest then
+          fail "iter_chains does not visit the other chains exactly once"
+      in
+      let cands = Array.of_list (candidate_triples inst) in
+      let pick () =
+        if Array.length cands > 0 && Rng.bernoulli rng 0.85 then cands.(Rng.int rng (Array.length cands))
+        else triple (Rng.int rng nu) (Rng.int rng ni) (1 + Rng.int rng horizon)
+      in
+      check "empty";
+      for step = 1 to 40 do
+        let what = Printf.sprintf "step %d" step in
+        (match Rng.int rng 10 with
+        | 0 | 1 ->
+            let z = pick () in
+            remove_pair z.u z.i
+        | 2 -> (
+            match members () with
+            | [] -> ()
+            | ms ->
+                let z = List.nth ms (Rng.int rng (List.length ms)) in
+                let l = find (key z) in
+                List.iter remove l;
+                check (what ^ ", chain drained");
+                add (List.nth l (Rng.int rng (List.length l))))
+        | _ ->
+            let z = pick () in
+            if mem z then remove z else add z);
+        check what
+      done;
+      true)
+
 let () =
   Alcotest.run "core"
     [
@@ -959,6 +1110,7 @@ let () =
           Alcotest.test_case "capacity tracking" `Quick test_strategy_capacity_tracking;
           Alcotest.test_case "copy independence" `Quick test_strategy_copy_independent;
           Alcotest.test_case "repeat histogram" `Quick test_repeat_histogram;
+          QCheck_alcotest.to_alcotest prop_pair_chains_match_model;
         ] );
       ( "revenue",
         [

@@ -390,6 +390,94 @@ let test_generate_pack_digest () =
       Alcotest.(check string) "pack digest" "ac596c8e17e3478f26873aec42c938f3"
         (Digest.to_hex (Digest.file path)))
 
+(* The most the major heap grew above its size at the start of [f]:
+   sampled at the end of every major cycle and once more on return. *)
+let major_heap_growth f =
+  Gc.full_major ();
+  let heap () = (Gc.quick_stat ()).Gc.heap_words in
+  let base = heap () in
+  let peak = ref base in
+  let alarm = Gc.create_alarm (fun () -> peak := max !peak (heap ())) in
+  Fun.protect ~finally:(fun () -> Gc.delete_alarm alarm) f;
+  max !peak (heap ()) - base
+
+let with_temp_pack f =
+  let path = Filename.temp_file "revmax-datagen" ".pack" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
+
+(* The pack writer streams every per-pair section to disk: ten times the
+   users, with the items unchanged, must not grow the major heap by half a
+   word per added pair (buffering the pairs' item ids and ratings grew it
+   by about four).
+   Native only: a statement about the native writer's heap. *)
+let test_pack_writer_heap_is_flat_in_pairs () =
+  if Sys.backend_type = Sys.Native then begin
+    let config users =
+      Scalability.with_users
+        {
+          Scalability.default_config with
+          num_items = 200;
+          num_classes = 20;
+          items_per_user = 10;
+          horizon = 4;
+          display_limit = 3;
+        }
+        users
+    in
+    let growth users =
+      with_temp_pack (fun path ->
+          major_heap_growth (fun () -> Scalability.generate_pack (config users) ~seed:5 ~path))
+    in
+    let small = growth 2_000 and large = growth 20_000 in
+    let per_pair = float_of_int (large - small) /. float_of_int (10 * (20_000 - 2_000)) in
+    if per_pair > 0.5 then
+      Alcotest.failf "the writer's heap grew %d words at 2,000 users and %d at 20,000: %.2f per added pair"
+        small large per_pair
+  end
+
+(* Ratings given through the writer read back from the pack as given: the
+   pairs before the first rating are absent, ratings that are all absent
+   add no ratings section, and no scratch file outlives [finish]. *)
+let test_pack_writer_ratings () =
+  let rows =
+    [|
+      [| (0, [| 0.5; 0.0 |]); (2, [| 0.1; 0.2 |]) |];
+      [| (1, [| 0.3; 0.3 |]) |];
+      [| (0, [| 0.0; 0.4 |]); (1, [| 0.2; 0.0 |]); (2, [| 0.7; 0.1 |]) |];
+    |]
+  in
+  let ratings = [| [| None; None |]; [| None |]; [| Some 4.5; None; Some 2.0 |] |] in
+  let write path ratings =
+    let w =
+      Instance.Pack.create_writer ~path ~num_users:3 ~num_items:3 ~horizon:2 ~display_limit:2
+        ~class_of:[| 0; 0; 1 |] ~capacity:[| 2; 2; 2 |] ~saturation:[| 0.5; 0.5; 0.5 |]
+        ~price:[| [| 1.0; 2.0 |]; [| 3.0; 1.0 |]; [| 2.0; 2.0 |] |]
+        ()
+    in
+    Array.iteri (fun u row -> Instance.Pack.add_user w ~u ?ratings:(ratings u) row) rows;
+    Instance.Pack.finish w
+  in
+  with_temp_pack (fun path ->
+      write path (fun u -> Some ratings.(u));
+      let inst = Instance.of_mmap path in
+      Array.iteri
+        (fun u row ->
+          Array.iteri
+            (fun k (i, _) ->
+              Alcotest.(check (option (float 0.0)))
+                (Printf.sprintf "rating (%d, %d)" u i)
+                ratings.(u).(k) (Instance.rating inst ~u ~i))
+            row)
+        rows);
+  let digest ratings = with_temp_pack (fun path -> write path ratings; Digest.file path) in
+  Alcotest.(check string) "all-absent ratings write no section"
+    (Digest.to_hex (digest (fun _ -> None)))
+    (Digest.to_hex (digest (fun u -> Some (Array.map (fun _ -> None) rows.(u)))));
+  with_temp_pack (fun path ->
+      write path (fun u -> Some ratings.(u));
+      Alcotest.(check bool) "scratch files removed" false
+        (Sys.file_exists (path ^ ".items") || Sys.file_exists (path ^ ".ratings")))
+
 let test_table1_row_shape () =
   let row = Scalability.table1_row small_scal_config ~seed:16 in
   Alcotest.(check int) "9 cells" 9 (List.length row);
@@ -446,6 +534,9 @@ let () =
           Alcotest.test_case "variant knobs are draw-invariant and pack" `Quick
             test_scalability_variant_knobs_draw_invariant;
           Alcotest.test_case "generate_pack bytes are pinned" `Quick test_generate_pack_digest;
+          Alcotest.test_case "pack writer heap does not grow with pairs" `Quick
+            test_pack_writer_heap_is_flat_in_pairs;
+          Alcotest.test_case "pack writer ratings round trip" `Quick test_pack_writer_ratings;
           Alcotest.test_case "table1 row" `Quick test_table1_row_shape;
         ] );
     ]

@@ -19,7 +19,17 @@ module Io = Revmax.Io
 module Algorithms = Revmax.Algorithms
 module Runner = Revmax_experiments.Runner
 module Checkpoint = Revmax_experiments.Checkpoint
+module Server = Revmax_serve.Server
+module Journal = Revmax_serve.Journal
+module Scalability = Revmax_datagen.Scalability
 open Helpers
+
+(* a flat directory and its files *)
+let remove_dir dir =
+  if Sys.file_exists dir then begin
+    Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
+    Sys.rmdir dir
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Spec-level corruptor                                                *)
@@ -642,6 +652,103 @@ let prop_fuzz_pack =
     ~encode:(fun inst -> with_pack_bytes inst (fun _ b -> b))
     ~mutate:mutate_pack ~decode:Instance.of_mmap_checked
 
+(* A real serving snapshot: a boot plan, some adoptions (so adopted and
+   organic records), a capacity event and truncated replans (so stale
+   records), on an instance shared by every fuzzed input. *)
+let snapshot_base =
+  lazy
+    (let base = Scalability.with_users Scalability.default_config 12 in
+     let inst =
+       Scalability.generate
+         { base with Scalability.num_items = 24; num_classes = 4; items_per_user = 6 }
+         ~seed:3
+     in
+     let dir = Filename.temp_file "revmax-snap" "" in
+     Sys.remove dir;
+     let cfg =
+       { (Server.default_config ~data_dir:dir) with Server.snapshot_every = 0; replan_evals = Some 2 }
+     in
+     let st = Server.create cfg inst in
+     List.iteri
+       (fun k (z : Revmax.Triple.t) ->
+         if k mod 5 = 0 then ignore (Server.apply st (Journal.Adopt { u = z.u; i = z.i; t = z.t })))
+       (Strategy.to_list (Server.strategy st));
+     ignore (Server.apply st (Journal.Cap { i = 0; delta = 1 }));
+     Server.close st;
+     let path = Filename.concat dir "snapshot.revmax" in
+     let text = In_channel.with_open_bin path In_channel.input_all in
+     remove_dir dir;
+     (inst, text))
+
+(* one mutation of a snapshot: a byte flip, a truncation, a line spliced
+   in elsewhere, a line repeated, or a number overwritten by a corrupt
+   count *)
+let mutate_snapshot rng text =
+  let lines = String.split_on_char '\n' text in
+  let m = List.length lines in
+  let insert_at pos line = List.filteri (fun k _ -> k < pos) lines @ (line :: List.filteri (fun k _ -> k >= pos) lines) in
+  match Rng.int rng 5 with
+  | 0 -> mutate_text rng text
+  | 1 -> String.sub text 0 (Rng.int rng (String.length text + 1))
+  | 2 -> String.concat "\n" (insert_at (Rng.int rng (m + 1)) (List.nth lines (Rng.int rng m)))
+  | 3 ->
+      let k = Rng.int rng m in
+      String.concat "\n" (insert_at k (List.nth lines k))
+  | _ ->
+      let k = Rng.int rng m in
+      List.mapi
+        (fun j line ->
+          if j <> k then line
+          else
+            String.split_on_char ' ' line
+            |> List.map (fun f ->
+                   match int_of_string_opt f with
+                   | Some v when Rng.bernoulli rng 0.5 -> string_of_int (corrupt_count rng v)
+                   | _ -> f)
+            |> String.concat " ")
+        lines
+      |> String.concat "\n"
+
+(* Each mutated snapshot boots a server whose strategy validates and
+   whose consumed stock stays within capacity, or fails the boot with a
+   [Parse_error]; no other exception escapes. *)
+let prop_fuzz_snapshot =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"fuzzed snapshots: a valid server or a typed error" ~count:300
+       (QCheck2.Gen.int_range 0 1_000_000) (fun seed ->
+         let inst, text = Lazy.force snapshot_base in
+         let rng = Rng.create seed in
+         let text = ref text in
+         for _ = 0 to Rng.int rng 3 do
+           text := mutate_snapshot rng !text
+         done;
+         let dir = Filename.temp_file "revmax-snap" "" in
+         Sys.remove dir;
+         Unix.mkdir dir 0o700;
+         Fun.protect
+           ~finally:(fun () -> remove_dir dir)
+           (fun () ->
+             Out_channel.with_open_bin (Filename.concat dir "snapshot.revmax") (fun oc ->
+                 Out_channel.output_string oc !text);
+             match Server.create (Server.default_config ~data_dir:dir) inst with
+             | st ->
+                 let strategy = Server.strategy st in
+                 let stock_ok =
+                   List.for_all
+                     (fun i ->
+                       let n = Server.organic_consumed st i in
+                       n >= 0 && n <= Instance.capacity inst i)
+                     (List.init (Instance.num_items inst) Fun.id)
+                 in
+                 Server.close st;
+                 (match Strategy.validate strategy with
+                 | Ok () -> ()
+                 | Error e -> QCheck2.Test.fail_reportf "booted an invalid strategy: %s" (Err.message e));
+                 if not stock_ok then QCheck2.Test.fail_reportf "booted with stock beyond capacity";
+                 true
+             | exception Err.Error (Err.Parse_error _) -> true
+             | exception e -> QCheck2.Test.fail_reportf "exception escaped: %s" (Printexc.to_string e))))
+
 (* ------------------------------------------------------------------ *)
 (* Harness faults: Runner.guarded                                      *)
 (* ------------------------------------------------------------------ *)
@@ -1025,6 +1132,7 @@ let () =
             test_text_huge_user_count;
           prop_fuzz_text;
           prop_fuzz_pack;
+          prop_fuzz_snapshot;
         ] );
       ( "runner",
         [

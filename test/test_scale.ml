@@ -405,8 +405,8 @@ let wide_shallow users =
   }
 
 (* A plan of mostly one- and two-member chains costs a small constant per
-   selection: two flat arrays per chain, one membership bit per (pair,
-   time). Native only: bytecode lays out the same values, but this is a
+   selection: two flat arrays per chain, one chain pointer per pair and one
+   membership bit per (pair, time). Native only: bytecode lays out the same values, but this is a
    statement about the native planner's heap. *)
 let test_plan_words_per_selection () =
   if Sys.backend_type = Sys.Native then
@@ -415,8 +415,8 @@ let test_plan_words_per_selection () =
         let inst = Instance.of_mmap path in
         let s, st = Greedy.run inst in
         let per_selection = float_of_int (own_words s) /. float_of_int st.Greedy.selected in
-        if st.Greedy.selected < 10_000 || per_selection > 25.0 then
-          Alcotest.failf "%d selections at %.1f words each (at most 25)" st.Greedy.selected
+        if st.Greedy.selected < 10_000 || per_selection > 20.0 then
+          Alcotest.failf "%d selections at %.1f words each (at most 20)" st.Greedy.selected
             per_selection)
 
 (* The greedy's per-run state — candidate registration, the heap arena,
@@ -453,7 +453,7 @@ let dense_draws ~users ~seed =
 let dense_instance ~users ~seed = dense_draws ~users ~seed ()
 
 (* Set-up costs a small constant per candidate pair (greedy.mli's
-   footprint formula): one stamp, three mirrors, a chain slot and the
+   footprint formula): one stamp, two mirrors, a holder byte and the
    heap's 1.25 words per (time, slot) entry plus 3.25 per group. *)
 let check_setup_words ~what ~bound inst =
   if Sys.backend_type = Sys.Native then begin
@@ -466,10 +466,10 @@ let check_setup_words ~what ~bound inst =
 let test_setup_words_wide_shallow () =
   with_temp_pack (fun path ->
       Scalability.generate_pack (wide_shallow 3000) ~seed:16 ~path;
-      check_setup_words ~what:"T = 4 pack" ~bound:16.0 (Instance.of_mmap path))
+      check_setup_words ~what:"T = 4 pack" ~bound:14.0 (Instance.of_mmap path))
 
 let test_setup_words_dense () =
-  check_setup_words ~what:"T = 15 dense" ~bound:30.0 (dense_instance ~users:400 ~seed:16)
+  check_setup_words ~what:"T = 15 dense" ~bound:28.0 (dense_instance ~users:400 ~seed:16)
 
 (* [Instance.create] writes the candidate pairs into off-heap arrays: on
    the OCaml heap it allocates only per-user row offsets and per-item
@@ -494,7 +494,7 @@ let test_view_strategy_is_view_sized () =
   let plo, phi = Instance.pair_range view in
   let horizon = Instance.horizon view in
   let s = Strategy.create view in
-  (* per view pair a count and [T] bits, per view user [T+1] display
+  (* per view pair a chain pointer and [T] bits, per view user [T+1] display
      counters, per item a holder count, plus small tables *)
   let bound =
     (phi - plo) + ((phi - plo) * horizon / 64) + ((hi - lo) * (horizon + 1))
@@ -535,13 +535,13 @@ let () =
         ] );
       ( "footprint",
         [
-          Alcotest.test_case "a plan costs at most 25 words per selection" `Quick
+          Alcotest.test_case "a plan costs at most 20 words per selection" `Quick
             test_plan_words_per_selection;
           Alcotest.test_case "a view's strategy is sized by the view" `Quick
             test_view_strategy_is_view_sized;
-          Alcotest.test_case "greedy set-up costs at most 16 words per candidate pair at T = 4"
+          Alcotest.test_case "greedy set-up costs at most 14 words per candidate pair at T = 4"
             `Quick test_setup_words_wide_shallow;
-          Alcotest.test_case "greedy set-up costs at most 30 words per candidate pair at T = 15"
+          Alcotest.test_case "greedy set-up costs at most 28 words per candidate pair at T = 15"
             `Quick test_setup_words_dense;
           Alcotest.test_case "Instance.create allocates at most 2 words per candidate pair"
             `Quick test_create_words_per_pair;

@@ -401,6 +401,40 @@ let test_corrupt_snapshot_is_typed_error () =
       Server.close st2;
       Alcotest.fail "corrupt snapshot silently accepted")
 
+(* Boot from a valid snapshot with [extra] spliced in before its [end]
+   line: the boot must fail with a [Parse_error] naming the spliced line.
+   [extra] is a function of the snapshot's own lines, so it can repeat one
+   of them. *)
+let check_spliced_snapshot_rejected extra =
+  with_temp_dir @@ fun dir ->
+  let inst = small_instance ~users:10 () in
+  let cfg = Server.default_config ~data_dir:(Filename.concat dir "d") in
+  Server.close (Server.create cfg inst);
+  let snap = Filename.concat dir "d/snapshot.revmax" in
+  let lines = In_channel.with_open_bin snap In_channel.input_all |> String.split_on_char '\n' in
+  let body = List.filter (fun l -> l <> "" && l <> "end") lines in
+  let line = extra body in
+  Out_channel.with_open_bin snap (fun oc ->
+      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) (body @ [ line; "end" ]));
+  match Server.create cfg inst with
+  | exception Err.Error (Err.Parse_error { line = at; _ }) ->
+      Alcotest.(check int) (line ^ ": the error names the spliced line") (List.length body + 1) at
+  | exception e -> Alcotest.failf "%s: wanted Parse_error, got %s" line (Printexc.to_string e)
+  | st ->
+      Server.close st;
+      Alcotest.failf "%s: corrupt snapshot accepted" line
+
+let test_snapshot_item_out_of_range () =
+  check_spliced_snapshot_rejected (fun _ -> "organic 100000 1")
+
+let test_snapshot_triple_out_of_range () = check_spliced_snapshot_rejected (fun _ -> "triple 0 0 99")
+
+let test_snapshot_negative_organic () = check_spliced_snapshot_rejected (fun _ -> "organic 0 -5")
+
+let test_snapshot_duplicate_triple () =
+  check_spliced_snapshot_rejected (fun body ->
+      List.find (fun l -> String.starts_with ~prefix:"triple " l) body)
+
 let test_topk_scores_and_order () =
   with_temp_dir @@ fun _dir ->
   let inst = small_instance ~users:10 () in
@@ -897,6 +931,14 @@ let () =
             test_quantity_budget_respected_through_serving;
           Alcotest.test_case "corrupt snapshot is a typed error" `Quick
             test_corrupt_snapshot_is_typed_error;
+          Alcotest.test_case "snapshot item out of range is a typed error" `Quick
+            test_snapshot_item_out_of_range;
+          Alcotest.test_case "snapshot triple out of range is a typed error" `Quick
+            test_snapshot_triple_out_of_range;
+          Alcotest.test_case "snapshot negative organic count is a typed error" `Quick
+            test_snapshot_negative_organic;
+          Alcotest.test_case "snapshot duplicate triple is a typed error" `Quick
+            test_snapshot_duplicate_triple;
           Alcotest.test_case "topk scoring and order" `Quick test_topk_scores_and_order;
           Alcotest.test_case "in-place replanning matches copy-based" `Quick
             test_in_place_replan_matches_copy_based;
