@@ -1,8 +1,8 @@
 (* Array-backed (user, class) chain with cached per-triple aggregates.
 
    The chain keeps its members sorted (time ascending, ties by item id —
-   Triple.chain_before) in two flat arrays. The float array [f] holds the
-   two cached chain revenues, then six floats per member z_j:
+   Triple.chain_before) in two flat arrays. The float array [f] holds six
+   floats per member z_j:
 
      q      primitive adoption probability q(u, i_j, t_j)
      price  p(i_j, t_j)
@@ -12,11 +12,12 @@
      prob   dynamic adoption probability q_j · β_j^{M_j} · comp_j
 
    and the int array [d] holds the member's item and time (and, on slate
-   instances, its slot). The revenues are Σ p_j·prob_j (with saturation)
-   and Σ p_j·q_j·comp_j (the β = 1 variant used by GlobalNo planning).
-   Both arrays start with room for one member and double; no triple
-   record is stored. The oracle cells and the 1/Δt table are per-strategy
-   constants, held once in a [ctx] every chain of the strategy points to.
+   instances, its slot). No chain total is cached: [revenue] sums
+   p_j·prob_j (with saturation) or p_j·q_j·comp_j (the β = 1 variant used
+   by GlobalNo planning) over the members when asked. Both arrays start
+   with room for one member and double; no triple record is stored. The
+   oracle cells and the 1/Δt table are per-strategy constants, held once
+   in a [ctx] every chain of the strategy points to.
 
    [insert] splices a triple in O(L): the new triple's memory and
    competition are accumulated in one pass, and each later (or same-time)
@@ -66,11 +67,9 @@ let context inst =
     ist = (if Instance.is_slate inst then 3 else 2);
   }
 
-(* float-array layout: the two revenues, then [fw] floats per member *)
-let rev_sat = 0
-let rev_nosat = 1
+(* float-array layout: [fw] floats per member *)
 let fw = 6
-let fb j = 2 + (fw * j)
+let fb j = fw * j
 let oq = 0
 let oprice = 1
 let obeta = 2
@@ -91,6 +90,8 @@ let item c j = c.d.(c.ctx.ist * j)
 let time c j = c.d.((c.ctx.ist * j) + 1)
 
 let q c j = c.f.(fb j + oq)
+
+let slot c j = if c.ctx.ist < 3 then 0 else c.d.((3 * j) + 2)
 
 let triple c j = Triple.make ~u:c.user ~i:(item c j) ~t:(time c j)
 
@@ -145,25 +146,6 @@ let set_prob c j =
        let m = f.(b + omem) in
        f.(b + oq) *. (if m = 0.0 then 1.0 else f.(b + obeta) ** m) *. f.(b + ocomp))
 
-let refresh_revenues c =
-  (* accumulate in the oracle cells, not [float ref]s: without flambda
-     every [:=] on a float ref stores a freshly boxed float, so the refs
-     would allocate O(len) words on each insert — this runs once per
-     accepted triple in the greedy steady state. Slots 0/1 are free here
-     (they are the [marginal_cells] accumulators, and no marginal is in
-     flight). *)
-  let a = c.ctx.cells and f = c.f in
-  a.(0) <- 0.0;
-  a.(1) <- 0.0;
-  for j = 0 to c.len - 1 do
-    let b = fb j in
-    a.(0) <- a.(0) +. (f.(b + oprice) *. f.(b + oprob));
-    a.(1) <-
-      a.(1) +. (f.(b + oprice) *. if f.(b + oq) <= 0.0 then 0.0 else f.(b + oq) *. f.(b + ocomp))
-  done;
-  f.(rev_sat) <- a.(0);
-  f.(rev_nosat) <- a.(1)
-
 (* full rebuild of every cached aggregate, iterating in the same ascending
    order as the naive evaluator so the floating-point sums and products are
    reproduced exactly; O(L²) worst case but only used by [remove] *)
@@ -193,8 +175,7 @@ let recompute c =
       prefix := !prefix *. (1.0 -. f.(fb b + oq))
     done;
     j := !k
-  done;
-  refresh_revenues c
+  done
 
 (* room for [n] members: capacities go 1, 2, 4, ... *)
 let ensure_capacity c n =
@@ -218,9 +199,7 @@ let insert ?slot ~qz c (z : Triple.t) =
   let one_minus_qz = 1.0 -. qz in
   (* splice z's effects into the existing aggregates and accumulate z's own
      memory / competition in the same O(L) pass. The accumulators live in
-     the oracle cells (slot 0: memory, slot 1: competition) for the same
-     no-flambda reason as [refresh_revenues]: float refs would box on every
-     loop iteration of every accept. *)
+     the oracle cells (slot 0: memory, slot 1: competition). *)
   let a = c.ctx.cells and f = c.f in
   a.(0) <- 0.0;
   a.(1) <- 1.0;
@@ -260,8 +239,7 @@ let insert ?slot ~qz c (z : Triple.t) =
   c.d.((ist * p) + 1) <- z.t;
   if ist > 2 then c.d.((ist * p) + 2) <- Option.value slot ~default:0;
   c.len <- c.len + 1;
-  set_prob c p;
-  refresh_revenues c
+  set_prob c p
 
 let remove c (z : Triple.t) =
   Metrics.incr c_removes;
@@ -278,7 +256,22 @@ let remove c (z : Triple.t) =
   Array.fill c.d (ist * last) ist 0;
   recompute c
 
-let revenue ~with_saturation c = if with_saturation then c.f.(rev_sat) else c.f.(rev_nosat)
+(* summed in member order from 0.0, the order every insert and rebuild
+   leaves the members in *)
+let revenue ~with_saturation c =
+  let f = c.f in
+  let acc = ref 0.0 in
+  for j = 0 to c.len - 1 do
+    let b = fb j in
+    acc :=
+      !acc
+      +. f.(b + oprice)
+         *.
+         if with_saturation then f.(b + oprob)
+         else if f.(b + oq) <= 0.0 then 0.0
+         else f.(b + oq) *. f.(b + ocomp)
+  done;
+  !acc
 
 let aggregates c z =
   let j = index c z in

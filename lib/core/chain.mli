@@ -5,32 +5,30 @@
     saturation factor together with the three derived quantities the revenue
     model of §3.1 is built from: the memory [M] (Equation 1), the
     competition product [Π (1 − q)] over earlier-or-tied triples, and the
-    dynamic adoption probability (Definition 1). Two chain revenues are kept
-    up to date — with saturation, and the β = 1 variant used by GlobalNo
-    planning — so {!Revenue.total_incremental} reads one float per chain and
+    dynamic adoption probability (Definition 1). From these,
     {!Revenue.marginal_incremental} is O(L) per candidate instead of the
-    O(L²) full re-evaluation of the naive oracle.
+    O(L²) full re-evaluation of the naive oracle. The chain's revenue is
+    not cached: {!revenue} sums it over the members when asked.
 
     Triples are ordered by {!Triple.chain_before} (time ascending, ties by
     item id); at most one triple per (time, item) may be present.
 
     {b Footprint.} A chain is a 6-word record and two flat arrays that
     start with room for one member and double: a float array of
-    [2 + 6·capacity] (the two revenues, then q, price, β, memory,
-    competition and probability per member) and an int array of
-    [2·capacity] (item and time per member; [3·capacity] with the slot on
-    slate instances). No triple record is stored: the accessors that
-    return triples build them. A one-member chain takes 18 words and a
-    two-member one 26; the strategy reaches it through the pointer each
-    view pair of its row and class holds. The
-    oracle cells and the 1/Δt table are held once per {!ctx}, which every
-    chain of one strategy shares. *)
+    [6·capacity] (q, price, β, memory, competition and probability per
+    member) and an int array of [2·capacity] (item and time per member;
+    [3·capacity] with the slot on slate instances). No triple record and
+    no chain total is stored: the accessors that return triples build
+    them. A one-member chain takes 16 words and a two-member one 24; the
+    strategy reaches it through the pointer each view pair of its row and
+    class holds. The oracle cells and the 1/Δt table are held once per
+    {!ctx}, which every chain of one strategy shares. *)
 
 type ctx
 (** Per-strategy constants: the instance, the oracle cells and the 1/Δt
     table. Chains of one context share its cells, so they must not be
     used from two domains at once unless every use is a read of the
-    members or the cached revenues. *)
+    members or of {!revenue}. *)
 
 val context : Instance.t -> ctx
 
@@ -59,6 +57,10 @@ val q : t -> int -> float
 (** [q c j]: the adoption probability cached for the [j]-th member — the
     [qz] it was inserted with, so the slot-scaled q̃ on slate
     strategies. *)
+
+val slot : t -> int -> int
+(** [slot c j]: the 1-based slot the [j]-th member was inserted with on
+    slate instances; [0] on plain ones. *)
 
 val to_list : t -> Triple.t list
 (** Triples in chain order (freshly allocated). *)
@@ -97,7 +99,9 @@ val recompute : t -> unit
     outputs identical to a copy-based path. *)
 
 val revenue : with_saturation:bool -> t -> float
-(** Cached chain revenue, O(1). *)
+(** The chain's revenue [Σ p_j · prob_j] ([prob_j = q_j · comp_j] without
+    saturation), summed over the members' cached aggregates in chain
+    order, O(L). *)
 
 val aggregates : t -> Triple.t -> (float * float * float) option
 (** A member's cached memory [M], competition product and dynamic

@@ -33,7 +33,7 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   let num_items = Instance.num_items inst in
   let horizon = Instance.horizon inst in
   let display_limit = Instance.display_limit inst in
-  (* the range's own users and pairs: the per-user mirrors below are
+  (* the range's own users and pairs: the slate slot map below is
      indexed by [u - ulo], the per-pair state by [pid - plo] *)
   let ulo, uhi = users in
   let plo, phi = Instance.pair_range ~users inst in
@@ -69,23 +69,13 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   in
   let estride = horizon * nsl in
   let npairs = phi - plo in
-  (* staleness stamp per pair — its chain's length when the pair's
-     entries were last evaluated. Registration and a refresh evaluate
-     every live entry of a pair against one chain length, so one stamp
-     per pair answers the stale test as one per entry would. The adoption
-     probability itself is not mirrored: [Instance.pair_q_into] reads the
-     same IEEE double straight from the CSR row (heap array or mmapped
-     pack). *)
-  let stamp = Array.make npairs 0 in
   let prf = Array.make (num_items * stride) 0.0 in
   let beta_arr = Array.init num_items (Instance.saturation inst) in
-  (* per-pair decode mirrors: pops recover (u, i) by two array reads
-     instead of binary-searching the CSR rows *)
+  (* per-pair user mirror: pops recover the user by one array read
+     instead of binary-searching the CSR rows; the item is the pair's own
+     [Instance.pair_item] *)
   let pu = Array.make npairs 0 in
-  let pi_arr = Array.make npairs 0 in
-  Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
-      pu.(pid - plo) <- u;
-      pi_arr.(pid - plo) <- Instance.pair_item inst pid);
+  Instance.iter_candidate_pairs ~users inst (fun ~u ~pid -> pu.(pid - plo) <- u);
   (* A pair's (user, class) chain is read through the strategy's own
      per-pair pointer at every use: the key's first add points every pair
      of the row's class at the new chain. Its length is 0 until then,
@@ -139,22 +129,33 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      reaches, so the plain path pays one dead compare per cycle. *)
   let cap_total = Instance.max_total_cap inst in
   let quota_full () = Strategy.size s >= cap_total in
-  (* flat mirrors of the three feasibility facts [Strategy.can_add] would
-     probe for — display fill per (user, time), the distinct-user holder
-     set and count per item. The strategy remains the source of truth
-     (accept still goes through [Strategy.add]); these are read on every
-     heap pop, where the probes per cycle dominated the selection loop.
-     Display fill is kept for the range's users and the holder set for its
-     pairs (one byte each): candidates are range pairs by construction.
-     A seeded run reads the starting values from the strategy's own flat
-     counts — no walk over its members. A membership re-check is
+  (* The feasibility facts [Strategy.can_add] would probe for — display
+     fill per (user, time), the item's holder count, its capacity — are
+     read from the strategy's and the instance's own flat arrays on every
+     pop; the run keeps no copy of them. Accept still goes through
+     [Strategy.add], which keeps them current. A membership re-check is
      unnecessary: the heaps hold each candidate at most once and a
      selected triple is deleted before [accept], so a popped element can
-     never already be in the strategy. *)
-  let capacity = Array.init num_items (Instance.capacity inst) in
-  let disp = Array.make ((uhi - ulo) * stride) 0 in
-  let holds = Bytes.make npairs '\000' in
-  let holders = Array.make num_items 0 in
+     never already be in the strategy.
+
+     One byte per range pair holds two bits. [held]: the strategy holds
+     the pair, so the item's capacity is no bar to it; set from the
+     strategy's own membership on a seeded run, then by [accept].
+     [stale]: the pair's (user, class) chain grew since its entries were
+     last evaluated. Registration and a refresh evaluate every live entry
+     of a pair against one chain, so one bit per pair answers the stale
+     test as one per entry would; [accept] sets it on every pair of the
+     accepted triple's (user, class) row, exactly the pairs whose chain
+     grew, and a refresh clears it. *)
+  let held = 1 and stale = 2 in
+  let flags = Bytes.make npairs '\000' in
+  let flag rel bit = Char.code (Bytes.get flags rel) land bit <> 0 in
+  let set_flag rel bit =
+    Bytes.set flags rel (Char.unsafe_chr (Char.code (Bytes.get flags rel) lor bit))
+  in
+  let clear_flag rel bit =
+    Bytes.set flags rel (Char.unsafe_chr (Char.code (Bytes.get flags rel) land lnot bit))
+  in
   (* slate-only byte map (empty on plain instances): [slot_taken] marks
      an occupied (user, time, slot). The fact is permanent during a run
      (the strategy only grows, slots never free), so blocked entries can
@@ -163,33 +164,27 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      members are not registered, and [accept] retires the other slots'
      entries of the triple it selects. *)
   let slot_taken = Bytes.make (if nsl = 1 then 0 else (uhi - ulo) * stride * nsl) '\000' in
-  (* a non-empty strategy already holds triples: its display fill and
-     holder counts seed these mirrors *)
-  let seeded = Strategy.size s > 0 in
-  if seeded then begin
-    for i = 0 to num_items - 1 do
-      holders.(i) <- Strategy.item_user_count s i
-    done;
-    for u = ulo to uhi - 1 do
-      for t = 1 to horizon do
-        let dk = ((u - ulo) * stride) + t in
-        disp.(dk) <- Strategy.display_count s ~u ~time:t;
-        if nsl > 1 then
+  (* a non-empty strategy already holds triples: its members seed the
+     held bits and its slots the slot map *)
+  if Strategy.size s > 0 then begin
+    if nsl > 1 then
+      for u = ulo to uhi - 1 do
+        for t = 1 to horizon do
           for slot = 1 to nsl do
             if Strategy.slot_occupied s (Triple.make ~u ~i:0 ~t) ~slot then
-              Bytes.set slot_taken ((dk * nsl) + slot - 1) '\001'
+              Bytes.set slot_taken (((((u - ulo) * stride) + t) * nsl) + slot - 1) '\001'
           done
-      done
-    done;
+        done
+      done;
     Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
-        let rel = pid - plo in
-        if Strategy.item_has_user s ~i:pi_arr.(rel) ~u then Bytes.set holds rel '\001')
+        if Strategy.item_has_user s ~i:(Instance.pair_item inst pid) ~u then
+          set_flag (pid - plo) held)
   end;
   (* feasibility of a popped candidate: candidates always carry their own
-     range pair, so the holder probe is one byte read *)
+     range pair, so the holder probe is one bit *)
   let feasible rel u i t slot =
-    disp.(((u - ulo) * stride) + t) < display_limit
-    && (Bytes.get holds rel <> '\000' || holders.(i) < capacity.(i))
+    Strategy.display_count s ~u ~time:t < display_limit
+    && (flag rel held || Strategy.item_user_count s i < Instance.capacity inst i)
     && (nsl = 1 || Bytes.get slot_taken (((((u - ulo) * stride) + t) * nsl) + slot - 1) = '\000')
   in
   (* Groups are keyed by the paper's (user, item) pair — the view pair rank
@@ -208,13 +203,20 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   let accept rel u i t slot =
     let z = Triple.make ~u ~i ~t in
     if nsl = 1 then Strategy.add s z else Strategy.add ~slot s z;
-    let dk = ((u - ulo) * stride) + t in
-    disp.(dk) <- disp.(dk) + 1;
-    if Bytes.get holds rel = '\000' then begin
-      Bytes.set holds rel '\001';
-      holders.(i) <- holders.(i) + 1
-    end;
+    set_flag rel held;
+    (* the chain grew: every pair of the row pointing at it is stale. The
+       row is the run of [u] in [pu] around [rel]. *)
+    let c = Strategy.pair_chain s (plo + rel) in
+    let r = ref rel in
+    while !r > 0 && pu.(!r - 1) = u do
+      decr r
+    done;
+    while !r < npairs && pu.(!r) = u do
+      if Strategy.pair_chain s (plo + !r) == c then set_flag !r stale;
+      incr r
+    done;
     if nsl > 1 then begin
+      let dk = ((u - ulo) * stride) + t in
       Bytes.set slot_taken ((dk * nsl) + slot - 1) '\001';
       (* a triple occupies one slot: its other slots' entries can never
          be feasible again, so they leave the pair's group now rather
@@ -248,15 +250,14 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   let qcell = [| 0.0 |] in
   Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
       let rel = pid - plo in
-      let i = pi_arr.(rel) in
-      let held = Bytes.get holds rel <> '\000' in
-      stamp.(rel) <- chain_len rel;
+      let i = Instance.pair_item inst pid in
+      let holds = flag rel held in
       for t = 1 to horizon do
         Instance.pair_q_into inst ~pid ~time:t qcell 0;
         if
           qcell.(0) > 0.0
           && (match allowed with None -> true | Some f -> f (Triple.make ~u ~i ~t))
-          && not (held && Strategy.mem_at s ~u ~i ~time:t)
+          && not (holds && Strategy.mem_at s ~u ~i ~time:t)
         then begin
           Instance.price_into inst ~i ~time:t prf ((i * stride) + t);
           for slot = 1 to nsl do
@@ -273,7 +274,9 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      [Tl.refresh_pair_into] to store. Hoisted so the refresh calls share
      one closure instead of allocating one per event. *)
   let refresh_entry eid' =
-    marginal_into eid' pi_arr.(eid' / estride) (((eid' / nsl) mod horizon) + 1)
+    marginal_into eid'
+      (Instance.pair_item inst (plo + (eid' / estride)))
+      (((eid' / nsl) mod horizon) + 1)
   in
   let rec loop () =
     if (not (quota_full ())) && (not (out_of_budget ())) && not (Tl.is_empty h) then begin
@@ -281,7 +284,7 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
       let t = ((eid / nsl) mod horizon) + 1 in
       let rel = eid / estride in
       let slot = (eid mod nsl) + 1 in
-      let i = pi_arr.(rel) in
+      let i = Instance.pair_item inst (plo + rel) in
       let u = pu.(rel) in
       incr pops;
       if not (feasible rel u i t slot) then begin
@@ -292,13 +295,13 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
         loop ()
       end
       else begin
-        if stamp.(rel) < chain_len rel then begin
+        if flag rel stale then begin
           (* stale root: re-evaluate its (user, item) group in place — all
              of the pair's live entries — through the cell ABI
              (allocation-free), and look again. Trusting the stale key as
              an upper bound (classic CELF) would be unsound: a marginal can
              rise as its chain grows (DESIGN.md §5a, §5b). *)
-          stamp.(rel) <- chain_len rel;
+          clear_flag rel stale;
           Tl.refresh_pair_into h rel res ~f:refresh_entry;
           loop ()
         end

@@ -4,12 +4,12 @@
     paper's two implementation-level optimizations — the two-level heap data
     structure and lazy-forward evaluation.
 
-    {b Lazy forward.} Every (user, item) pair carries a stamp: the length
-    of its (user, class) chain when the pair's keys were computed. The
-    loop pops the largest key. A root whose stamp is behind its chain has
-    its whole (user, item) group re-evaluated and goes back into the
-    heap; only a root whose key is current is selected, or ends the run
-    when it is non-positive. The
+    {b Lazy forward.} Every (user, item) pair carries a stale bit: set
+    when its (user, class) chain grows after the pair's keys were
+    computed, cleared when they are computed again. The loop pops the
+    largest key. A stale root has its whole (user, item) group
+    re-evaluated and goes back into the heap; only a root whose key is
+    current is selected, or ends the run when it is non-positive. The
     paper grounds this in the submodularity of [Rev] (Theorem 2), under
     which a stale key bounds its fresh marginal from above. That does not
     hold here (DESIGN.md §5a): a marginal can rise as the strategy grows,
@@ -37,23 +37,25 @@
 
     {b Footprint.} Beyond the strategy it plans into, a run's own state
     is allocated before its first selection. Per candidate pair of the
-    planned range it is at most [6.4 + 1.25·T·k'] words, where [k'] is
+    planned range it is at most [4.4 + 1.25·T·k'] words, where [k'] is
     the display limit on slate instances and 1 otherwise:
-    - a staleness stamp, two decode mirrors (user, item) and a holder
-      byte: 3.1 words;
+    - a user mirror and a flag byte (held, stale): 1.125 words;
     - the two-level heap's group of [T·k'] entries: 8 bytes per key and
       2 per entry offset, [1.25·T·k'] words, plus 3.25 words of upper
       level and size.
-    No chain is cached: an evaluation reads the pair's (user, class)
-    chain through the strategy's own pointer ({!Strategy.pair_chain}).
-    On top of that come [T + 1] words per user of the range (display
-    fill; on slates [(T + 1)·k'] more bytes of slot map) and [T + 4] per
-    item. On the wide, shallow pack of the benchmark (T = 4, ten pairs
-    per user) that is 12.0 words per pair, and on the T = 15 dense family
-    25.7; the test suite holds it to at most 14 and 28 words there, and
-    CI's bench-scale cell to 14 at T = 4. A pair's group must fit a
-    16-bit offset: [T·k' ≤ 65,536], or the run raises
-    [Invalid_argument]. *)
+    Nothing the instance or the strategy already holds is copied: an
+    evaluation reads the pair's (user, class) chain through the
+    strategy's own pointer ({!Strategy.pair_chain}), a pop reads the
+    pair's item from the instance ({!Instance.pair_item}), and the
+    feasibility test reads display fill, holder counts and capacities
+    from the strategy and the instance. On top of that come [T + 2]
+    words per item (prices and saturation factors) and, on slates only,
+    [(T + 1)·k'] bytes of slot map per user of the range. On the wide,
+    shallow pack of the benchmark (T = 4, ten pairs per user) that is
+    9.5 words per pair, and on the T = 15 dense family 23.2; the test
+    suite holds it to at most 12 and 26 words there, and CI's
+    bench-scale cell to 12 at T = 4. A pair's group must fit a 16-bit
+    offset: [T·k' ≤ 65,536], or the run raises [Invalid_argument]. *)
 
 type stats = {
   marginal_evaluations : int;  (** marginal-revenue evaluations *)
@@ -110,8 +112,8 @@ val plan_rows :
     dynamic event needs only the affected users' rows planned again.
 
     Cost is in proportion to the rows: candidates are registered, and the
-    per-run state sized, for the range's pairs only; the starting display
-    fill and holder counts are read from [s]'s own counts, not from its
+    per-run state sized, for the range's pairs only; display fill and
+    holder counts are read from [s]'s own counts, not from its
     members. [allowed] is consulted once per candidate, before the first
     selection. Capacities and the display limit are checked against the
     whole of [s], so the result stays valid when [s] was.

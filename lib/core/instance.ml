@@ -322,6 +322,7 @@ let class_of t i = t.class_of.(i)
 let class_size t c = t.class_sizes.(c)
 let capacity t i = t.capacity.(i)
 let saturation t i = t.saturation.(i)
+let saturation_into t i cells k = cells.(k) <- t.saturation.(i)
 
 let check_time t time =
   if time < 1 || time > t.horizon then invalid_arg "Instance: time step out of range"

@@ -110,6 +110,10 @@ val capacity : t -> int -> int
 val saturation : t -> int -> float
 (** [β_i]: the item's saturation factor. *)
 
+val saturation_into : t -> int -> float array -> int -> unit
+(** [saturation_into t i cells k] stores [saturation t i] into
+    [cells.(k)] without boxing it, as {!pair_q_into} does for q. *)
+
 val price : t -> i:int -> time:int -> float
 (** [p(i,t)] for [time ∈ 1..T]. *)
 

@@ -58,15 +58,56 @@ let strategy_q_of s =
   if Instance.is_slate (Strategy.instance s) then Some (fun z -> Strategy.effective_q s z)
   else None
 
-let total ?with_saturation s =
+(* [chain_revenue] over each chain's [Chain.to_list], summed over the
+   chains in [Strategy.iter_chains_in_order], without building a triple
+   or a list: each chain is folded from its members' items, times and
+   slots, with q (q̃ on slates), price and β read from the instance, by
+   the same float operations in the same order. The memory and
+   competition folds share one pass; they update separate accumulators.
+   The floats travel through cells: the running total outlives each
+   call of the visitor's callback, and a float ref that a closure
+   captures is boxed at every update, as is a float returned by a
+   non-inlined call. *)
+let total ?(with_saturation = true) s =
   let inst = Strategy.instance s in
-  let q_of = strategy_q_of s in
-  (* one walk over the chains in the order a fold over the sorted member
-     list first meets them, summing each chain's naive revenue; the same
-     float sum, in the same order, as that fold *)
-  Array.fold_left
-    (fun acc c -> acc +. chain_revenue ?with_saturation ?q_of inst (Chain.to_list c))
-    0.0 (Strategy.chains_in_order s)
+  let mult = match Instance.slot_multipliers inst with Some m -> m | None -> [||] in
+  (* 0: Rev(S); 1: the chain's revenue; 2: memory; 3: competition;
+     4: price; 5: β *)
+  let a = Array.make 6 0.0 in
+  (* the chain's q per member, reused from chain to chain *)
+  let qbuf = ref (Array.make 8 0.0) in
+  Strategy.iter_chains_in_order s (fun c ->
+      let u = Chain.user c and len = Chain.length c in
+      if Array.length !qbuf < len then qbuf := Array.make (2 * len) 0.0;
+      let q = !qbuf in
+      for j = 0 to len - 1 do
+        let pid = Instance.pair_find inst ~u ~i:(Chain.item c j) in
+        if pid < 0 then q.(j) <- 0.0 else Instance.pair_q_into inst ~pid ~time:(Chain.time c j) q j;
+        if Array.length mult > 0 then q.(j) <- mult.(Chain.slot c j - 1) *. q.(j)
+      done;
+      a.(1) <- 0.0;
+      for j = 0 to len - 1 do
+        let i = Chain.item c j and t = Chain.time c j in
+        Instance.price_into inst ~i ~time:t a 4;
+        let prob =
+          if q.(j) <= 0.0 then 0.0
+          else begin
+            a.(2) <- 0.0;
+            a.(3) <- 1.0;
+            for l = 0 to len - 1 do
+              let tl = Chain.time c l in
+              if tl < t then a.(2) <- a.(2) +. (1.0 /. float_of_int (t - tl));
+              if tl < t || (tl = t && Chain.item c l <> i) then a.(3) <- a.(3) *. (1.0 -. q.(l))
+            done;
+            Instance.saturation_into inst i a 5;
+            let sat = if with_saturation && a.(2) <> 0.0 then a.(5) ** a.(2) else 1.0 in
+            q.(j) *. sat *. a.(3)
+          end
+        in
+        a.(1) <- a.(1) +. (a.(4) *. prob)
+      done;
+      a.(0) <- a.(0) +. a.(1));
+  a.(0)
 
 let dynamic_probability_in ?(with_saturation = true) s z =
   if not (Strategy.mem s z) then 0.0

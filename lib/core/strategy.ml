@@ -434,13 +434,82 @@ let recompute_chains ?u t =
 
 (* A chain's first member is its least (time, item), so ordering chains by
    (user, first time, first item) is the order in which a fold over the
-   sorted member list meets each chain for the first time. *)
+   sorted member list meets each chain for the first time. Two chains of
+   one user never share a head (an item has one class), so the order is
+   total. *)
 let by_head a b =
   let c = Int.compare (Chain.user a) (Chain.user b) in
   if c <> 0 then c
   else
     let c = Int.compare (Chain.time a 0) (Chain.time b 0) in
     if c <> 0 then c else Int.compare (Chain.item a 0) (Chain.item b 0)
+
+(* insertion sort of [buf.(0 .. n-1)] by [by_head]: a user holds few
+   chains *)
+let sort_heads buf n =
+  for k = 1 to n - 1 do
+    let c = buf.(k) in
+    let j = ref (k - 1) in
+    while !j >= 0 && by_head buf.(!j) c > 0 do
+      buf.(!j + 1) <- buf.(!j);
+      decr j
+    done;
+    buf.(!j + 1) <- c
+  done
+
+(* The view's rows in user order, each user's chains (found at the first
+   pair of each class, as in [iter_chains], plus the user's overflow
+   chains) sorted by head in a buffer reused from user to user. The
+   overflow chains, sorted once (the table is empty on planner paths),
+   are merged in by user, so users without a view row take their place
+   too. *)
+let iter_chains_in_order t f =
+  let over =
+    Hashtbl.fold (fun _ c acc -> if Chain.length c > 0 then c :: acc else acc) t.chain_overflow []
+    |> List.sort by_head |> ref
+  in
+  let mark = class_mark t in
+  let buf = ref (Array.make 8 t.empty) and n = ref 0 and cur = ref (-1) in
+  let push c =
+    if !n = Array.length !buf then begin
+      let b = Array.make (2 * !n) t.empty in
+      Array.blit !buf 0 b 0 !n;
+      buf := b
+    end;
+    !buf.(!n) <- c;
+    incr n
+  in
+  (* the overflow chains of users below [u] go out at once; [u]'s own
+     join the buffer *)
+  let rec take u =
+    match !over with
+    | c :: rest when Chain.user c <= u ->
+        over := rest;
+        if Chain.user c < u then f c else push c;
+        take u
+    | _ -> ()
+  in
+  let flush () =
+    take !cur;
+    sort_heads !buf !n;
+    for k = 0 to !n - 1 do
+      f !buf.(k)
+    done;
+    n := 0
+  in
+  Instance.iter_candidate_pairs t.inst (fun ~u ~pid ->
+      if u <> !cur then begin
+        if !cur >= 0 then flush ();
+        cur := u
+      end;
+      let cls = pair_class t pid in
+      if mark.(cls) <> u then begin
+        mark.(cls) <- u;
+        let c = t.chains.(pid - t.plo) in
+        if Chain.length c > 0 then push c
+      end);
+  if !cur >= 0 then flush ();
+  take max_int
 
 (* counted first, so the array is the only allocation that grows with
    the chains *)
@@ -449,10 +518,9 @@ let chains_in_order t =
   iter_chains t (fun _ -> incr n);
   let a = Array.make !n t.empty in
   let k = ref 0 in
-  iter_chains t (fun c ->
+  iter_chains_in_order t (fun c ->
       a.(!k) <- c;
       incr k);
-  Array.stable_sort by_head a;
   a
 
 let item_user_count t i = t.item_distinct.(i)

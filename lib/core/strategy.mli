@@ -14,8 +14,8 @@
     {!Chain.t}, or at the strategy's one empty sentinel until the key's
     first add. An empty strategy is therefore one word plus [T] bits per
     view pair, plus [T+1] words of display fill per view user. Members
-    live only in their chains (18 words for a one-member chain, 26 for
-    two), so a plan of mostly short chains costs about 17 words per
+    live only in their chains (16 words for a one-member chain, 24 for
+    two), so a plan of mostly short chains costs about 15 words per
     selection beyond its instance. (User, class) keys with no view pair
     of that class (out-of-view users, or a non-candidate triple whose
     class has no candidate in the row) and pairs outside the view go
@@ -28,8 +28,10 @@
     not on the order the chains were first added in.
     {!Revenue.total_incremental} sums chain revenues in that order, so
     RL-Greedy's first-maximum tie-break and [Exact]'s slate branch read a
-    sum whose last bits depend on it. {!Revenue.total} and {!Simulate}
-    walk {!chains_in_order} instead. *)
+    sum whose last bits depend on it. {!iter_chains_in_order} visits the
+    same chains users ascending, then each user's by its first
+    (time, item): the order in which a fold over {!to_list} first meets
+    each chain. {!Revenue.total} and {!Simulate} walk that order. *)
 
 type t
 
@@ -175,12 +177,20 @@ val iter_chains : t -> (Chain.t -> unit) -> unit
     {!Revenue.total_incremental}'s float sum follows. The callback must
     not modify the strategy. *)
 
+val iter_chains_in_order : t -> (Chain.t -> unit) -> unit
+(** Visit every non-empty chain once, users ascending, then each user's
+    chains by their first (time, item): the order in which a fold over
+    {!to_list} meets each chain for the first time. One pass over the
+    view's pairs; each user's chains are sorted in a buffer reused from
+    user to user, so the visit allocates O(classes + the most chains of
+    one user) words, plus the overflow chains' (see {b Footprint}). It
+    reads the strategy and writes nothing else, so several domains may
+    walk one strategy at once. The callback must not modify the
+    strategy. *)
+
 val chains_in_order : t -> Chain.t array
-(** Every non-empty chain, users ascending, then each user's chains by
-    their first (time, item): the order in which a fold over {!to_list}
-    meets each chain for the first time. A fresh array, sorted in O(C log
-    C) over the C chains; building it reads the strategy and writes
-    nothing else, so several domains may build and walk it at once. *)
+(** The chains of {!iter_chains_in_order}, in its order, as a fresh
+    array. *)
 
 (** {1 Constraint bookkeeping} *)
 

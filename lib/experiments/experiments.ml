@@ -717,17 +717,17 @@ let bench_scale (cfg : Config.t) =
     (float_of_int pack_bytes /. 1e6)
     write_s open_s;
   (* a compact order-independent fingerprint of a strategy: size, the
-     exact revenue double, and an integer fold over the sorted selection.
-     Bit-identical plans (the invariance contract) fingerprint equally;
-     Hashtbl.hash is deliberately avoided — it samples a prefix. *)
+     exact revenue double, and an integer fold over the selection in
+     [Strategy.to_list]'s [Triple.compare] order. Bit-identical plans (the
+     invariance contract) fingerprint equally; Hashtbl.hash is
+     deliberately avoided — it samples a prefix. *)
   let fingerprint s =
     let h =
       List.fold_left
         (fun h (z : Revmax.Triple.t) ->
           let mix h v = ((h * 1_000_003) lxor v) land max_int in
           mix (mix (mix h z.u) z.i) z.t)
-        0
-        (List.sort Revmax.Triple.compare (Strategy.to_list s))
+        0 (Strategy.to_list s)
     in
     (Strategy.size s, Revenue.total s, h)
   in

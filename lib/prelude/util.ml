@@ -12,13 +12,15 @@ let crc_table =
          done;
          !c))
 
-let crc32 bytes off len =
+let crc32_update crc bytes off len =
   let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
+  let c = ref (crc lxor 0xFFFFFFFF) in
   for k = off to off + len - 1 do
     c := table.((!c lxor Char.code (Bytes.get bytes k)) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
+
+let crc32 bytes off len = crc32_update 0 bytes off len
 
 let clamp_prob x = clamp ~lo:0.0 ~hi:1.0 x
 

@@ -9,6 +9,12 @@ val crc32 : bytes -> int -> int -> int
     serving journal's record framing and the hierarchical planner's pipe
     protocol. *)
 
+val crc32_update : int -> bytes -> int -> int -> int
+(** [crc32_update crc b off len]: the CRC-32 of the bytes [crc] is the
+    CRC-32 of, followed by [b.(off .. off+len-1)] (zlib's running
+    [crc32]); [crc32_update 0] is {!crc32}. The serving journal chains its
+    records with it. *)
+
 val clamp_prob : float -> float
 (** [clamp_prob x] clamps [x] to [\[0, 1\]]. *)
 

@@ -18,6 +18,7 @@ type t = {
   sync_every : int;
   mutable unsynced : int;
   mutable offset : int; (* end-of-file append position *)
+  mutable chain : int; (* the last record's CRC, which the next one runs on from; 0 when empty *)
   mutable closed : bool;
 }
 
@@ -26,7 +27,7 @@ let c_syncs = Metrics.counter "journal.syncs"
 let c_healed_bytes = Metrics.counter "journal.healed_bytes"
 let c_healed_records = Metrics.counter "journal.dropped_corrupt_records"
 
-let crc32 = Revmax_prelude.Util.crc32
+let crc32_update = Revmax_prelude.Util.crc32_update
 
 (* ------------------------------------------------------------------ *)
 (* Record codec                                                        *)
@@ -69,41 +70,43 @@ let decode_payload b =
 (* ------------------------------------------------------------------ *)
 
 (* Walk the raw bytes of a journal; returns the surviving records in file
-   order and the offset of the first invalid byte (= file length when the
-   whole file is clean). *)
+   order, the offset of the first invalid byte (= file length when the
+   whole file is clean) and the CRC of the last surviving record. A
+   record's CRC runs on from its predecessor's, so a record that is
+   duplicated, or copied to another place, fails its check there. *)
 let scan_bytes data =
   let len = Bytes.length data in
   let records = ref [] in
-  let rec walk off =
-    if off + 8 > len then off
+  let rec walk off chain =
+    if off + 8 > len then (off, chain)
     else
       let plen = Int32.to_int (Bytes.get_int32_le data off) in
-      if plen < 9 || plen > max_payload then off
-      else if off + 8 + plen > len then off (* truncated tail *)
+      if plen < 9 || plen > max_payload then (off, chain)
+      else if off + 8 + plen > len then (off, chain) (* truncated tail *)
       else
         let crc = Int32.to_int (Bytes.get_int32_le data (off + 4)) land 0xFFFFFFFF in
-        if crc32 data (off + 8) plen <> crc then off
+        if crc32_update chain data (off + 8) plen <> crc then (off, chain)
         else
           match decode_payload (Bytes.sub data (off + 8) plen) with
-          | None -> off
+          | None -> (off, chain)
           | Some r ->
               records := r :: !records;
-              walk (off + 8 + plen)
+              walk (off + 8 + plen) crc
   in
-  let valid_end = walk 0 in
-  (List.rev !records, valid_end)
+  let valid_end, chain = walk 0 0 in
+  (List.rev !records, valid_end, chain)
 
 let read_all path =
   if not (Sys.file_exists path) then Bytes.create 0
   else In_channel.with_open_bin path (fun ic -> Bytes.of_string (In_channel.input_all ic))
 
 let events path =
-  let records, _ = scan_bytes (read_all path) in
+  let records, _, _ = scan_bytes (read_all path) in
   records
 
 let openw ?(sync_every = 1) path =
   let data = read_all path in
-  let records, valid_end = scan_bytes data in
+  let records, valid_end, chain = scan_bytes data in
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT ] 0o644 in
   if valid_end < Bytes.length data then begin
     let dropped = Bytes.length data - valid_end in
@@ -116,7 +119,7 @@ let openw ?(sync_every = 1) path =
     Unix.fsync fd
   end;
   ignore (Unix.lseek fd valid_end Unix.SEEK_SET);
-  ({ path; fd; sync_every; unsynced = 0; offset = valid_end; closed = false }, records)
+  ({ path; fd; sync_every; unsynced = 0; offset = valid_end; chain; closed = false }, records)
 
 (* ------------------------------------------------------------------ *)
 (* Appending                                                           *)
@@ -145,11 +148,12 @@ let append j ~seq ev =
   let payload = encode_payload ~seq ev in
   let plen = Bytes.length payload in
   let record = Bytes.create (8 + plen) in
+  let crc = crc32_update j.chain payload 0 plen in
   Bytes.set_int32_le record 0 (Int32.of_int plen);
-  Bytes.set_int32_le record 4 (Int32.of_int (crc32 payload 0 plen));
+  Bytes.set_int32_le record 4 (Int32.of_int crc);
   Bytes.blit payload 0 record 8 plen;
   let start = j.offset in
-  let unsynced_before = j.unsynced in
+  let unsynced_before = j.unsynced and chain_before = j.chain in
   let rollback () =
     (* tear-proofing: a failed (or partial) write — including a failed
        fsync of this record — is rolled back to the record boundary so a
@@ -157,6 +161,7 @@ let append j ~seq ev =
        number or leaving mid-garbage *)
     j.offset <- start;
     j.unsynced <- unsynced_before;
+    j.chain <- chain_before;
     try
       Unix.ftruncate j.fd start;
       ignore (Unix.lseek j.fd start Unix.SEEK_SET)
@@ -171,6 +176,7 @@ let append j ~seq ev =
      Chaos.point "journal.mid_write";
      write_all j.fd record half (8 + plen - half);
      j.offset <- start + 8 + plen;
+     j.chain <- crc;
      j.unsynced <- j.unsynced + 1;
      if j.sync_every > 0 && j.unsynced >= j.sync_every then sync j
    with e ->
@@ -183,6 +189,7 @@ let rotate j =
   Unix.ftruncate j.fd 0;
   ignore (Unix.lseek j.fd 0 Unix.SEEK_SET);
   j.offset <- 0;
+  j.chain <- 0;
   j.unsynced <- 0;
   Unix.fsync j.fd
 

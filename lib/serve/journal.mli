@@ -19,14 +19,22 @@
       metrics count) rather than wedging recovery. Corruption is detected
       at the {e first} bad record; later records are dropped too, because
       record boundaries after a corrupt length prefix cannot be trusted.
+    - {b Chained checksums}: a record's CRC runs on from the previous
+      record's, so it validates only in the place it was appended: a
+      duplicated record, or one copied elsewhere in the file, ends the
+      valid prefix as a flipped bit does. Short of a CRC collision, a
+      scan returns a prefix of the records appended since the journal
+      was created or last rotated, whatever the damage.
     - {b Batched durability}: appends [fsync] every [sync_every] records
       (1 = every append); {!sync} forces the tail down. After a crash the
       journal is guaranteed to contain a prefix of the appended records —
       exactly the acked-and-fsynced ones when [sync_every = 1].
 
-    Record wire format: [u32 LE payload length | u32 LE CRC-32(payload) |
-    payload], payload = [u8 tag | i64 LE seq | tag-specific i32 LE
-    fields]. *)
+    Record wire format: [u32 LE payload length | u32 LE CRC | payload],
+    payload = [u8 tag | i64 LE seq | tag-specific i32 LE fields]. The CRC
+    is the running CRC-32 of every payload from the file's first record
+    through this one ({!Revmax_prelude.Util.crc32_update} of the previous
+    record's CRC, 0 for the first record). *)
 
 type event =
   | Adopt of { u : int; i : int; t : int }

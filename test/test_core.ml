@@ -1084,6 +1084,82 @@ let prop_pair_chains_match_model =
       done;
       true)
 
+(* ----- Revenue.total against the list fold it replaced ----- *)
+
+(* The fold [Revenue.total] replaced, kept here as its reference: every
+   non-empty chain, sorted by user and then by its first (time, item),
+   each summed by the list-based [chain_revenue] over [Chain.to_list]
+   with the strategy's own q (the slot-scaled q̃ on slates). Returns the
+   chains in that order with the sum. *)
+let list_fold_total ~with_saturation s =
+  let module Chain = Revmax.Chain in
+  let inst = Strategy.instance s in
+  let q_of = if Instance.is_slate inst then Some (Strategy.effective_q s) else None in
+  let head c = (Chain.user c, Chain.time c 0, Chain.item c 0) in
+  let chains = ref [] in
+  Strategy.iter_chains s (fun c -> chains := c :: !chains);
+  let chains = List.stable_sort (fun a b -> compare (head a) (head b)) (List.rev !chains) in
+  ( chains,
+    List.fold_left
+      (fun acc c -> acc +. Revenue.chain_revenue ~with_saturation ?q_of inst (Chain.to_list c))
+      0.0 chains )
+
+(* Random add and remove steps on plain, slate and budgeted instances,
+   half the time on a shard view, with out-of-view and non-candidate
+   triples mixed in (so overflow chains, and users without a view row,
+   occur). After every step [Revenue.total] must equal the reference
+   fold bit for bit under both saturation settings, and
+   [Strategy.iter_chains_in_order] and [chains_in_order] must meet the
+   chains in the reference's order. *)
+let prop_total_matches_list_fold =
+  QCheck2.Test.make ~name:"Revenue.total = the list fold it replaced, bit for bit" ~count:300
+    seed_gen (fun seed ->
+      let rng = Rng.create seed in
+      let inst =
+        match Rng.int rng 3 with
+        | 0 -> random_instance ~max_users:4 ~max_items:5 ~max_horizon:4 ~max_classes:3 rng
+        | 1 -> random_slate_instance ~max_users:4 ~max_items:5 ~max_horizon:4 rng
+        | _ -> random_budgeted_instance ~max_users:4 ~max_items:5 ~max_horizon:4 rng
+      in
+      let on =
+        if Instance.num_users inst > 1 && Rng.bernoulli rng 0.5 then
+          (Instance.shard ~shards:2 inst).(Rng.int rng 2)
+        else inst
+      in
+      let s = Strategy.create on in
+      let nu = Instance.num_users inst and ni = Instance.num_items inst in
+      let horizon = Instance.horizon inst in
+      let cands = Array.of_list (candidate_triples inst) in
+      let pick () =
+        if Array.length cands > 0 && Rng.bernoulli rng 0.8 then
+          cands.(Rng.int rng (Array.length cands))
+        else triple (Rng.int rng nu) (Rng.int rng ni) (1 + Rng.int rng horizon)
+      in
+      let check step =
+        let fail fmt = QCheck2.Test.fail_reportf ("step %d: " ^^ fmt) step in
+        let expected, _ = list_fold_total ~with_saturation:true s in
+        let visited = ref [] in
+        Strategy.iter_chains_in_order s (fun c -> visited := c :: !visited);
+        if not (List.equal ( == ) (List.rev !visited) expected) then
+          fail "iter_chains_in_order meets the chains out of the reference order";
+        if not (List.equal ( == ) (Array.to_list (Strategy.chains_in_order s)) expected) then
+          fail "chains_in_order differs from the reference order";
+        List.iter
+          (fun with_saturation ->
+            let _, want = list_fold_total ~with_saturation s in
+            let got = Revenue.total ~with_saturation s in
+            if Int64.bits_of_float got <> Int64.bits_of_float want then
+              fail "with_saturation=%b: total %h, reference %h" with_saturation got want)
+          [ true; false ]
+      in
+      check 0;
+      for step = 1 to 30 do
+        let z = pick () in
+        if Strategy.mem s z then Strategy.remove s z else Strategy.add s z;
+        check step
+      done;
+      true)
+
 let () =
   Alcotest.run "core"
     [
@@ -1111,6 +1187,7 @@ let () =
           Alcotest.test_case "copy independence" `Quick test_strategy_copy_independent;
           Alcotest.test_case "repeat histogram" `Quick test_repeat_histogram;
           QCheck_alcotest.to_alcotest prop_pair_chains_match_model;
+          QCheck_alcotest.to_alcotest prop_total_matches_list_fold;
         ] );
       ( "revenue",
         [

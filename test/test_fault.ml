@@ -749,6 +749,148 @@ let prop_fuzz_snapshot =
              | exception Err.Error (Err.Parse_error _) -> true
              | exception e -> QCheck2.Test.fail_reportf "exception escaped: %s" (Printexc.to_string e))))
 
+(* A real write-ahead log: the journal of a server that took adoptions,
+   clicks, a stock adjustment and a repair, read before the server's
+   final snapshot rotates it away, with the events it holds. *)
+let journal_base =
+  lazy
+    (let inst, _ = Lazy.force snapshot_base in
+     let dir = Filename.temp_file "revmax-wal" "" in
+     Sys.remove dir;
+     let cfg = { (Server.default_config ~data_dir:dir) with Server.snapshot_every = 0 } in
+     let st = Server.create cfg inst in
+     List.iteri
+       (fun k (z : Revmax.Triple.t) ->
+         if k < 24 then
+           ignore
+             (Server.apply st
+                (if k mod 3 = 0 then Journal.Adopt { u = z.u; i = z.i; t = z.t }
+                 else Journal.Click { u = z.u; i = z.i; t = z.t })))
+       (Strategy.to_list (Server.strategy st));
+     ignore (Server.apply st (Journal.Cap { i = 1; delta = -1 }));
+     ignore (Server.apply st Journal.Repair);
+     let path = Filename.concat dir "journal.wal" in
+     let bytes = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+     let events = Journal.events path in
+     Server.close st;
+     remove_dir dir;
+     if List.length events < 20 then failwith "journal_base: too few journaled events";
+     (events, bytes))
+
+(* the offsets a journal image's length prefixes lead to, as far as they
+   stay inside the image *)
+let record_offsets b =
+  let n = Bytes.length b in
+  let rec go off acc =
+    if off + 8 > n then List.rev acc
+    else
+      let plen = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF in
+      if plen > n - off - 8 then List.rev (off :: acc) else go (off + 8 + plen) (off :: acc)
+  in
+  Array.of_list (go 0 [])
+
+(* a corrupt u32 record length: near 2^32, negative as an int32, near
+   2^31, short, off by a few, or around the payload cap *)
+let corrupt_length rng old =
+  match Rng.int rng 6 with
+  | 0 -> 0xFFFFFFFF - Rng.int rng 16
+  | 1 -> 0x80000000 + Rng.int rng 16
+  | 2 -> 0x7FFFFFFF - Rng.int rng 16
+  | 3 -> Rng.int rng 40
+  | 4 -> max 0 (old + Rng.int rng 7 - 3)
+  | _ -> (1 lsl 16) + Rng.int rng 3 - 1
+
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
+
+(* one mutation of a journal image: a byte flip, a truncation, an
+   overwritten length or CRC, a length overwritten together with the CRC
+   a writer would have stored for that extent, or a record spliced in at
+   another record boundary or duplicated in place *)
+let mutate_journal rng b =
+  let n = Bytes.length b and offs = record_offsets b in
+  let m = Array.length offs in
+  if n = 0 || m = 0 then b
+  else
+    let k = Rng.int rng m in
+    let off = offs.(k) in
+    let record_end j = if j + 1 < m then offs.(j + 1) else n in
+    match Rng.int rng 7 with
+    | 0 ->
+        let pos = Rng.int rng n in
+        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 + Rng.int rng 255)));
+        b
+    | 1 -> Bytes.sub b 0 (Rng.int rng n)
+    | 2 when off + 8 <= n ->
+        set_u32 b off (corrupt_length rng (record_end k - off - 8));
+        b
+    | 3 when off + 8 <= n ->
+        set_u32 b (off + 4) (Rng.int rng 0x40000000 lor (Rng.int rng 4 lsl 30));
+        b
+    | 4 when off + 8 <= n ->
+        let len = corrupt_length rng (record_end k - off - 8) in
+        set_u32 b off len;
+        (* each record's CRC runs on from its predecessor's *)
+        let prev =
+          if k = 0 then 0 else Int32.to_int (Bytes.get_int32_le b (offs.(k - 1) + 4)) land 0xFFFFFFFF
+        in
+        if off + 8 + len <= n then set_u32 b (off + 4) (Util.crc32_update prev b (off + 8) len);
+        b
+    | 5 ->
+        let src = Bytes.sub b off (record_end k - off) in
+        let at = if Rng.bernoulli rng 0.2 then n else offs.(Rng.int rng m) in
+        Bytes.concat Bytes.empty [ Bytes.sub b 0 at; src; Bytes.sub b at (n - at) ]
+    | _ ->
+        let e = record_end k in
+        Bytes.concat Bytes.empty
+          [ Bytes.sub b 0 e; Bytes.sub b off (e - off); Bytes.sub b e (n - e) ]
+
+let is_prefix l ~of_ = List.filteri (fun k _ -> k < List.length l) of_ = l
+
+(* Each mutated journal reads, through [Journal.events] and through
+   [Journal.openw], as a prefix of the events that were appended: never
+   an exception, never a record out of place, and at most 8 words
+   allocated per input byte plus 1,024. [openw] leaves exactly the
+   records it returned on disk. *)
+let prop_fuzz_journal =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"fuzzed journals: a prefix of the appended events" ~count:400
+       (QCheck2.Gen.int_range 0 1_000_000) (fun seed ->
+         let appended, clean = Lazy.force journal_base in
+         let rng = Rng.create seed in
+         let bytes = ref (Bytes.copy clean) in
+         for _ = 0 to Rng.int rng 3 do
+           bytes := mutate_journal rng !bytes
+         done;
+         let path = Filename.temp_file "revmax-fuzz" ".wal" in
+         Fun.protect
+           ~finally:(fun () -> Sys.remove path)
+           (fun () ->
+             Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc !bytes);
+             let cap = (8.0 *. float_of_int (Bytes.length !bytes)) +. 1024.0 in
+             let decode what f =
+               match Util.allocated_words (fun () -> try Ok (f path) with e -> Error e) with
+               | Error e, _ -> QCheck2.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+               | Ok records, words ->
+                   if words > cap then
+                     QCheck2.Test.fail_reportf "%s: %d input bytes allocated %.0f words (cap %.0f)"
+                       what (Bytes.length !bytes) words cap;
+                   if not (is_prefix records ~of_:appended) then
+                     QCheck2.Test.fail_reportf "%s returned %d records, not a prefix of the %d appended"
+                       what (List.length records) (List.length appended);
+                   records
+             in
+             let read = decode "Journal.events" Journal.events in
+             let opened =
+               decode "Journal.openw" (fun path ->
+                   let j, records = Journal.openw path in
+                   Journal.close j;
+                   records)
+             in
+             if opened <> read then QCheck2.Test.fail_reportf "openw and events disagree";
+             if Journal.events path <> opened then
+               QCheck2.Test.fail_reportf "the healed journal does not hold what openw returned";
+             true)))
+
 (* ------------------------------------------------------------------ *)
 (* Harness faults: Runner.guarded                                      *)
 (* ------------------------------------------------------------------ *)
@@ -1133,6 +1275,7 @@ let () =
           prop_fuzz_text;
           prop_fuzz_pack;
           prop_fuzz_snapshot;
+          prop_fuzz_journal;
         ] );
       ( "runner",
         [
