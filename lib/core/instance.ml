@@ -549,9 +549,8 @@ let shard ?(policy = `Water_filling) ~shards t =
   let budgets = Array.init t.num_items budget_of_item in
   (* the global quantity budget splits like an item capacity: water-filling
      hands each shard min(cap, its own selection ceiling) and lets the
-     merge-time trim resolve over-subscription (the min is composition
-     invariant, so hierarchical = flat splits see the same budgets);
-     proportional shares sum to exactly the cap and never need a trim *)
+     merge-time trim resolve over-subscription; proportional shares sum
+     to exactly the cap and never need a trim *)
   let quantity_budgets =
     if t.max_total = max_int then Array.make shards max_int
     else

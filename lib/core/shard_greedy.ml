@@ -68,9 +68,7 @@ let removal_loss ~with_saturation inst s ~u ~i =
   -. Revenue.chain_revenue ~with_saturation ?q_of inst keep
 
 (* The quantity-trim ranking key: the revenue lost when one triple leaves
-   the strategy — the delta of its own (user, class) chain. Like
-   [removal_loss] it is computable child- or parent-side with identical
-   bytes (chains are per-user and canonically ordered). *)
+   the strategy — the delta of its own (user, class) chain. *)
 let triple_removal_loss ~with_saturation inst s (z : Triple.t) =
   let chain = Strategy.chain_of_triple s z in
   let keep = List.filter (fun z' -> not (Triple.equal z' z)) chain in

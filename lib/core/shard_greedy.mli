@@ -29,7 +29,8 @@
       optimistic [min cap shard-universe] quota, so the merged size may
       exceed the cap ([`Proportional] shares sum to the cap exactly and
       never trigger this phase). After capacities settle, the triple of
-      globally lowest {!triple_removal_loss} (ties to the smaller triple)
+      globally lowest removal loss (the chain-revenue delta of dropping
+      that one triple; ties to the smaller triple)
       is released, one at a time with the ranking recomputed per step,
       until the strategy is back under the cap. Removals cannot violate
       any other constraint, so the result stays valid.
@@ -85,18 +86,8 @@ val solve :
 val removal_loss : with_saturation:bool -> Instance.t -> Strategy.t -> u:int -> i:int -> float
 (** The reconciliation ranking key: the revenue lost when user [u] gives
     up item [i] entirely — the chain-revenue delta of the one affected
-    (user, class) chain. Chains are canonically ordered and per-user, so
-    the value is bit-identical whether computed against the merged global
-    strategy or against the user's shard-local strategy; {!Hier_greedy}
-    relies on this to rank candidates child-side, and the serving layer
-    ranks its releases by the same key. It is computed from the chain's
-    members, never from its cached aggregates. *)
-
-val triple_removal_loss : with_saturation:bool -> Instance.t -> Strategy.t -> Triple.t -> float
-(** The quantity-trim ranking key: the revenue lost when one triple leaves
-    the strategy — the chain-revenue delta of its own (user, class) chain.
-    Shares {!removal_loss}'s locality: bit-identical whether computed
-    against the merged global strategy or the owner's shard-local one. *)
+    (user, class) chain. The serving layer ranks its releases by the same
+    key. *)
 
 val default_shards : unit -> int
 (** The process-wide default shard count, used whenever [?shards] is

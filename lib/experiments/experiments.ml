@@ -650,7 +650,7 @@ let bench_slate (cfg : Config.t) =
     \ the cell rather than shifting a ratio)\n"
     (Strategy.size s_plain) v_plain sec_plain
 
-(* ----- Benchmark: out-of-core scale (pack + mmap + hierarchical shards) ----- *)
+(* ----- Benchmark: out-of-core scale (pack + mmap + shards) ----- *)
 
 (* peak resident set (VmHWM) in kB from /proc/self/status; 0 when the
    file is unavailable (non-Linux), which disables the RSS ceiling gate *)
@@ -672,7 +672,7 @@ let peak_rss_kb () =
           scan ())
 
 let bench_scale (cfg : Config.t) =
-  Runner.section "Benchmark: out-of-core scale (pack + mmap + hierarchical shards)";
+  Runner.section "Benchmark: out-of-core scale (pack + mmap + shards)";
   let users, items, classes =
     match cfg.Config.scale with
     | Config.Quick -> (2_000, 400, 50)
@@ -747,20 +747,6 @@ let bench_scale (cfg : Config.t) =
       ];
     (label, size, v, h, wall)
   in
-  (* the hierarchical run must come first: once any run spawns a domain,
-     OCaml 5.1 refuses fork and Hier_greedy degrades to in-process *)
-  let (hs, hst), hier_wall =
-    Util.time_it (fun () -> Revmax_hier.Hier_greedy.solve ~procs:2 ~shards_per_proc:2 ~jobs:1 inst)
-  in
-  let hier =
-    row "hier procs=2 spp=2" (hs, hier_wall)
-      ~released:hst.Revmax_hier.Hier_greedy.released_pairs
-      ~rounds:hst.Revmax_hier.Hier_greedy.reconciliation_rounds
-  in
-  if hst.Revmax_hier.Hier_greedy.degraded then
-    Log.out
-      "(hier run degraded to in-process planning: fork unavailable after a domain spawn — the\n\
-      \ invariance gate below still holds by construction, run bench-scale alone to exercise it)\n";
   (* heap ≡ mmap: build the same instance on the OCaml heap and demand the
      identical greedy trace. At full scale the heap build is skipped — not
      holding the instance in the heap is the point of the cell. *)
@@ -812,12 +798,9 @@ let bench_scale (cfg : Config.t) =
             rest
       | [] -> failwith "bench-scale: empty invariance group")
     grid;
-  let flat4 = List.hd (List.assoc 4 grid) in
-  if fp hier <> fp flat4 then
-    failwith "bench-scale: hierarchical plan diverged from flat shards=4";
   let rss_kb = peak_rss_kb () in
   let gc = Gc.stat () in
-  Log.out "equivalence: heap/mmap %s; hier ≡ flat shards=4; jobs-invariant at shards 1 and 4\n"
+  Log.out "equivalence: heap/mmap %s; jobs-invariant at shards 1 and 4\n"
     heap_status;
   Log.out "memory: peak RSS %.1f MB (ceiling %.1f MB), OCaml top heap %.1f MB\n"
     (float_of_int rss_kb /. 1e3)
@@ -889,7 +872,7 @@ let bench_scale (cfg : Config.t) =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n";
   add "  \"experiment\": \"bench-scale\",\n";
-  add "  \"description\": \"out-of-core planning: packed mmap instance, flat and hierarchical shards\",\n";
+  add "  \"description\": \"out-of-core planning: packed mmap instance, user shards\",\n";
   add "  \"scale\": \"%s\",\n"
     (match cfg.Config.scale with
     | Config.Quick -> "quick"
@@ -901,12 +884,10 @@ let bench_scale (cfg : Config.t) =
     pack_bytes (Instance.pair_count inst) write_s open_s;
   add "  \"equivalence\": {\n";
   add "    \"heap_mmap\": \"%s\",\n" heap_status;
-  add "    \"hier_vs_flat_shards4\": \"identical\",\n";
-  add "    \"jobs_invariant\": true,\n";
-  add "    \"hier_degraded\": %b\n" hst.Revmax_hier.Hier_greedy.degraded;
+  add "    \"jobs_invariant\": true\n";
   add "  },\n";
   add "  \"runs\": [\n";
-  let all_runs = hier :: List.concat_map snd grid in
+  let all_runs = List.concat_map snd grid in
   List.iteri
     (fun idx (label, size, v, h, wall) ->
       add "    { \"label\": \"%s\", \"selected\": %d, \"revenue\": %.12g, \"fingerprint\": %d, \"wall_seconds\": %.3f }%s\n"
@@ -1071,7 +1052,7 @@ let all =
       "Benchmark: ad slates (position decay) and quantity budgets vs unordered-k; identity gates",
       bench_slate );
     ( "bench-scale",
-      "Benchmark: out-of-core scale — packed mmap instance, hierarchical shards, RSS gate",
+      "Benchmark: out-of-core scale — packed mmap instance, user shards, RSS gate",
       bench_scale );
     ("abl-exact", "Ablation: greedy vs exact optima", abl_exact);
     ("abl-rs", "Ablation: MF vs kNN vs content-based substrate", abl_rs);

@@ -1,8 +1,7 @@
 let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
-(* CRC-32 (IEEE 802.3, the zlib polynomial), table-driven; shared by the
-   serving journal and the hierarchical planner's pipe framing so both ends
-   of every checksummed byte agree on one implementation *)
+(* CRC-32 (IEEE 802.3, the zlib polynomial), table-driven; the serving
+   journal chains its records with it *)
 let crc_table =
   lazy
     (Array.init 256 (fun n ->
@@ -19,8 +18,6 @@ let crc32_update crc bytes off len =
     c := table.((!c lxor Char.code (Bytes.get bytes k)) land 0xff) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
-
-let crc32 bytes off len = crc32_update 0 bytes off len
 
 let clamp_prob x = clamp ~lo:0.0 ~hi:1.0 x
 
@@ -79,15 +76,16 @@ let time_it f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* OCaml 5.1 adds an allocation made directly in the major heap (a block
-   above the minor heap's size limit) to [major_words] only at the next
-   minor collection, so each read is preceded by one; without it a
-   pair-sized array can read as 0 words *)
+(* [Gc.counters] is the calling domain's; [Gc.quick_stat] would add every
+   other domain's allocations. OCaml 5.1 adds an allocation made directly
+   in the major heap (a block above the minor heap's size limit) to
+   [major_words] only at the next minor collection, so each read is
+   preceded by one; without it a pair-sized array can read as 0 words *)
 let allocated_words f =
   let words () =
     Gc.minor ();
-    let st = Gc.quick_stat () in
-    st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
   in
   let w0 = words () in
   let r = f () in

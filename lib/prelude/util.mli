@@ -3,17 +3,12 @@
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] restricts [x] to the closed interval [\[lo, hi\]]. *)
 
-val crc32 : bytes -> int -> int -> int
-(** [crc32 b off len]: CRC-32 (IEEE 802.3 / zlib polynomial) of
-    [b.(off .. off+len-1)], as a non-negative int below [2^32]. Used by the
-    serving journal's record framing and the hierarchical planner's pipe
-    protocol. *)
-
 val crc32_update : int -> bytes -> int -> int -> int
-(** [crc32_update crc b off len]: the CRC-32 of the bytes [crc] is the
-    CRC-32 of, followed by [b.(off .. off+len-1)] (zlib's running
-    [crc32]); [crc32_update 0] is {!crc32}. The serving journal chains its
-    records with it. *)
+(** [crc32_update crc b off len]: the CRC-32 (IEEE 802.3 / zlib
+    polynomial) of the bytes [crc] is the CRC-32 of, followed by
+    [b.(off .. off+len-1)] (zlib's running [crc32]), as a non-negative
+    int below [2^32]; [crc32_update 0] is the CRC-32 of the range alone.
+    The serving journal chains its records with it. *)
 
 val clamp_prob : float -> float
 (** [clamp_prob x] clamps [x] to [\[0, 1\]]. *)
@@ -51,10 +46,12 @@ val time_it : (unit -> 'a) -> 'a * float
 
 val allocated_words : (unit -> 'a) -> 'a * float
 (** [allocated_words f] runs [f ()] and returns its result together with
-    the words it allocated, minor and major heap alike (what it retains
-    or frees does not matter). Each read of the counters runs a minor
-    collection first: OCaml 5.1 counts a block allocated directly in the
-    major heap only at the next one. *)
+    the words it allocated on the calling domain, minor and major heap
+    alike (what it retains or frees does not matter). Work on other
+    domains is not counted, including the {!Pool} workers [f] hands work
+    to. Each read of the counters runs a minor collection first: OCaml
+    5.1 counts a block allocated directly in the major heap only at the
+    next one. *)
 
 val with_index : 'a array -> (int * 'a) array
 (** Pair every element with its index. *)

@@ -802,10 +802,28 @@ let corrupt_length rng old =
 
 let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
+(* whether the [len] bytes at [pos] decode as a record once they carry a
+   valid CRC: they are read back through [Journal.events] as the payload
+   of a one-record image *)
+let decodes_as_record b pos len =
+  let image = Bytes.create (8 + len) in
+  set_u32 image 0 len;
+  set_u32 image 4 (Util.crc32_update 0 b pos len);
+  Bytes.blit b pos image 8 len;
+  let path = Filename.temp_file "revmax-record" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc image);
+      Journal.events path <> [])
+
 (* one mutation of a journal image: a byte flip, a truncation, an
    overwritten length or CRC, a length overwritten together with the CRC
    a writer would have stored for that extent, or a record spliced in at
-   another record boundary or duplicated in place *)
+   another record boundary or duplicated in place. The CRC goes with the
+   length only when the extent does not decode as a record: a
+   well-formed record under a valid chained CRC is an append, which no
+   check can refuse, and the oracle would count it as forged. *)
 let mutate_journal rng b =
   let n = Bytes.length b and offs = record_offsets b in
   let m = Array.length offs in
@@ -833,7 +851,8 @@ let mutate_journal rng b =
         let prev =
           if k = 0 then 0 else Int32.to_int (Bytes.get_int32_le b (offs.(k - 1) + 4)) land 0xFFFFFFFF
         in
-        if off + 8 + len <= n then set_u32 b (off + 4) (Util.crc32_update prev b (off + 8) len);
+        if off + 8 + len <= n && not (decodes_as_record b (off + 8) len) then
+          set_u32 b (off + 4) (Util.crc32_update prev b (off + 8) len);
         b
     | 5 ->
         let src = Bytes.sub b off (record_end k - off) in
@@ -851,45 +870,59 @@ let is_prefix l ~of_ = List.filteri (fun k _ -> k < List.length l) of_ = l
    an exception, never a record out of place, and at most 8 words
    allocated per input byte plus 1,024. [openw] leaves exactly the
    records it returned on disk. *)
+let check_fuzzed_journal seed =
+  let appended, clean = Lazy.force journal_base in
+  let rng = Rng.create seed in
+  let bytes = ref (Bytes.copy clean) in
+  for _ = 0 to Rng.int rng 3 do
+    bytes := mutate_journal rng !bytes
+  done;
+  let path = Filename.temp_file "revmax-fuzz" ".wal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc !bytes);
+      let cap = (8.0 *. float_of_int (Bytes.length !bytes)) +. 1024.0 in
+      let decode what f =
+        match Util.allocated_words (fun () -> try Ok (f path) with e -> Error e) with
+        | Error e, _ -> QCheck2.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+        | Ok records, words ->
+            if words > cap then
+              QCheck2.Test.fail_reportf "%s: %d input bytes allocated %.0f words (cap %.0f)" what
+                (Bytes.length !bytes) words cap;
+            if not (is_prefix records ~of_:appended) then
+              QCheck2.Test.fail_reportf "%s returned %d records, not a prefix of the %d appended"
+                what (List.length records) (List.length appended);
+            records
+      in
+      let read = decode "Journal.events" Journal.events in
+      let opened =
+        decode "Journal.openw" (fun path ->
+            let j, records = Journal.openw path in
+            Journal.close j;
+            records)
+      in
+      if opened <> read then QCheck2.Test.fail_reportf "openw and events disagree";
+      if Journal.events path <> opened then
+        QCheck2.Test.fail_reportf "the healed journal does not hold what openw returned";
+      true)
+
 let prop_fuzz_journal =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"fuzzed journals: a prefix of the appended events" ~count:400
-       (QCheck2.Gen.int_range 0 1_000_000) (fun seed ->
-         let appended, clean = Lazy.force journal_base in
-         let rng = Rng.create seed in
-         let bytes = ref (Bytes.copy clean) in
-         for _ = 0 to Rng.int rng 3 do
-           bytes := mutate_journal rng !bytes
-         done;
-         let path = Filename.temp_file "revmax-fuzz" ".wal" in
-         Fun.protect
-           ~finally:(fun () -> Sys.remove path)
-           (fun () ->
-             Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc !bytes);
-             let cap = (8.0 *. float_of_int (Bytes.length !bytes)) +. 1024.0 in
-             let decode what f =
-               match Util.allocated_words (fun () -> try Ok (f path) with e -> Error e) with
-               | Error e, _ -> QCheck2.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
-               | Ok records, words ->
-                   if words > cap then
-                     QCheck2.Test.fail_reportf "%s: %d input bytes allocated %.0f words (cap %.0f)"
-                       what (Bytes.length !bytes) words cap;
-                   if not (is_prefix records ~of_:appended) then
-                     QCheck2.Test.fail_reportf "%s returned %d records, not a prefix of the %d appended"
-                       what (List.length records) (List.length appended);
-                   records
-             in
-             let read = decode "Journal.events" Journal.events in
-             let opened =
-               decode "Journal.openw" (fun path ->
-                   let j, records = Journal.openw path in
-                   Journal.close j;
-                   records)
-             in
-             if opened <> read then QCheck2.Test.fail_reportf "openw and events disagree";
-             if Journal.events path <> opened then
-               QCheck2.Test.fail_reportf "the healed journal does not hold what openw returned";
-             true)))
+       (QCheck2.Gen.int_range 0 1_000_000) check_fuzzed_journal)
+
+(* Inputs on which the mutator once forged a record: a spliced or
+   duplicated record re-checksummed at its new place read back as seqs
+   1-7 and then 7 again, or as a lone first record with seq 4. They are
+   what QCHECK_SEED 407593186, 946566254, 451685933 and 439833129 draw. *)
+let test_fuzz_journal_pinned () =
+  List.iter
+    (fun input ->
+      match check_fuzzed_journal input with
+      | _ -> ()
+      | exception e -> Alcotest.failf "input %d: %s" input (Printexc.to_string e))
+    [ 751146; 373349; 419374; 428233 ]
 
 (* ------------------------------------------------------------------ *)
 (* Harness faults: Runner.guarded                                      *)
@@ -1276,6 +1309,8 @@ let () =
           prop_fuzz_pack;
           prop_fuzz_snapshot;
           prop_fuzz_journal;
+          Alcotest.test_case "fuzzed journals: inputs that once forged a record" `Quick
+            test_fuzz_journal_pinned;
         ] );
       ( "runner",
         [

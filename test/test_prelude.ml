@@ -197,6 +197,33 @@ let test_top_k_by () =
   let all = Util.top_k_by 10 float_of_int a in
   Alcotest.(check int) "short array" 5 (Array.length all)
 
+(* [allocated_words] counts the calling domain only. The measured closure
+   lets a sibling domain allocate about 900,000 words (a 300,000-cell
+   list) and waits for it to finish, so every one of those words falls
+   between the two reads. *)
+let test_allocated_words_ignores_siblings () =
+  let go = Atomic.make false and finished = Atomic.make false in
+  let sibling =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        let cells = List.init 300_000 Fun.id in
+        Atomic.set finished true;
+        List.length cells)
+  in
+  let (), words =
+    Util.allocated_words (fun () ->
+        Atomic.set go true;
+        while not (Atomic.get finished) do
+          Domain.cpu_relax ()
+        done)
+  in
+  Alcotest.(check int) "the sibling's list" 300_000 (Domain.join sibling);
+  if words > 1000.0 then
+    Alcotest.failf "an empty closure read %.0f words while a sibling domain allocated (at most 1,000)"
+      words
+
 let test_summary () =
   let s = Summary.of_array [| 1.0; 2.0; 3.0; 4.0; 5.0 |] in
   Helpers.check_float "mean" 3.0 s.Summary.mean;
@@ -323,6 +350,8 @@ let () =
           Alcotest.test_case "kahan sum" `Quick test_sum_floats_kahan;
           Alcotest.test_case "argmax" `Quick test_argmax;
           Alcotest.test_case "top_k_by" `Quick test_top_k_by;
+          Alcotest.test_case "allocated_words ignores a sibling domain" `Quick
+            test_allocated_words_ignores_siblings;
         ] );
       ( "summary",
         [

@@ -1,8 +1,6 @@
 (* Out-of-core scale machinery: pack files and memory-mapped instances
-   (bit-identical to built ones through every planner), the
-   footprint of a plan, the hierarchical process-level planner's
-   equivalence to the flat in-process one, and the pipe wire codec both
-   planners' processes speak. *)
+   (bit-identical to built ones through every planner), and the
+   footprint of a plan and of the greedy's and the instance's set-up. *)
 
 module Rng = Revmax_prelude.Rng
 module Instance = Revmax.Instance
@@ -11,9 +9,7 @@ module Strategy = Revmax.Strategy
 module Revenue = Revmax.Revenue
 module Greedy = Revmax.Greedy
 module Shard_greedy = Revmax.Shard_greedy
-module Hier_greedy = Revmax_hier.Hier_greedy
 module Scalability = Revmax_datagen.Scalability
-module Wire = Revmax_hier.Wire
 open Helpers
 
 let seed_gen = QCheck2.Gen.int_range 0 1_000_000
@@ -229,162 +225,6 @@ let prop_shard_mmap_identity =
         [ 1; 3 ];
       true)
 
-(* ----- hierarchical ≡ flat ----- *)
-
-let check_hier_equiv ?policy ~what inst ~procs ~spp =
-  let flat, (st_flat : Shard_greedy.stats) =
-    Shard_greedy.solve ?policy ~shards:(procs * spp) inst
-  in
-  let hier, (st_hier : Hier_greedy.stats) =
-    Hier_greedy.solve ?policy ~procs ~shards_per_proc:spp inst
-  in
-  if procs > 1 && st_hier.degraded then
-    Alcotest.failf "%s: hierarchical planner unexpectedly degraded" what;
-  if sorted hier <> sorted flat then Alcotest.failf "%s: hier selection differs from flat" what;
-  if Revenue.total hier <> Revenue.total flat then Alcotest.failf "%s: hier revenue differs" what;
-  if st_hier.per_shard_selected <> st_flat.per_shard_selected then
-    Alcotest.failf "%s: per-shard selections differ" what;
-  if st_hier.released_pairs <> st_flat.released_pairs then
-    Alcotest.failf "%s: released pairs differ (%d vs %d)" what st_hier.released_pairs
-      st_flat.released_pairs;
-  if st_hier.reconciliation_rounds <> st_flat.reconciliation_rounds then
-    Alcotest.failf "%s: reconciliation rounds differ" what;
-  if st_hier.replanned <> st_flat.replanned then Alcotest.failf "%s: replanned counts differ" what
-
-let test_hier_equals_flat () =
-  for seed = 0 to 14 do
-    let rng = Rng.create seed in
-    let inst = random_instance ~max_users:9 ~max_items:4 ~max_horizon:3 rng in
-    List.iter
-      (fun (procs, spp) ->
-        check_hier_equiv ~what:(Printf.sprintf "seed %d procs %d spp %d" seed procs spp) inst
-          ~procs ~spp)
-      [ (1, 2); (2, 1); (2, 2); (3, 2) ]
-  done
-
-(* the same equivalence on the constraint-variant families: slate slot
-   assignments travel over the wire, and the global quantity budget is
-   charged at the parent in the same order as the flat planner *)
-let test_hier_equals_flat_on_variants () =
-  for seed = 0 to 19 do
-    let rng = Rng.create seed in
-    List.iter
-      (fun (kind, inst) ->
-        check_hier_equiv ~what:(Printf.sprintf "%s seed %d" kind seed) inst ~procs:2 ~spp:2)
-      [
-        ("slate", random_slate_instance ~max_users:9 ~max_items:4 ~max_horizon:3 rng);
-        ("budgeted", random_budgeted_instance ~max_users:9 ~max_items:4 ~max_horizon:3 rng);
-      ]
-  done
-
-let test_hier_reconciles_like_flat () =
-  (* hunt for seeds whose water-filling merge genuinely over-subscribes, so
-     the cross-process loss exchange is exercised, not just the merge *)
-  let exercised = ref 0 in
-  let seed = ref 0 in
-  while !exercised < 5 && !seed < 200 do
-    let rng = Rng.create !seed in
-    let inst = random_instance ~max_users:9 ~max_items:3 ~max_horizon:3 rng in
-    let _, (st : Shard_greedy.stats) = Shard_greedy.solve ~shards:4 inst in
-    if st.released_pairs > 0 then begin
-      incr exercised;
-      check_hier_equiv ~what:(Printf.sprintf "contended seed %d" !seed) inst ~procs:2 ~spp:2
-    end;
-    incr seed
-  done;
-  if !exercised = 0 then Alcotest.fail "no contended seed found; generator drifted?"
-
-let test_hier_on_mmap () =
-  let rng = Rng.create 7 in
-  let inst = random_instance ~max_users:9 ~max_items:4 ~max_horizon:3 rng in
-  let mapped = mmap_of inst in
-  check_hier_equiv ~what:"mmap-backed hier" mapped ~procs:2 ~spp:2;
-  (* and across constructors: the hierarchical plan on the mapped
-     instance equals the flat plan on the built one *)
-  let flat, _ = Shard_greedy.solve ~shards:4 inst in
-  let hier, _ = Hier_greedy.solve ~procs:2 ~shards_per_proc:2 mapped in
-  if sorted hier <> sorted flat then Alcotest.fail "mmap hier differs from heap flat"
-
-(* ----- wire codec ----- *)
-
-let roundtrip msg =
-  let r, w = Unix.pipe () in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close r with Unix.Unix_error _ -> ());
-      try Unix.close w with Unix.Unix_error _ -> ())
-    (fun () ->
-      Wire.send w msg;
-      Wire.recv r)
-
-let test_wire_roundtrip () =
-  let msgs =
-    [
-      Wire.Shard_result
-        {
-          shard = 3;
-          selected = 2;
-          evaluations = 17;
-          pops = 9;
-          truncated = true;
-          triples = [| triple 0 1 2; triple 4 0 1 |];
-          slots = [||];
-        };
-      Wire.Shard_result
-        {
-          shard = 0;
-          selected = 2;
-          evaluations = 4;
-          pops = 2;
-          truncated = false;
-          triples = [| triple 0 1 2; triple 4 0 1 |];
-          slots = [| 2; 1 |];
-        };
-      Wire.Reconcile_request [| 1; 5; 9 |];
-      Wire.Loss_lists [| (5, [| (0.125, 2); (Float.max_float, 0) |]); (9, [||]) |];
-      Wire.Release { item = 5; users = [| 2; 7 |] };
-      Wire.Shutdown;
-      Wire.Child_error "boom";
-    ]
-  in
-  List.iter (fun m -> if roundtrip m <> m then Alcotest.fail "wire round trip changed a message") msgs
-
-let test_wire_rejects_corruption () =
-  let payload_flip () =
-    let r, w = Unix.pipe () in
-    Fun.protect
-      ~finally:(fun () ->
-        (try Unix.close r with Unix.Unix_error _ -> ());
-        try Unix.close w with Unix.Unix_error _ -> ())
-      (fun () ->
-        Wire.send w (Wire.Reconcile_request [| 1; 2; 3 |]);
-        Unix.close w;
-        (* read the frame raw, flip one payload byte, re-send *)
-        let buf = Bytes.create 4096 in
-        let n = Unix.read r buf 0 4096 in
-        Bytes.set buf (n - 1) (Char.chr (Char.code (Bytes.get buf (n - 1)) lxor 1));
-        let r2, w2 = Unix.pipe () in
-        Fun.protect
-          ~finally:(fun () ->
-            (try Unix.close r2 with Unix.Unix_error _ -> ());
-            try Unix.close w2 with Unix.Unix_error _ -> ())
-          (fun () ->
-            ignore (Unix.write w2 buf 0 n);
-            Unix.close w2;
-            match Wire.recv r2 with
-            | exception Wire.Protocol_error _ -> ()
-            | _ -> Alcotest.fail "corrupted frame accepted"))
-  in
-  payload_flip ();
-  (* EOF mid-frame *)
-  let r, w = Unix.pipe () in
-  ignore (Unix.write_substring w "\x10\x00\x00\x00" 0 4);
-  Unix.close w;
-  (match Wire.recv r with
-  | exception Wire.Protocol_error _ -> ()
-  | _ -> Alcotest.fail "truncated frame accepted");
-  Unix.close r
-
 (* ----- footprint ----- *)
 
 (* words reachable from [s] that its instance does not account for *)
@@ -423,15 +263,13 @@ let test_plan_words_per_selection () =
 (* The reference check folds every chain straight from its flat arrays,
    reading the instance's facts through cells: it allocates no triple,
    list or chain array, only a few cells, the per-user chain buffer and
-   the class marks. The first read after a large run can still carry
-   words that run allocated, so one empty read comes first. *)
+   the class marks. *)
 let test_total_words () =
   if Sys.backend_type = Sys.Native then
     with_temp_pack (fun path ->
         Scalability.generate_pack (wide_shallow 3000) ~seed:16 ~path;
         let s, st = Greedy.run (Instance.of_mmap path) in
         let words f = snd (Revmax_prelude.Util.allocated_words f) in
-        ignore (words ignore);
         List.iter
           (fun with_saturation ->
             let w = words (fun () -> Revenue.total ~with_saturation s) in
@@ -569,20 +407,5 @@ let () =
           Alcotest.test_case "Instance.create allocates at most 2 words per candidate pair"
             `Quick test_create_words_per_pair;
           Alcotest.test_case "Revenue.total allocates at most 1,000 words" `Quick test_total_words;
-        ] );
-      ( "hier",
-        [
-          Alcotest.test_case "hier(p,s) ≡ flat(p·s) on random instances" `Quick
-            test_hier_equals_flat;
-          Alcotest.test_case "hier(2,2) ≡ flat(4) on slate and budgeted instances" `Quick
-            test_hier_equals_flat_on_variants;
-          Alcotest.test_case "hier reconciliation matches flat under contention" `Quick
-            test_hier_reconciles_like_flat;
-          Alcotest.test_case "hier on an mmap-backed instance" `Quick test_hier_on_mmap;
-        ] );
-      ( "wire",
-        [
-          Alcotest.test_case "codec round trip" `Quick test_wire_roundtrip;
-          Alcotest.test_case "corruption is rejected" `Quick test_wire_rejects_corruption;
         ] );
     ]

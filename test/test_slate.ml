@@ -16,7 +16,6 @@ module Revenue = Revmax.Revenue
 module Greedy = Revmax.Greedy
 module Shard_greedy = Revmax.Shard_greedy
 module Exact = Revmax.Exact
-module Hier_greedy = Revmax_hier.Hier_greedy
 module Pipeline = Revmax_datagen.Pipeline
 module Simulate = Revmax.Simulate
 module Capacity_oracle = Revmax.Capacity_oracle
@@ -47,15 +46,14 @@ let traces_bit_identical ta tb =
 (* ----- validity on the new instance families ----- *)
 
 let prop_slate_planners_valid =
-  QCheck2.Test.make ~name:"slate instances: greedy, sharded and hier outputs validate" ~count:60
+  QCheck2.Test.make ~name:"slate instances: greedy, sharded (3 shards) outputs validate" ~count:60
     seed_gen (fun seed ->
       let rng = Rng.create seed in
       let inst = random_slate_instance rng in
       let ok s = Strategy.validate s = Ok () && Strategy.violations s = [] in
       let s, _ = Greedy.run inst in
       let sh, _ = Shard_greedy.solve ~shards:3 inst in
-      let hr, _ = Hier_greedy.solve ~procs:2 ~shards_per_proc:2 inst in
-      ok s && ok sh && ok hr)
+      ok s && ok sh)
 
 let prop_quantity_planners_never_exceed_cap =
   QCheck2.Test.make ~name:"quantity instances: no planner exceeds the cap" ~count:60 seed_gen
@@ -66,8 +64,7 @@ let prop_quantity_planners_never_exceed_cap =
       let ok s = Strategy.size s <= cap && Strategy.validate s = Ok () in
       let s, _ = Greedy.run inst in
       let sh, _ = Shard_greedy.solve ~shards:3 inst in
-      let hr, _ = Hier_greedy.solve ~procs:2 ~shards_per_proc:2 inst in
-      ok s && ok sh && ok hr)
+      ok s && ok sh)
 
 (* a loose cap (the full candidate count) can never bind, so the budgeted
    planner must not stop early: greedy picks exactly what plain greedy
