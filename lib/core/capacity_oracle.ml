@@ -40,7 +40,7 @@ let prob_capacity_free_mc s (z : Triple.t) ~samples rng =
           match Strategy.chain_view s ~u:v ~cls:(Instance.class_of inst z.i) with
           | None -> ()
           | Some c -> (
-              match Simulate.simulate_chain inst c rng with
+              match Simulate.simulate_chain s c rng with
               | Some (a : Triple.t) when a.i = z.i && a.t <= z.t -> incr adopters
               | Some _ | None -> ()))
         users;

@@ -1,23 +1,31 @@
 (* Array-backed (user, class) chain with cached per-triple aggregates.
 
-   The chain keeps its members sorted (time ascending, ties by item id —
-   Triple.chain_before) in two flat arrays. The float array [f] holds six
-   floats per member z_j:
+   A chain is one unboxed float block. Two header floats hold its length
+   and its user; member z_j then takes [w] floats, sorted by
+   Triple.chain_before (time ascending, ties by item id):
 
-     q      primitive adoption probability q(u, i_j, t_j)
+     time   t_j
+     item   i_j
+     q      adoption probability q(u, i_j, t_j) (q̃ on slates)
      price  p(i_j, t_j)
      beta   saturation factor of i_j
      mem    memory  M_j = Σ_{t_l < t_j} 1/(t_j − t_l)          (Equation 1)
      comp   competition Π_{t_l < t_j ∨ (t_l = t_j ∧ l ≠ j)} (1 − q_l)
      prob   dynamic adoption probability q_j · β_j^{M_j} · comp_j
+     slot   the member's 1-based slot, on slate instances only
 
-   and the int array [d] holds the member's item and time (and, on slate
-   instances, its slot). No chain total is cached: [revenue] sums
+   so [w] is 8, or 9 on slates. Ints stored as floats are exact (ids and
+   times are far below 2^53). No chain total is cached: [revenue] sums
    p_j·prob_j (with saturation) or p_j·q_j·comp_j (the β = 1 variant used
-   by GlobalNo planning) over the members when asked. Both arrays start
-   with room for one member and double; no triple record is stored. The
-   oracle cells and the 1/Δt table are per-strategy constants, held once
-   in a [ctx] every chain of the strategy points to.
+   by GlobalNo planning) over the members when asked. The oracle cells,
+   the 1/Δt table and [w] are per-strategy constants, held once in the
+   [ctx] every function takes.
+
+   [create] makes a block with room for no member; an insert into a full
+   block copies it into one of twice the room (see [grow]) and returns
+   the new block. The caller owns every pointer to the old one: a
+   strategy repoints its (user, class) row, or its overflow entry, to
+   the returned block.
 
    [insert] splices a triple in O(L): the new triple's memory and
    competition are accumulated in one pass, and each later (or same-time)
@@ -46,16 +54,10 @@ type ctx = {
                         always 1/Δt with Δt bounded by the horizon, and a
                         table load beats a float divide in the oracle walk;
                         the values are the same IEEE quotients *)
-  ist : int; (* ints per member in [d]: item, time, and the slot on slates *)
+  w : int; (* floats per member: 8, and 9 with the slot on slates *)
 }
 
-type t = {
-  ctx : ctx;
-  mutable user : int;
-  mutable len : int;
-  mutable f : float array;
-  mutable d : int array;
-}
+type t = float array
 
 let context inst =
   {
@@ -64,56 +66,64 @@ let context inst =
     inv =
       Array.init (Instance.horizon inst + 1) (fun d ->
           if d = 0 then 0.0 else 1.0 /. float_of_int d);
-    ist = (if Instance.is_slate inst then 3 else 2);
+    w = (if Instance.is_slate inst then 9 else 8);
   }
 
-(* float-array layout: [fw] floats per member *)
-let fw = 6
-let fb j = fw * j
-let oq = 0
-let oprice = 1
-let obeta = 2
-let omem = 3
-let ocomp = 4
-let oprob = 5
+(* header *)
+let olen = 0
+let ouser = 1
+let hdr = 2
 
-let create_in ctx = { ctx; user = 0; len = 0; f = Array.make (fb 1) 0.0; d = Array.make ctx.ist 0 }
+(* member fields, at [fb ctx j + o] *)
+let otime = 0
+let oitem = 1
+let oq = 2
+let oprice = 3
+let obeta = 4
+let omem = 5
+let ocomp = 6
+let oprob = 7
+let oslot = 8
 
-let create inst = create_in (context inst)
+let fb ctx j = hdr + (ctx.w * j)
 
-let length c = c.len
+let create () = Array.make hdr 0.0
 
-let user c = c.user
+let length (c : t) = int_of_float c.(olen)
 
-let item c j = c.d.(c.ctx.ist * j)
+let user (c : t) = int_of_float c.(ouser)
 
-let time c j = c.d.((c.ctx.ist * j) + 1)
+let item ctx (c : t) j = int_of_float c.(fb ctx j + oitem)
 
-let q c j = c.f.(fb j + oq)
+let time ctx (c : t) j = int_of_float c.(fb ctx j + otime)
 
-let slot c j = if c.ctx.ist < 3 then 0 else c.d.((3 * j) + 2)
+let q ctx (c : t) j = c.(fb ctx j + oq)
 
-let triple c j = Triple.make ~u:c.user ~i:(item c j) ~t:(time c j)
+let slot ctx (c : t) j = if ctx.w > oslot then int_of_float c.(fb ctx j + oslot) else 0
 
-let to_list c =
+let member ctx (c : t) j = Array.sub c (fb ctx j) ctx.w
+
+let triple ctx c j = Triple.make ~u:(user c) ~i:(item ctx c j) ~t:(time ctx c j)
+
+let to_list ctx c =
   let acc = ref [] in
-  for j = c.len - 1 downto 0 do
-    acc := triple c j :: !acc
+  for j = length c - 1 downto 0 do
+    acc := triple ctx c j :: !acc
   done;
   !acc
 
-let iter c f =
-  for j = 0 to c.len - 1 do
-    f (triple c j)
+let iter ctx c f =
+  for j = 0 to length c - 1 do
+    f (triple ctx c j)
   done
 
 (* index of the (time, item) member, or -1 *)
-let find c ~i ~t =
-  let lo = ref 0 and hi = ref (c.len - 1) and res = ref (-1) in
+let find ctx c ~i ~t =
+  let lo = ref 0 and hi = ref (length c - 1) and res = ref (-1) in
   while !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
-    let tm = time c mid in
-    let cmp = if tm <> t then compare tm t else compare (item c mid) i in
+    let tm = time ctx c mid in
+    let cmp = if tm <> t then compare tm t else compare (item ctx c mid) i in
     if cmp = 0 then begin
       res := mid;
       lo := !hi + 1
@@ -124,173 +134,181 @@ let find c ~i ~t =
   !res
 
 (* the member's index, or -1 when the triple is not in the chain *)
-let index c (z : Triple.t) = if c.len > 0 && z.u = c.user then find c ~i:z.i ~t:z.t else -1
+let index ctx c (z : Triple.t) = if length c > 0 && z.u = user c then find ctx c ~i:z.i ~t:z.t else -1
 
-let mem c z = index c z >= 0
+let mem ctx c z = index ctx c z >= 0
 
-let slot_of c z =
-  let j = index c z in
-  if j < 0 || c.ctx.ist < 3 then None else Some c.d.((3 * j) + 2)
+let slot_of ctx c z =
+  let j = index ctx c z in
+  if j < 0 || ctx.w <= oslot then None else Some (slot ctx c j)
 
 let saturation_factor beta m = if m = 0.0 then 1.0 else beta ** m
 
-(* recompute member j's prob = q_j · β_j^{M_j} · comp_j in place, with no
-   float crossing a call boundary: a [prob_at c j] helper returning the
-   value would box its result (and [saturation_factor]'s arguments) on
-   every chain element of every insert/remove *)
-let set_prob c j =
-  let f = c.f and b = fb j in
-  f.(b + oprob) <-
-    (if f.(b + oq) <= 0.0 then 0.0
+(* recompute the prob of the member at [b] = q · β^M · comp in place,
+   with no float crossing a call boundary: a [prob_at c j] helper
+   returning the value would box its result (and [saturation_factor]'s
+   arguments) on every chain element of every insert/remove *)
+let set_prob (c : t) b =
+  c.(b + oprob) <-
+    (if c.(b + oq) <= 0.0 then 0.0
      else
-       let m = f.(b + omem) in
-       f.(b + oq) *. (if m = 0.0 then 1.0 else f.(b + obeta) ** m) *. f.(b + ocomp))
+       let m = c.(b + omem) in
+       c.(b + oq) *. (if m = 0.0 then 1.0 else c.(b + obeta) ** m) *. c.(b + ocomp))
 
 (* full rebuild of every cached aggregate, iterating in the same ascending
    order as the naive evaluator so the floating-point sums and products are
    reproduced exactly; O(L²) worst case but only used by [remove] *)
-let recompute c =
+let recompute ctx c =
   Metrics.incr c_recomputes;
-  let f = c.f and inv = c.ctx.inv in
+  let inv = ctx.inv and len = length c in
   let j = ref 0 in
   let prefix = ref 1.0 in
-  while !j < c.len do
+  while !j < len do
     (* the group [!j, k) shares one time step *)
     let k = ref !j in
-    while !k < c.len && time c !k = time c !j do incr k done;
+    while !k < len && time ctx c !k = time ctx c !j do incr k done;
     for a = !j to !k - 1 do
       let m = ref 0.0 in
       for l = 0 to !j - 1 do
-        m := !m +. inv.(time c a - time c l)
+        m := !m +. inv.(time ctx c a - time ctx c l)
       done;
-      f.(fb a + omem) <- !m;
+      c.(fb ctx a + omem) <- !m;
       let g = ref !prefix in
       for b = !j to !k - 1 do
-        if b <> a then g := !g *. (1.0 -. f.(fb b + oq))
+        if b <> a then g := !g *. (1.0 -. c.(fb ctx b + oq))
       done;
-      f.(fb a + ocomp) <- !g;
-      set_prob c a
+      c.(fb ctx a + ocomp) <- !g;
+      set_prob c (fb ctx a)
     done;
     for b = !j to !k - 1 do
-      prefix := !prefix *. (1.0 -. f.(fb b + oq))
+      prefix := !prefix *. (1.0 -. c.(fb ctx b + oq))
     done;
     j := !k
   done
 
-(* room for [n] members: capacities go 1, 2, 4, ... *)
-let ensure_capacity c n =
-  let ist = c.ctx.ist in
-  let cap = Array.length c.d / ist in
-  if n > cap then begin
-    let cap = max n (2 * cap) in
-    let f = Array.make (fb cap) 0.0 in
-    Array.blit c.f 0 f 0 (fb c.len);
-    c.f <- f;
-    let d = Array.make (ist * cap) 0 in
-    Array.blit c.d 0 d 0 (ist * c.len);
-    c.d <- d
-  end
+(* The most members a block of at most 128 words holds: the OCaml 5
+   runtime keeps blocks up to 128 words in size-classed pools and
+   mallocs each larger one, and the freed ones stay with the process. *)
+let pooled ctx = (128 - hdr) / ctx.w
 
-let insert ?slot ~qz c (z : Triple.t) =
+(* a copy of [c]'s header and [len] members with room for twice its
+   members, or one; a doubling that would just leave the pooled sizes
+   (8 → 16 members, 130 words) stops at [pooled] (15) instead *)
+let grow ctx c len =
+  let cap = (Array.length c - hdr) / ctx.w in
+  let cap' = max 1 (2 * cap) in
+  let cap' = if cap < pooled ctx && cap' > pooled ctx then pooled ctx else cap' in
+  let c' = Array.make (fb ctx cap') 0.0 in
+  Array.blit c 0 c' 0 (fb ctx len);
+  c'
+
+let insert_cells ctx c ~u ~i ~time:tz ~slot =
   Metrics.incr c_inserts;
-  if mem c z then invalid_arg "Chain.insert: duplicate triple";
-  ensure_capacity c (c.len + 1);
-  let inst = c.ctx.inst and ist = c.ctx.ist and inv = c.ctx.inv in
+  let len = length c in
+  (* the new member goes after every member at or before (tz, i) *)
+  let p = ref len in
+  while
+    !p > 0
+    && not (time ctx c (!p - 1) < tz || (time ctx c (!p - 1) = tz && item ctx c (!p - 1) <= i))
+  do
+    decr p
+  done;
+  let p = !p in
+  let c = if Array.length c < fb ctx (len + 1) then grow ctx c len else c in
+  let inv = ctx.inv and a = ctx.cells in
+  let qz = a.(3) in
   let one_minus_qz = 1.0 -. qz in
   (* splice z's effects into the existing aggregates and accumulate z's own
      memory / competition in the same O(L) pass. The accumulators live in
      the oracle cells (slot 0: memory, slot 1: competition). *)
-  let a = c.ctx.cells and f = c.f in
   a.(0) <- 0.0;
   a.(1) <- 1.0;
-  for j = 0 to c.len - 1 do
-    let tj = time c j and b = fb j in
-    if tj < z.t then begin
-      a.(0) <- a.(0) +. inv.(z.t - tj);
-      a.(1) <- a.(1) *. (1.0 -. f.(b + oq))
+  for j = 0 to len - 1 do
+    let b = fb ctx j in
+    let tj = int_of_float c.(b + otime) in
+    if tj < tz then begin
+      a.(0) <- a.(0) +. inv.(tz - tj);
+      a.(1) <- a.(1) *. (1.0 -. c.(b + oq))
     end
-    else if tj = z.t then begin
-      a.(1) <- a.(1) *. (1.0 -. f.(b + oq));
-      f.(b + ocomp) <- f.(b + ocomp) *. one_minus_qz;
-      set_prob c j
+    else if tj = tz then begin
+      a.(1) <- a.(1) *. (1.0 -. c.(b + oq));
+      c.(b + ocomp) <- c.(b + ocomp) *. one_minus_qz;
+      set_prob c b
     end
     else begin
-      f.(b + omem) <- f.(b + omem) +. inv.(tj - z.t);
-      f.(b + ocomp) <- f.(b + ocomp) *. one_minus_qz;
-      set_prob c j
+      c.(b + omem) <- c.(b + omem) +. inv.(tj - tz);
+      c.(b + ocomp) <- c.(b + ocomp) *. one_minus_qz;
+      set_prob c b
     end
   done;
   (* shift the tail and write the new member *)
-  let p = ref c.len in
-  while !p > 0 && not (time c (!p - 1) < z.t || (time c (!p - 1) = z.t && item c (!p - 1) <= z.i)) do
-    decr p
-  done;
-  let p = !p in
-  Array.blit f (fb p) f (fb (p + 1)) (fw * (c.len - p));
-  Array.blit c.d (ist * p) c.d (ist * (p + 1)) (ist * (c.len - p));
-  if c.len = 0 then c.user <- z.u;
-  let b = fb p in
-  f.(b + oq) <- qz;
-  f.(b + oprice) <- Instance.price inst ~i:z.i ~time:z.t;
-  f.(b + obeta) <- Instance.saturation inst z.i;
-  f.(b + omem) <- a.(0);
-  f.(b + ocomp) <- a.(1);
-  c.d.(ist * p) <- z.i;
-  c.d.((ist * p) + 1) <- z.t;
-  if ist > 2 then c.d.((ist * p) + 2) <- Option.value slot ~default:0;
-  c.len <- c.len + 1;
-  set_prob c p
+  let b = fb ctx p in
+  Array.blit c b c (b + ctx.w) (ctx.w * (len - p));
+  c.(b + otime) <- float_of_int tz;
+  c.(b + oitem) <- float_of_int i;
+  c.(b + oq) <- qz;
+  Instance.price_into ctx.inst ~i ~time:tz c (b + oprice);
+  Instance.saturation_into ctx.inst i c (b + obeta);
+  c.(b + omem) <- a.(0);
+  c.(b + ocomp) <- a.(1);
+  if ctx.w > oslot then c.(b + oslot) <- float_of_int slot;
+  if len = 0 then c.(ouser) <- float_of_int u;
+  c.(olen) <- float_of_int (len + 1);
+  set_prob c b;
+  c
 
-let remove c (z : Triple.t) =
+let insert ctx ?(slot = 0) ~qz c (z : Triple.t) =
+  if mem ctx c z then invalid_arg "Chain.insert: duplicate triple";
+  ctx.cells.(3) <- qz;
+  insert_cells ctx c ~u:z.u ~i:z.i ~time:z.t ~slot
+
+let remove ctx c (z : Triple.t) =
   Metrics.incr c_removes;
-  let j0 = index c z in
+  let j0 = index ctx c z in
   if j0 < 0 then invalid_arg "Chain.remove: absent triple";
-  let ist = c.ctx.ist in
-  let last = c.len - 1 in
-  Array.blit c.f (fb (j0 + 1)) c.f (fb j0) (fw * (last - j0));
-  Array.blit c.d (ist * (j0 + 1)) c.d (ist * j0) (ist * (last - j0));
-  c.len <- last;
-  (* clear the vacated tail member: stale data left beyond [len] could
-     otherwise alias a future read after a re-insert at the old boundary *)
-  Array.fill c.f (fb last) fw 0.0;
-  Array.fill c.d (ist * last) ist 0;
-  recompute c
+  let last = length c - 1 in
+  Array.blit c (fb ctx (j0 + 1)) c (fb ctx j0) (ctx.w * (last - j0));
+  c.(olen) <- float_of_int last;
+  (* clear the vacated tail member: stale data left beyond the length
+     could otherwise alias a future read after a re-insert at the old
+     boundary *)
+  Array.fill c (fb ctx last) ctx.w 0.0;
+  recompute ctx c
 
 (* summed in member order from 0.0, the order every insert and rebuild
    leaves the members in *)
-let revenue ~with_saturation c =
-  let f = c.f in
+let revenue ctx ~with_saturation c =
   let acc = ref 0.0 in
-  for j = 0 to c.len - 1 do
-    let b = fb j in
+  for j = 0 to length c - 1 do
+    let b = fb ctx j in
     acc :=
       !acc
-      +. f.(b + oprice)
+      +. c.(b + oprice)
          *.
-         if with_saturation then f.(b + oprob)
-         else if f.(b + oq) <= 0.0 then 0.0
-         else f.(b + oq) *. f.(b + ocomp)
+         if with_saturation then c.(b + oprob)
+         else if c.(b + oq) <= 0.0 then 0.0
+         else c.(b + oq) *. c.(b + ocomp)
   done;
   !acc
 
-let aggregates c z =
-  let j = index c z in
+let aggregates ctx c z =
+  let j = index ctx c z in
   if j < 0 then None
   else
-    let b = fb j in
-    Some (c.f.(b + omem), c.f.(b + ocomp), c.f.(b + oprob))
+    let b = fb ctx j in
+    Some (c.(b + omem), c.(b + ocomp), c.(b + oprob))
 
-let prob ~with_saturation c z =
-  let j = index c z in
+let prob ctx ~with_saturation c z =
+  let j = index ctx c z in
   if j < 0 then None
   else
-    let b = fb j in
-    if with_saturation then Some c.f.(b + oprob)
-    else Some (if c.f.(b + oq) <= 0.0 then 0.0 else c.f.(b + oq) *. c.f.(b + ocomp))
+    let b = fb ctx j in
+    if with_saturation then Some c.(b + oprob)
+    else Some (if c.(b + oq) <= 0.0 then 0.0 else c.(b + oq) *. c.(b + ocomp))
 
-(* The cells are the strategy's, shared by all its chains: the caller
+(* The cells are the context's, shared by all its chains: the caller
    fills slots 3..5 right before [marginal_cells] reads them. *)
-let oracle_cells c = c.ctx.cells
+let oracle_cells ctx = ctx.cells
 
 (* The one oracle call of the steady-state selection loop, with a float-free
    signature: without flambda every float argument or result of a
@@ -305,21 +323,22 @@ let oracle_cells c = c.ctx.cells
    performs the same floating-point operations in the same order as the
    historical accumulate-in-refs loop, so results are bit-identical. The
    saturation closed form is inlined by hand, and the walk reads each
-   member's time and six floats from two flat arrays. *)
-let marginal_cells ~with_saturation c ~time:tz ~res =
+   member's time and floats from the one block. *)
+let marginal_cells ctx ~with_saturation c ~time:tz ~res =
   Metrics.incr c_marginals;
-  let a = c.ctx.cells and inv = c.ctx.inv and f = c.f and d = c.d and ist = c.ctx.ist in
+  let a = ctx.cells and inv = ctx.inv and w = ctx.w in
   let qz = a.(3) in
   let price = a.(4) in
   let beta = a.(5) in
   let one_minus_qz = 1.0 -. qz in
-  let len = c.len in
+  let len = length c in
   a.(0) <- 0.0 (* mz *);
   a.(1) <- 1.0 (* compz *);
   a.(2) <- 0.0 (* delta *);
   for j = 0 to len - 1 do
-    let tj = d.((ist * j) + 1) and b = fb j in
-    let qj = f.(b + oq) in
+    let b = hdr + (w * j) in
+    let tj = int_of_float c.(b + otime) in
+    let qj = c.(b + oq) in
     if tj < tz then begin
       a.(0) <- a.(0) +. inv.(tz - tj);
       a.(1) <- a.(1) *. (1.0 -. qj)
@@ -329,10 +348,10 @@ let marginal_cells ~with_saturation c ~time:tz ~res =
       a.(1) <- a.(1) *. (1.0 -. qj);
       let old_p =
         if qj <= 0.0 then 0.0
-        else if with_saturation then f.(b + oprob)
-        else qj *. f.(b + ocomp)
+        else if with_saturation then c.(b + oprob)
+        else qj *. c.(b + ocomp)
       in
-      a.(2) <- a.(2) -. (f.(b + oprice) *. old_p *. qz)
+      a.(2) <- a.(2) -. (c.(b + oprice) *. old_p *. qz)
     end
     else begin
       (* later triple: its memory gains 1/(Δt), its competition gains
@@ -340,16 +359,16 @@ let marginal_cells ~with_saturation c ~time:tz ~res =
       let dl =
         if qj <= 0.0 then 0.0
         else if with_saturation then begin
-          let m' = f.(b + omem) +. inv.(tj - tz) in
-          let sat = if m' = 0.0 then 1.0 else f.(b + obeta) ** m' in
-          (qj *. sat *. f.(b + ocomp) *. one_minus_qz) -. f.(b + oprob)
+          let m' = c.(b + omem) +. inv.(tj - tz) in
+          let sat = if m' = 0.0 then 1.0 else c.(b + obeta) ** m' in
+          (qj *. sat *. c.(b + ocomp) *. one_minus_qz) -. c.(b + oprob)
         end
         else begin
-          let p0 = qj *. f.(b + ocomp) in
+          let p0 = qj *. c.(b + ocomp) in
           (p0 *. one_minus_qz) -. p0
         end
       in
-      a.(2) <- a.(2) +. (f.(b + oprice) *. dl)
+      a.(2) <- a.(2) +. (c.(b + oprice) *. dl)
     end
   done;
   let gain =
@@ -365,17 +384,17 @@ let marginal_cells ~with_saturation c ~time:tz ~res =
    two entry points cannot drift apart numerically. [res] reuses the
    cells: slot 0 (the mz accumulator) is dead by the time the result is
    stored. *)
-let marginal_flat ~with_saturation c ~time ~qz ~price ~beta =
-  let a = c.ctx.cells in
+let marginal_flat ctx ~with_saturation c ~time ~qz ~price ~beta =
+  let a = ctx.cells in
   a.(3) <- qz;
   a.(4) <- price;
   a.(5) <- beta;
-  marginal_cells ~with_saturation c ~time ~res:a;
+  marginal_cells ctx ~with_saturation c ~time ~res:a;
   a.(0)
 
-let marginal ~with_saturation c (z : Triple.t) =
-  let inst = c.ctx.inst in
-  marginal_flat ~with_saturation c ~time:z.t
+let marginal ctx ~with_saturation c (z : Triple.t) =
+  let inst = ctx.inst in
+  marginal_flat ctx ~with_saturation c ~time:z.t
     ~qz:(Instance.q inst ~u:z.u ~i:z.i ~time:z.t)
     ~price:(Instance.price inst ~i:z.i ~time:z.t)
     ~beta:(Instance.saturation inst z.i)

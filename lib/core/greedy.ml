@@ -30,7 +30,6 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   (* running revenue total lives in a float-array cell, not a [float ref]:
      a ref stores a fresh boxed float on every [:=], a cell stores unboxed *)
   let running_total = [| 0.0 |] in
-  let num_items = Instance.num_items inst in
   let horizon = Instance.horizon inst in
   let display_limit = Instance.display_limit inst in
   (* the range's own users and pairs: the slate slot map below is
@@ -51,8 +50,8 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      whichever rows are planned. A heap element is then an immediate int:
      popping the root, checking feasibility and calling the oracle touch
      no heap records, no float boxes, and trigger no GC write barrier. *)
-  (* [stride] indexes the per-item price and per-user display tables by
-     time 0..T, as Strategy does; entry ids skip the unused t = 0. *)
+  (* [stride] indexes the slate slot map by time 0..T, as Strategy's
+     display fill does; entry ids skip the unused t = 0. *)
   let stride = horizon + 1 in
   (* Slate instances fold the ordered slot into the candidate space: the
      entry id becomes eid = ((pid − plo)·horizon + t − 1)·nsl + (slot − 1)
@@ -69,18 +68,28 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
   in
   let estride = horizon * nsl in
   let npairs = phi - plo in
-  let prf = Array.make (num_items * stride) 0.0 in
-  let beta_arr = Array.init num_items (Instance.saturation inst) in
-  (* per-pair user mirror: pops recover the user by one array read
-     instead of binary-searching the CSR rows; the item is the pair's own
-     [Instance.pair_item] *)
-  let pu = Array.make npairs 0 in
-  Instance.iter_candidate_pairs ~users inst (fun ~u ~pid -> pu.(pid - plo) <- u);
+  (* per-pair user mirror, 32 bits a pair holding [u − ulo]: pops recover
+     the user by one read instead of binary-searching the CSR rows; the
+     item is the pair's own [Instance.pair_item] *)
+  if uhi - ulo > 0x7FFF_FFFF then invalid_arg "Greedy: more than 2^31 - 1 users in the range";
+  let pu = Bytes.create (4 * npairs) in
+  Instance.iter_candidate_pairs ~users inst (fun ~u ~pid ->
+      Bytes.set_int32_le pu (4 * (pid - plo)) (Int32.of_int (u - ulo)));
+  let urel rel = Int32.to_int (Bytes.get_int32_le pu (4 * rel)) in
   (* A pair's (user, class) chain is read through the strategy's own
-     per-pair pointer at every use: the key's first add points every pair
-     of the row's class at the new chain. Its length is 0 until then,
-     which selects the closed form p·q̃. *)
+     per-pair pointer at every use: the key's first add, and every add
+     that grows the chain's block, points every pair of the row's class
+     at the chain's block. Its length is 0 until the first add, which
+     selects the closed form p·q̃. *)
   let chain_len rel = Chain.length (Strategy.pair_chain s (plo + rel)) in
+  (* Prices and saturation factors are read from the instance into the
+     strategy's oracle cells where they are used; the run keeps no
+     per-item table. A price (slot 4) is read per evaluation; the
+     saturation factor (slot 5) by registration and once per refresh,
+     since all of a pair's entries share its item and no call in between
+     writes slot 5. *)
+  let ctx = Strategy.chain_context s in
+  let cells = Chain.oracle_cells ctx in
   (* result cell of the oracle and of [Tl.max_key_into]: floats enter and
      leave the per-cycle calls through preallocated cells, because without
      flambda every float argument or result of a non-inlined call is boxed
@@ -88,28 +97,31 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      last allocation left on the steady-state path *)
   let res = [| 0.0 |] in
   (* the open-coded {!Revenue.marginal_incremental}: same arithmetic, but
-     the instance facts come from the CSR row and the flat per-item arrays,
+     the instance facts come from the CSR row and the instance's per-item
+     tables through cells (β of item [i] already in slot 5, see above),
      and the chain from the pair's pointer, so a steady-state evaluation
-     performs no hashtable lookup and no allocation (these oracle calls are
-     accounted under greedy.marginal_evaluations / chain.marginals) *)
+     performs no hashtable lookup and no allocation (these oracle calls
+     are accounted under greedy.marginal_evaluations / chain.marginals) *)
   let marginal_into eid i t =
     incr evals;
     (match budget with Some b -> Budget.spend b 1 | None -> ());
     let c = Strategy.pair_chain s (plo + (eid / estride)) in
     if Chain.length c > 0 then begin
-      let cells = Chain.oracle_cells c in
       (* q is read into the cell, not returned: a float result of
          [Instance.pair_q] is boxed at the call *)
       Instance.pair_q_into inst ~pid:(plo + (eid / estride)) ~time:t cells 3;
       cells.(3) <- mult.(eid mod nsl) *. cells.(3);
-      cells.(4) <- prf.((i * stride) + t);
-      cells.(5) <- beta_arr.(i);
-      Chain.marginal_cells ~with_saturation c ~time:t ~res
+      Instance.price_into inst ~i ~time:t cells 4;
+      Chain.marginal_cells ctx ~with_saturation c ~time:t ~res
     end
     else begin
       Instance.pair_q_into inst ~pid:(plo + (eid / estride)) ~time:t res 0;
       res.(0) <- mult.(eid mod nsl) *. res.(0);
-      res.(0) <- (if res.(0) <= 0.0 then 0.0 else prf.((i * stride) + t) *. res.(0))
+      if res.(0) <= 0.0 then res.(0) <- 0.0
+      else begin
+        Instance.price_into inst ~i ~time:t cells 4;
+        res.(0) <- cells.(4) *. res.(0)
+      end
     end
   in
   (* the budget is consulted between selections only, and only after at
@@ -201,17 +213,19 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      without flambda a float parameter is boxed at the call boundary, and
      [accept] runs once per selected triple in the steady-state loop *)
   let accept rel u i t slot =
-    let z = Triple.make ~u ~i ~t in
-    if nsl = 1 then Strategy.add s z else Strategy.add ~slot s z;
+    (* the popped entry is a range pair's, in range and not a member (see
+       above), so the add needs no lookup and no check *)
+    Strategy.add_unchecked s ~u ~i ~time:t ~pid:(plo + rel) ~slot;
     set_flag rel held;
     (* the chain grew: every pair of the row pointing at it is stale. The
        row is the run of [u] in [pu] around [rel]. *)
     let c = Strategy.pair_chain s (plo + rel) in
+    let ur = u - ulo in
     let r = ref rel in
-    while !r > 0 && pu.(!r - 1) = u do
+    while !r > 0 && urel (!r - 1) = ur do
       decr r
     done;
-    while !r < npairs && pu.(!r) = u do
+    while !r < npairs && urel !r = ur do
       if Strategy.pair_chain s (plo + !r) == c then set_flag !r stale;
       incr r
     done;
@@ -233,7 +247,13 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
     running_total.(0) <- running_total.(0) +. res.(0);
     match trace with
     | Some f ->
-        f { z; size = Strategy.size s; revenue = running_total.(0); evaluations = !evals }
+        f
+          {
+            z = Triple.make ~u ~i ~t;
+            size = Strategy.size s;
+            revenue = running_total.(0);
+            evaluations = !evals;
+          }
     | None -> ()
   in
   (* key of a fresh candidate, read from and left in [res.(0)] (its q̃ on
@@ -241,8 +261,7 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
      (Algorithm 1 line 8), which avoids an oracle call per candidate at
      startup *)
   let build_key eid i t rel =
-    if chain_len rel = 0 then res.(0) <- prf.((i * stride) + t) *. res.(0)
-    else marginal_into eid i t
+    if chain_len rel = 0 then res.(0) <- cells.(4) *. res.(0) else marginal_into eid i t
   in
   (* Registration allocates nothing: q and keys travel through cells, a
      triple is built only for a caller's [allowed] filter, and membership
@@ -259,7 +278,11 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
           && (match allowed with None -> true | Some f -> f (Triple.make ~u ~i ~t))
           && not (holds && Strategy.mem_at s ~u ~i ~time:t)
         then begin
-          Instance.price_into inst ~i ~time:t prf ((i * stride) + t);
+          (* the price of (i, t), for [build_key]'s closed form (an
+             evaluation reloads the same value), and the item's β; both
+             after a caller's [allowed], which may use the cells *)
+          Instance.price_into inst ~i ~time:t cells 4;
+          Instance.saturation_into inst i cells 5;
           for slot = 1 to nsl do
             res.(0) <- mult.(slot - 1) *. qcell.(0);
             if res.(0) > 0.0 then begin
@@ -272,12 +295,10 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
       done);
   (* Recompute one entry's key; the fresh key is left in [res.(0)] for
      [Tl.refresh_pair_into] to store. Hoisted so the refresh calls share
-     one closure instead of allocating one per event. *)
-  let refresh_entry eid' =
-    marginal_into eid'
-      (Instance.pair_item inst (plo + (eid' / estride)))
-      (((eid' / nsl) mod horizon) + 1)
-  in
+     one closure instead of allocating one per event; the refreshed
+     pair's item is set in [refreshed] before the refresh. *)
+  let refreshed = ref 0 in
+  let refresh_entry eid' = marginal_into eid' !refreshed (((eid' / nsl) mod horizon) + 1) in
   let rec loop () =
     if (not (quota_full ())) && (not (out_of_budget ())) && not (Tl.is_empty h) then begin
       let eid = Tl.max_elt h in
@@ -285,7 +306,7 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
       let rel = eid / estride in
       let slot = (eid mod nsl) + 1 in
       let i = Instance.pair_item inst (plo + rel) in
-      let u = pu.(rel) in
+      let u = ulo + urel rel in
       incr pops;
       if not (feasible rel u i t slot) then begin
         (* both display fill and capacity blocks are permanent during a run
@@ -302,6 +323,8 @@ let select ~with_saturation ~allowed ?trace ?budget ~users inst s =
              an upper bound (classic CELF) would be unsound: a marginal can
              rise as its chain grows (DESIGN.md §5a, §5b). *)
           clear_flag rel stale;
+          refreshed := i;
+          Instance.saturation_into inst i cells 5;
           Tl.refresh_pair_into h rel res ~f:refresh_entry;
           loop ()
         end

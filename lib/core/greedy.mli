@@ -37,25 +37,28 @@
 
     {b Footprint.} Beyond the strategy it plans into, a run's own state
     is allocated before its first selection. Per candidate pair of the
-    planned range it is at most [4.4 + 1.25·T·k'] words, where [k'] is
+    planned range it is at most [2.9 + 1.25·T·k'] words, where [k'] is
     the display limit on slate instances and 1 otherwise:
-    - a user mirror and a flag byte (held, stale): 1.125 words;
+    - a 32-bit user mirror and a flag byte (held, stale): 0.625 words;
     - the two-level heap's group of [T·k'] entries: 8 bytes per key and
-      2 per entry offset, [1.25·T·k'] words, plus 3.25 words of upper
-      level and size.
+      2 per entry offset, [1.25·T·k'] words, plus 2.25 words of upper
+      level (a float key and a 32-bit group id and position) and size.
     Nothing the instance or the strategy already holds is copied: an
     evaluation reads the pair's (user, class) chain through the
-    strategy's own pointer ({!Strategy.pair_chain}), a pop reads the
-    pair's item from the instance ({!Instance.pair_item}), and the
-    feasibility test reads display fill, holder counts and capacities
-    from the strategy and the instance. On top of that come [T + 2]
-    words per item (prices and saturation factors) and, on slates only,
-    [(T + 1)·k'] bytes of slot map per user of the range. On the wide,
-    shallow pack of the benchmark (T = 4, ten pairs per user) that is
-    9.5 words per pair, and on the T = 15 dense family 23.2; the test
-    suite holds it to at most 12 and 26 words there, and CI's
-    bench-scale cell to 12 at T = 4. A pair's group must fit a 16-bit
-    offset: [T·k' ≤ 65,536], or the run raises [Invalid_argument]. *)
+    strategy's own pointer ({!Strategy.pair_chain}) and the candidate's
+    price and saturation factor from the instance through cells, a pop
+    reads the pair's item from the instance ({!Instance.pair_item}), and
+    the feasibility test reads display fill, holder counts and
+    capacities from the strategy and the instance, so nothing grows with
+    the catalogue: a replan of one user's row costs the same words on
+    200 items as on 20,000. On slates only, [(T + 1)·k'] bytes of slot
+    map per user of the range come on top. On the wide, shallow pack of
+    the benchmark (T = 4, ten pairs per user) that is 7.9 words per
+    pair, and on the T = 15 dense family 21.6; the test suite holds it
+    to at most 9 and 23 words there, and CI's bench-scale cell to 9 at
+    T = 4. A pair's group must fit a 16-bit offset ([T·k' ≤ 65,536]),
+    the range at most 2^31 − 1 pairs and users, or the run raises
+    [Invalid_argument]. *)
 
 type stats = {
   marginal_evaluations : int;  (** marginal-revenue evaluations *)

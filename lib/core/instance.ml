@@ -366,6 +366,8 @@ let pair_user t pid =
 
 let pair_row t u = (t.row_off.(u), t.row_off.(u + 1))
 
+let row_offset t u = t.row_off.(u)
+
 let iter_candidate_pairs ?users t f =
   let lo, hi = match users with Some r -> r | None -> (t.u_lo, t.u_hi) in
   for u = lo to hi - 1 do

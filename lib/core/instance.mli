@@ -232,6 +232,11 @@ val pair_row : t -> int -> int * int
 (** [pair_row t u]: the pair-id range [(lo, hi)) of user [u]'s candidate
     row. *)
 
+val row_offset : t -> int -> int
+(** [row_offset t u]: the first pair id of user [u]'s row, for [u] in
+    [0 .. num_users]; the row is [\[row_offset t u, row_offset t (u + 1))],
+    the range {!pair_row} returns without the tuple it allocates. *)
+
 val iter_candidate_pairs : ?users:int * int -> t -> (u:int -> pid:int -> unit) -> unit
 (** Visit the view's candidate pairs in pair-id order (users ascending,
     items ascending within a user) — only the rows of users

@@ -69,7 +69,7 @@ let strategy_q_of s =
    captures is boxed at every update, as is a float returned by a
    non-inlined call. *)
 let total ?(with_saturation = true) s =
-  let inst = Strategy.instance s in
+  let inst = Strategy.instance s and ctx = Strategy.chain_context s in
   let mult = match Instance.slot_multipliers inst with Some m -> m | None -> [||] in
   (* 0: Rev(S); 1: the chain's revenue; 2: memory; 3: competition;
      4: price; 5: β *)
@@ -81,13 +81,13 @@ let total ?(with_saturation = true) s =
       if Array.length !qbuf < len then qbuf := Array.make (2 * len) 0.0;
       let q = !qbuf in
       for j = 0 to len - 1 do
-        let pid = Instance.pair_find inst ~u ~i:(Chain.item c j) in
-        if pid < 0 then q.(j) <- 0.0 else Instance.pair_q_into inst ~pid ~time:(Chain.time c j) q j;
-        if Array.length mult > 0 then q.(j) <- mult.(Chain.slot c j - 1) *. q.(j)
+        let pid = Instance.pair_find inst ~u ~i:(Chain.item ctx c j) in
+        if pid < 0 then q.(j) <- 0.0 else Instance.pair_q_into inst ~pid ~time:(Chain.time ctx c j) q j;
+        if Array.length mult > 0 then q.(j) <- mult.(Chain.slot ctx c j - 1) *. q.(j)
       done;
       a.(1) <- 0.0;
       for j = 0 to len - 1 do
-        let i = Chain.item c j and t = Chain.time c j in
+        let i = Chain.item ctx c j and t = Chain.time ctx c j in
         Instance.price_into inst ~i ~time:t a 4;
         let prob =
           if q.(j) <= 0.0 then 0.0
@@ -95,9 +95,9 @@ let total ?(with_saturation = true) s =
             a.(2) <- 0.0;
             a.(3) <- 1.0;
             for l = 0 to len - 1 do
-              let tl = Chain.time c l in
+              let tl = Chain.time ctx c l in
               if tl < t then a.(2) <- a.(2) +. (1.0 /. float_of_int (t - tl));
-              if tl < t || (tl = t && Chain.item c l <> i) then a.(3) <- a.(3) *. (1.0 -. q.(l))
+              if tl < t || (tl = t && Chain.item ctx c l <> i) then a.(3) <- a.(3) *. (1.0 -. q.(l))
             done;
             Instance.saturation_into inst i a 5;
             let sat = if with_saturation && a.(2) <> 0.0 then a.(5) ** a.(2) else 1.0 in
@@ -114,7 +114,10 @@ let dynamic_probability_in ?(with_saturation = true) s z =
   else
     match Strategy.chain_view_of_triple s z with
     | None -> 0.0 (* unreachable: membership implies a chain entry *)
-    | Some c -> ( match Chain.prob ~with_saturation c z with Some p -> p | None -> 0.0)
+    | Some c -> (
+        match Chain.prob (Strategy.chain_context s) ~with_saturation c z with
+        | Some p -> p
+        | None -> 0.0)
 
 let marginal ?with_saturation s z =
   if Strategy.mem s z then 0.0
@@ -132,15 +135,15 @@ let marginal_incremental ?(with_saturation = true) s (z : Triple.t) =
   else begin
     Metrics.incr c_marginal_incremental;
     let inst = Strategy.instance s in
-    let slate = Instance.is_slate inst in
+    let slate = Instance.is_slate inst and ctx = Strategy.chain_context s in
     match Strategy.chain_view_of_triple s z with
     | Some c ->
         Metrics.incr c_marginal_cached;
-        if not slate then Chain.marginal ~with_saturation c z
+        if not slate then Chain.marginal ctx ~with_saturation c z
         else
           (* candidate scored at its would-be slot's effective q̃; chain
              members already carry theirs in the cached aggregates *)
-          Chain.marginal_flat ~with_saturation c ~time:z.t ~qz:(Strategy.effective_q s z)
+          Chain.marginal_flat ctx ~with_saturation c ~time:z.t ~qz:(Strategy.effective_q s z)
             ~price:(Instance.price inst ~i:z.i ~time:z.t)
             ~beta:(Instance.saturation inst z.i)
     | None ->
@@ -154,6 +157,6 @@ let marginal_incremental ?(with_saturation = true) s (z : Triple.t) =
   end
 
 let total_incremental ?(with_saturation = true) s =
-  let acc = ref 0.0 in
-  Strategy.iter_chains s (fun c -> acc := !acc +. Chain.revenue ~with_saturation c);
+  let acc = ref 0.0 and ctx = Strategy.chain_context s in
+  Strategy.iter_chains s (fun c -> acc := !acc +. Chain.revenue ctx ~with_saturation c);
   !acc

@@ -10,9 +10,10 @@ let c_worlds = Metrics.counter "simulate.worlds"
    the slot-scaled q̃ on slates, which [Revenue.total] uses too — then
    find the earliest time step whose only desired triple also passes its
    saturation coin. *)
-let simulate_chain inst c rng =
-  let chain = Chain.to_list c in
-  let desires = List.mapi (fun j z -> (z, Rng.bernoulli rng (Chain.q c j))) chain in
+let simulate_chain s c rng =
+  let inst = Strategy.instance s and ctx = Strategy.chain_context s in
+  let chain = Chain.to_list ctx c in
+  let desires = List.mapi (fun j z -> (z, Rng.bernoulli rng (Chain.q ctx c j))) chain in
   (* the adoption candidate is the unique desired triple at the earliest time
      carrying any desire; competition kills simultaneous desires *)
   let earliest =
@@ -33,25 +34,26 @@ let simulate_chain inst c rng =
 (* [chains] in [Strategy.chains_in_order], the order a fold over the
    sorted member list first met them: the order worlds draw their coins
    in. A world only reads them. *)
-let world_revenue inst chains rng =
+let world_revenue s chains rng =
   Metrics.incr c_worlds;
+  let inst = Strategy.instance s in
   let acc = ref 0.0 in
   Array.iter
     (fun c ->
-      match simulate_chain inst c rng with
+      match simulate_chain s c rng with
       | None -> ()
       | Some z -> acc := !acc +. Instance.price inst ~i:z.i ~time:z.t)
     chains;
   !acc
 
-let revenue_once s rng = world_revenue (Strategy.instance s) (Strategy.chains_in_order s) rng
+let revenue_once s rng = world_revenue s (Strategy.chains_in_order s) rng
 
 (* the chain order is computed once and only read by the worlds, so
    worlds can be simulated on parallel domains; per-world streams come
    from Mc's splitting, keeping the estimate bit-identical across jobs. *)
 let estimate_revenue ?jobs s ~samples rng =
-  let inst = Strategy.instance s and chains = Strategy.chains_in_order s in
-  Mc.estimate ?jobs ~samples rng (fun rng -> world_revenue inst chains rng)
+  let chains = Strategy.chains_in_order s in
+  Mc.estimate ?jobs ~samples rng (fun rng -> world_revenue s chains rng)
 
 type sales_report = { revenue : float; adoptions : Triple.t list; stockouts : int }
 
@@ -62,7 +64,7 @@ let run_with_stock s rng =
   let would_adopt = ref [] in
   Array.iter
     (fun c ->
-      match simulate_chain inst c rng with
+      match simulate_chain s c rng with
       | None -> ()
       | Some z -> would_adopt := z :: !would_adopt)
     (Strategy.chains_in_order s);

@@ -14,10 +14,10 @@
     Definition 1 — so the empirical mean revenue is an unbiased estimate of
     [Rev(S)]. *)
 
-val simulate_chain : Instance.t -> Chain.t -> Revmax_prelude.Rng.t -> Triple.t option
-(** Simulate one (user, class) chain; the adopted triple, if any. Desire
-    coins are drawn in chain order with the members' cached q
-    ({!Chain.q}). *)
+val simulate_chain : Strategy.t -> Chain.t -> Revmax_prelude.Rng.t -> Triple.t option
+(** Simulate one (user, class) chain of the strategy; the adopted triple,
+    if any. Desire coins are drawn in chain order with the members'
+    cached q ({!Chain.q}). *)
 
 val revenue_once : Strategy.t -> Revmax_prelude.Rng.t -> float
 (** Total revenue of one simulated world. *)

@@ -2,8 +2,9 @@ module Err = Revmax_prelude.Err
 
 type t = {
   inst : Instance.t;
-  ctx : Chain.ctx; (* oracle cells and 1/Δt table, shared by every chain *)
+  ctx : Chain.ctx; (* oracle cells, 1/Δt table and member width, shared by every chain *)
   horizon : int;
+  mult : float array; (* slot multipliers on slates, [||] otherwise *)
   (* The feasibility bookkeeping lives in flat arrays sized by the view —
      these are probed on [add]/[can_add], which sit on the accept path of
      every greedy selection, and an array read replaces a hashtable probe.
@@ -29,10 +30,12 @@ type t = {
   pair_overflow : (int, int) Hashtbl.t; (* (i * num_users) + u -> #triples, for pairs outside the view *)
   (* (pid - plo) -> the chain of the pair's (user, class): every view pair
      of one row and one class points at the same chain, or at [empty]
-     until the first add. The chain stays in place when removals empty
-     it, and the next add reuses it. *)
+     until the first add. An add that grows a chain's block points the
+     whole row's class at the new block ([point]). The chain stays in
+     place when removals empty it, and the next add reuses it. *)
   chains : Chain.t array;
-  empty : Chain.t; (* the one sentinel of this strategy; never inserted into *)
+  empty : Chain.t; (* the one sentinel of this strategy: it has no room,
+                      so an insert into it returns a new block *)
   (* (u * num_classes + cls) -> chain, for (user, class) keys with no view
      pair of that class: out-of-view users, or a non-candidate triple
      whose class has no candidate pair in the user's row *)
@@ -52,11 +55,12 @@ let create inst =
   let ulo, uhi = Instance.user_range inst in
   let horizon = Instance.horizon inst in
   let ctx = Chain.context inst in
-  let empty = Chain.create_in ctx in
+  let empty = Chain.create () in
   {
     inst;
     ctx;
     horizon;
+    mult = Option.value (Instance.slot_multipliers inst) ~default:[||];
     ulo;
     uhi;
     display = Array.make ((uhi - ulo) * (horizon + 1)) 0;
@@ -140,8 +144,8 @@ let pair_class t pid = Instance.class_of t.inst (Instance.pair_item t.inst pid)
 let class_rel t ~u ~cls =
   if u < t.ulo || u >= t.uhi then -1
   else begin
-    let lo, hi = Instance.pair_row t.inst u in
-    let pid = ref lo in
+    let hi = Instance.row_offset t.inst (u + 1) in
+    let pid = ref (Instance.row_offset t.inst u) in
     while !pid < hi && pair_class t !pid <> cls do
       incr pid
     done;
@@ -164,24 +168,17 @@ let chain_at t ~rel ~u ~cls =
 (* the chain a triple (u, i) with view pair [rel] (-1 for none) joins *)
 let chain_of_pair t ~rel ~u ~i = chain_at t ~rel ~u ~cls:(Instance.class_of t.inst i)
 
-(* [chain_of_pair], creating the chain on the key's first add: it is
-   stored into every pair of the row with that class, O(row), or into
-   the overflow table when the row has none *)
-let chain_for_add t ~rel ~u ~i =
-  let c = chain_of_pair t ~rel ~u ~i in
-  if c != t.empty then c
-  else begin
-    let c = Chain.create_in t.ctx in
-    let cls = Instance.class_of t.inst i in
-    if rel >= 0 || class_rel t ~u ~cls >= 0 then begin
-      let lo, hi = Instance.pair_row t.inst u in
-      for pid = lo to hi - 1 do
-        if pair_class t pid = cls then t.chains.(pid - t.plo) <- c
-      done
-    end
-    else Hashtbl.replace t.chain_overflow (overflow_chain_key t ~u ~cls) c;
-    c
-  end
+(* Make [c] the (u, cls) key's chain: store it into every pair of [u]'s
+   row with that class, O(row), or into the overflow table when the row
+   has none. An add calls it whenever the insert returned a new block:
+   on the key's first add (the sentinel has no room) and each time the
+   chain's block doubles. *)
+let point t ~rel ~u ~cls c =
+  if rel >= 0 || class_rel t ~u ~cls >= 0 then
+    for pid = Instance.row_offset t.inst u to Instance.row_offset t.inst (u + 1) - 1 do
+      if pair_class t pid = cls then t.chains.(pid - t.plo) <- c
+    done
+  else Hashtbl.replace t.chain_overflow (overflow_chain_key t ~u ~cls) c
 
 let in_range t ~u ~i ~time =
   u >= 0 && u < Instance.num_users t.inst && i >= 0 && i < Instance.num_items t.inst
@@ -194,7 +191,7 @@ let mem_rel t ~rel ~u ~i ~time =
   if rel >= 0 then get_member t (member_bit t ~rel ~time)
   else
     count t.pair_overflow (overflow_key t ~u ~i) > 0
-    && Chain.mem (chain_of_pair t ~rel ~u ~i) (Triple.make ~u ~i ~t:time)
+    && Chain.mem t.ctx (chain_of_pair t ~rel ~u ~i) (Triple.make ~u ~i ~t:time)
 
 let mem_at t ~u ~i ~time = in_range t ~u ~i ~time && mem_rel t ~rel:(rel_pair t ~u ~i) ~u ~i ~time
 
@@ -204,16 +201,14 @@ let size t = t.cardinality
 
 let mem t (z : Triple.t) = mem_at t ~u:z.u ~i:z.i ~time:z.t
 
-let display_key t (z : Triple.t) = (z.u * display_stride t) + z.t
-
 let range_error t (z : Triple.t) =
   if z.u < 0 || z.u >= Instance.num_users t.inst then Some "user id outside the instance"
   else if z.i < 0 || z.i >= Instance.num_items t.inst then Some "item id outside the instance"
   else if z.t < 1 || z.t > t.horizon then Some "time step outside the horizon"
   else None
 
-let occ_key t (z : Triple.t) slot =
-  (display_key t z * (Instance.display_limit t.inst + 1)) + slot
+let occ_key t ~u ~time slot =
+  ((((u * display_stride t) + time) * (Instance.display_limit t.inst + 1)) + slot)
 
 let occ_count t key = count t.slot_occ key
 
@@ -222,18 +217,20 @@ let occ_count t key = count t.slot_occ key
    add is then reported by [violations] as display + slot-conflict
    witnesses, like an over-limit add on a plain instance). Deterministic,
    and optimal under the non-increasing multipliers [Instance] enforces. *)
-let next_free_slot t (z : Triple.t) =
+let free_slot t ~u ~time =
   let k = Instance.display_limit t.inst in
   let rec scan s =
-    if s > k then k else if occ_count t (occ_key t z s) = 0 then s else scan (s + 1)
+    if s > k then k else if occ_count t (occ_key t ~u ~time s) = 0 then s else scan (s + 1)
   in
   scan 1
 
+let next_free_slot t (z : Triple.t) = free_slot t ~u:z.u ~time:z.t
+
 let slot_of t (z : Triple.t) =
   if not (Instance.is_slate t.inst && mem t z) then None
-  else Chain.slot_of (chain_of_pair t ~rel:(rel_pair t ~u:z.u ~i:z.i) ~u:z.u ~i:z.i) z
+  else Chain.slot_of t.ctx (chain_of_pair t ~rel:(rel_pair t ~u:z.u ~i:z.i) ~u:z.u ~i:z.i) z
 
-let slot_occupied t (z : Triple.t) ~slot = occ_count t (occ_key t z slot) > 0
+let slot_occupied t (z : Triple.t) ~slot = occ_count t (occ_key t ~u:z.u ~time:z.t slot) > 0
 
 let effective_q t (z : Triple.t) =
   let q = Instance.q t.inst ~u:z.u ~i:z.i ~time:z.t in
@@ -242,29 +239,36 @@ let effective_q t (z : Triple.t) =
     let slot = match slot_of t z with Some s -> s | None -> next_free_slot t z in
     Instance.slot_factor t.inst ~slot *. q
 
-(* [pid] is the triple's pair id, -1 when it has no candidate pair (its q
-   is then 0, as [Instance.q] reads it) *)
-let add_unchecked ?slot t (z : Triple.t) ~pid =
-  let q = if pid < 0 then 0.0 else Instance.pair_q t.inst ~pid ~time:z.t in
+(* q (q̃ on slates) travels to the chain through the context's cell, and
+   the chain's block comes back: a new one whenever the insert grew it,
+   which [point] then stores wherever the old one was *)
+let add_unchecked t ~u ~i ~time ~pid ~slot =
+  let cells = Chain.oracle_cells t.ctx in
+  if pid < 0 then cells.(3) <- 0.0 else Instance.pair_q_into t.inst ~pid ~time cells 3;
   let rel = rel_of_pid t pid in
-  let chain = chain_for_add t ~rel ~u:z.u ~i:z.i in
-  if not (Instance.is_slate t.inst) then Chain.insert chain z ~qz:q
-  else begin
-    let s = match slot with Some s -> s | None -> next_free_slot t z in
-    ignore (bump t.slot_occ (occ_key t z s) 1);
-    Chain.insert chain z ~slot:s ~qz:(Instance.slot_factor t.inst ~slot:s *. q)
-  end;
+  let slot =
+    if Array.length t.mult = 0 then 0
+    else begin
+      let s = if slot > 0 then slot else free_slot t ~u ~time in
+      ignore (bump t.slot_occ (occ_key t ~u ~time s) 1);
+      cells.(3) <- t.mult.(s - 1) *. cells.(3);
+      s
+    end
+  in
+  let c = if rel >= 0 then t.chains.(rel) else chain_of_pair t ~rel ~u ~i in
+  let c' = Chain.insert_cells t.ctx c ~u ~i ~time ~slot in
+  if c' != c then point t ~rel ~u ~cls:(Instance.class_of t.inst i) c';
   (* the pair's 0 -> 1 edge counts a new holder of the item *)
   let first =
     if rel >= 0 then begin
       let first = not (pair_held t rel) in
-      set_member t (member_bit t ~rel ~time:z.t) true;
+      set_member t (member_bit t ~rel ~time) true;
       first
     end
-    else bump t.pair_overflow (overflow_key t ~u:z.u ~i:z.i) 1 = 0
+    else bump t.pair_overflow (overflow_key t ~u ~i) 1 = 0
   in
-  bump_display t ~u:z.u ~time:z.t 1;
-  if first then t.item_distinct.(z.i) <- t.item_distinct.(z.i) + 1;
+  bump_display t ~u ~time 1;
+  if first then t.item_distinct.(i) <- t.item_distinct.(i) + 1;
   t.cardinality <- t.cardinality + 1
 
 (* a bad [slot] argument is a caller bug: [add] and [add_result] both
@@ -298,7 +302,7 @@ let add_result ?slot t (z : Triple.t) =
         let cap = Instance.max_total_cap t.inst in
         if t.cardinality >= cap then
           Error (Err.Invalid_strategy [ Err.Quantity_budget { count = t.cardinality + 1; cap } ])
-        else Ok (add_unchecked ?slot t z ~pid)
+        else Ok (add_unchecked t ~u:z.u ~i:z.i ~time:z.t ~pid ~slot:(Option.value slot ~default:0))
       end
 
 let add ?slot t (z : Triple.t) =
@@ -306,20 +310,20 @@ let add ?slot t (z : Triple.t) =
   if Option.is_some (range_error t z) then invalid_arg "Strategy: triple out of range";
   let pid = Instance.pair_find t.inst ~u:z.u ~i:z.i in
   if mem_pid t ~pid z then invalid_arg "Strategy.add: duplicate triple";
-  add_unchecked ?slot t z ~pid
+  add_unchecked t ~u:z.u ~i:z.i ~time:z.t ~pid ~slot:(Option.value slot ~default:0)
 
 let remove t (z : Triple.t) =
   if not (mem t z) then invalid_arg "Strategy.remove: absent triple";
   let rel = rel_pair t ~u:z.u ~i:z.i in
   let chain = chain_of_pair t ~rel ~u:z.u ~i:z.i in
   if Chain.length chain = 0 then invalid_arg "Strategy.remove: chain entry missing";
-  (match Chain.slot_of chain z with
-  | Some s -> ignore (bump t.slot_occ (occ_key t z s) (-1))
+  (match Chain.slot_of t.ctx chain z with
+  | Some s -> ignore (bump t.slot_occ (occ_key t ~u:z.u ~time:z.t s) (-1))
   | None -> ());
   (* removes exactly one occurrence; raises if the chain lost track of the
      triple instead of silently no-opping on a phantom removal. An emptied
      chain stays where it is, for the key's next add. *)
-  Chain.remove chain z;
+  Chain.remove t.ctx chain z;
   (* the pair's 1 -> 0 edge loses a holder of the item *)
   let last =
     if rel >= 0 then begin
@@ -370,7 +374,7 @@ let to_list t =
   let acc = ref [] in
   iter_chains t (fun c ->
       for j = 0 to Chain.length c - 1 do
-        acc := ((((Chain.user c * stride) + Chain.time c j) * ni) + Chain.item c j) :: !acc
+        acc := ((((Chain.user c * stride) + Chain.time t.ctx c j) * ni) + Chain.item t.ctx c j) :: !acc
       done);
   List.sort (fun a b -> Int.compare b a) !acc
   |> List.rev_map (fun key ->
@@ -420,7 +424,7 @@ let nonempty c = if Chain.length c > 0 then Some c else None
 let chain_view t ~u ~cls = nonempty (chain_at t ~rel:(-1) ~u ~cls)
 
 let chain t ~u ~cls =
-  match chain_view t ~u ~cls with None -> [] | Some c -> Chain.to_list c
+  match chain_view t ~u ~cls with None -> [] | Some c -> Chain.to_list t.ctx c
 
 let chain_of_triple t (z : Triple.t) = chain t ~u:z.u ~cls:(Instance.class_of t.inst z.i)
 
@@ -429,28 +433,31 @@ let chain_view_of_triple t (z : Triple.t) =
 
 let chain_size t ~u ~cls = Chain.length (chain_at t ~rel:(-1) ~u ~cls)
 
+let chain_context t = t.ctx
+
 let recompute_chains ?u t =
-  match u with None -> iter_chains t Chain.recompute | Some u -> iter_user_chains t ~u Chain.recompute
+  let f = Chain.recompute t.ctx in
+  match u with None -> iter_chains t f | Some u -> iter_user_chains t ~u f
 
 (* A chain's first member is its least (time, item), so ordering chains by
    (user, first time, first item) is the order in which a fold over the
    sorted member list meets each chain for the first time. Two chains of
    one user never share a head (an item has one class), so the order is
    total. *)
-let by_head a b =
+let by_head ctx a b =
   let c = Int.compare (Chain.user a) (Chain.user b) in
   if c <> 0 then c
   else
-    let c = Int.compare (Chain.time a 0) (Chain.time b 0) in
-    if c <> 0 then c else Int.compare (Chain.item a 0) (Chain.item b 0)
+    let c = Int.compare (Chain.time ctx a 0) (Chain.time ctx b 0) in
+    if c <> 0 then c else Int.compare (Chain.item ctx a 0) (Chain.item ctx b 0)
 
 (* insertion sort of [buf.(0 .. n-1)] by [by_head]: a user holds few
    chains *)
-let sort_heads buf n =
+let sort_heads ctx buf n =
   for k = 1 to n - 1 do
     let c = buf.(k) in
     let j = ref (k - 1) in
-    while !j >= 0 && by_head buf.(!j) c > 0 do
+    while !j >= 0 && by_head ctx buf.(!j) c > 0 do
       buf.(!j + 1) <- buf.(!j);
       decr j
     done;
@@ -466,7 +473,7 @@ let sort_heads buf n =
 let iter_chains_in_order t f =
   let over =
     Hashtbl.fold (fun _ c acc -> if Chain.length c > 0 then c :: acc else acc) t.chain_overflow []
-    |> List.sort by_head |> ref
+    |> List.sort (by_head t.ctx) |> ref
   in
   let mark = class_mark t in
   let buf = ref (Array.make 8 t.empty) and n = ref 0 and cur = ref (-1) in
@@ -491,7 +498,7 @@ let iter_chains_in_order t f =
   in
   let flush () =
     take !cur;
-    sort_heads !buf !n;
+    sort_heads t.ctx !buf !n;
     for k = 0 to !n - 1 do
       f !buf.(k)
     done;

@@ -14,9 +14,13 @@
     {!Chain.t}, or at the strategy's one empty sentinel until the key's
     first add. An empty strategy is therefore one word plus [T] bits per
     view pair, plus [T+1] words of display fill per view user. Members
-    live only in their chains (16 words for a one-member chain, 24 for
-    two), so a plan of mostly short chains costs about 15 words per
-    selection beyond its instance. (User, class) keys with no view pair
+    live only in their chains, one float block each: 11, 19 and 35 words
+    at room for 1, 2 and 4 members (12, 21 and 39 on slates; see
+    {!Chain}). An add whose insert doubles a chain's block stores the new
+    block into every pair of the row that held the old one, or into its
+    overflow entry, so a pair's pointer is always its key's live chain. A
+    plan of mostly one-member chains costs about 12 words per selection
+    beyond its instance. (User, class) keys with no view pair
     of that class (out-of-view users, or a non-candidate triple whose
     class has no candidate in the row) and pairs outside the view go
     through small overflow tables, which stay empty on every planner
@@ -63,6 +67,15 @@ val add : ?slot:int -> t -> Triple.t -> unit
     out of [1..k] or given on a non-slate instance; claiming an occupied
     slot is {e allowed} (like an over-limit display add) and reported by
     {!violations} as a [Slot_conflict]. *)
+
+val add_unchecked : t -> u:int -> i:int -> time:int -> pid:int -> slot:int -> unit
+(** The add {!add} makes once its checks pass, by ids: [pid] must be
+    [Instance.pair_find] of [(u, i)] ([-1] when the pair is no
+    candidate), the ids in range and the triple absent — it probes
+    neither, and a member added again corrupts the strategy. [slot] is
+    {!add}'s on slate instances, [0] to auto-assign, and ignored on
+    plain ones. No triple, tuple or boxed float is built: the greedy's
+    accept path adds through it with the pair id it already holds. *)
 
 val add_result : ?slot:int -> t -> Triple.t -> (unit, Revmax_prelude.Err.t) result
 (** Like {!add} but never raises on bad triples: a duplicate or
@@ -158,13 +171,18 @@ val chain_view_of_triple : t -> Triple.t -> Chain.t option
     {!Instance.pair_find} when the triple's (user, item) is a view pair,
     the row scan of {!chain_view} otherwise. *)
 
+val chain_context : t -> Chain.ctx
+(** The context every chain of the strategy shares, for the {!Chain}
+    functions. *)
+
 val pair_chain : t -> int -> Chain.t
 (** [pair_chain t pid]: the chain of view pair [pid]'s (user, class), read
     from the pair's own pointer. It has length 0 when the key holds no
     triples (it is then the strategy's empty sentinel, or a chain that
     removals emptied). The strategy's own state — do not mutate it.
     Raises [Invalid_argument] when [pid] is not a pair of the instance
-    view's range. *)
+    view's range. A later add may move the chain to a new block: read
+    the pointer again rather than keep the chain across adds. *)
 
 val chain_size : t -> u:int -> cls:int -> int
 (** The paper's [|set(u, C(i))|], the lazy-forward flag reference value of

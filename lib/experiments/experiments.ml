@@ -391,8 +391,9 @@ let bench_greedy_soa (cfg : Config.t) =
          initial keys) is isolated with a budget that stops after the
          first selection; the loop's delta beyond it, divided by the
          remaining selections, is all accept-path output construction
-         (strategy hashtable entries, amortized chain-array doubling) —
-         evaluations themselves allocate nothing (DESIGN.md §5b). The full
+         (chain blocks and their amortized doubling) — evaluations
+         themselves allocate nothing (DESIGN.md §5b). The gate is the
+         23.7 words the quick cell measures plus a third. The full
          run is untraced and goes first, on a fresh heap, so its wall time
          is the hot path's alone. *)
       let words_of f =
@@ -406,10 +407,10 @@ let bench_greedy_soa (cfg : Config.t) =
       let per_sel =
         (w_full -. w_build) /. float_of_int (max 1 (st.Greedy.selected - st1.Greedy.selected))
       in
-      if Sys.backend_type = Sys.Native && per_sel > 128.0 then
+      if Sys.backend_type = Sys.Native && per_sel > 32.0 then
         failwith
           (Printf.sprintf
-             "bench-greedy-soa %s: %.1f minor words per selection exceeds the O(1) gate (128)"
+             "bench-greedy-soa %s: %.1f minor words per selection exceeds the O(1) gate (32)"
              label per_sel);
       (* sharded identity grid: every (shards, jobs) combination must pick
          the same triple set for a given shard count, and the shards=1 runs
@@ -456,7 +457,7 @@ let bench_greedy_soa (cfg : Config.t) =
   Log.out
     "(selections are identical across shard and job counts, and shards=1 reproduces the plain\n\
     \ greedy — the gates above fail the run otherwise. Evaluations allocate nothing; words/sel\n\
-    \ is the accept path's output construction, gated at 128.)\n"
+    \ is the accept path's output construction, gated at 32.)\n"
 
 (* ----- Shard-scaling benchmark: Shard_greedy vs plain greedy ----- *)
 
@@ -864,9 +865,14 @@ let bench_scale (cfg : Config.t) =
   in
   Log.out "memory: Instance.create allocates %.2f words per candidate pair\n"
     instance_create_words_per_pair;
-  (* machine-readable cell, consumed by CI (artifact + gates) *)
+  (* machine-readable cell, consumed by CI (artifact + gates). It goes to
+     the temp directory, like the pack, unless REVMAX_BENCH_OUT names a
+     path: a run from the repository root must not replace the committed
+     full-scale record. *)
   let out =
-    Option.value (Sys.getenv_opt "REVMAX_BENCH_OUT") ~default:"BENCH_scale.json"
+    match Sys.getenv_opt "REVMAX_BENCH_OUT" with
+    | Some path -> path
+    | None -> Filename.concat (Filename.get_temp_dir_name ()) "BENCH_scale.json"
   in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

@@ -14,9 +14,10 @@ let c_refresh_pairs = Metrics.counter "two_level_heap.refresh_pairs"
    is in the upper heap, so an empty one needs no size and a full group of
    65,536 still fits. The upper heap is three flat arrays over groups —
    [ukey]/[ugrp] in heap order and [upos], each group's upper position
-   (−1 when absent). Every sift therefore reads and writes unboxed float
-   and int arrays and bytes only: no records, handles or options, and no
-   GC write barrier.
+   (−1 when absent); group ids and positions take four bytes each, so
+   there are at most 2^31 − 1 groups. Every sift therefore reads and
+   writes an unboxed float array and bytes only: no records, handles or
+   options, and no GC write barrier.
 
    Both levels use 8-ary hole sifts under one strict total order — higher
    key first, equal keys smaller entry (upper level: smaller group) first
@@ -30,8 +31,8 @@ type t = {
   offs : Bytes.t;
   last : Bytes.t;
   ukey : float array;
-  ugrp : int array;
-  upos : int array;
+  ugrp : Bytes.t;
+  upos : Bytes.t;
   mutable usize : int;
   mutable total : int;
 }
@@ -40,26 +41,35 @@ let arity = 8
 
 let max_width = 65_536
 
+let max_groups = 0x7FFF_FFFF
+
 let create ~groups ~width =
   if groups < 0 || width < 1 then invalid_arg "Two_level_heap.create: bad dimensions";
   if width > max_width then invalid_arg "Two_level_heap.create: width above 65536";
+  if groups > max_groups then invalid_arg "Two_level_heap.create: more than 2^31 - 1 groups";
   {
     width;
     keys = Array.make (groups * width) 0.0;
     offs = Bytes.make (2 * groups * width) '\000';
     last = Bytes.make (2 * groups) '\000';
     ukey = Array.make groups 0.0;
-    ugrp = Array.make groups 0;
-    upos = Array.make groups (-1);
+    ugrp = Bytes.make (4 * groups) '\000';
+    (* every byte 0xff: each position reads −1, absent *)
+    upos = Bytes.make (4 * groups) '\255';
     usize = 0;
     total = 0;
   }
+
+(* 32-bit group ids and positions *)
+let get32 b k = Int32.to_int (Bytes.get_int32_le b (4 * k))
+
+let set32 b k v = Bytes.set_int32_le b (4 * k) (Int32.of_int v)
 
 let size t = t.total
 
 let is_empty t = t.total = 0
 
-let group_size t g = if t.upos.(g) < 0 then 0 else Bytes.get_uint16_le t.last (2 * g) + 1
+let group_size t g = if get32 t.upos g < 0 then 0 else Bytes.get_uint16_le t.last (2 * g) + 1
 
 (* the size of a group that stays non-empty *)
 let set_group_size t g n = Bytes.set_uint16_le t.last (2 * g) (n - 1)
@@ -121,29 +131,29 @@ let lower_sift_down t base n i0 =
 (* the same sifts over the upper heap, tracking each group's position *)
 let upper_sift_up t i0 =
   let keys = t.ukey and ids = t.ugrp and pos = t.upos in
-  let hk = keys.(i0) and hv = ids.(i0) in
+  let hk = keys.(i0) and hv = get32 ids i0 in
   let i = ref i0 in
   let continue_ = ref true in
   while !continue_ && !i > 0 do
     let parent = (!i - 1) / arity in
-    let kp = keys.(parent) and vp = ids.(parent) in
+    let kp = keys.(parent) and vp = get32 ids parent in
     if kp < hk || (kp = hk && vp > hv) then begin
       keys.(!i) <- kp;
-      ids.(!i) <- vp;
-      pos.(vp) <- !i;
+      set32 ids !i vp;
+      set32 pos vp !i;
       i := parent
     end
     else continue_ := false
   done;
   if !i <> i0 then begin
     keys.(!i) <- hk;
-    ids.(!i) <- hv;
-    pos.(hv) <- !i
+    set32 ids !i hv;
+    set32 pos hv !i
   end
 
 let upper_sift_down t i0 =
   let keys = t.ukey and ids = t.ugrp and pos = t.upos and n = t.usize in
-  let hk = keys.(i0) and hv = ids.(i0) in
+  let hk = keys.(i0) and hv = get32 ids i0 in
   let i = ref i0 in
   let continue_ = ref true in
   while !continue_ do
@@ -152,36 +162,36 @@ let upper_sift_down t i0 =
     let largest = ref !i and lk = ref hk and lv = ref hv in
     for c = first to last do
       let kc = keys.(c) in
-      if kc > !lk || (kc = !lk && ids.(c) < !lv) then begin
+      if kc > !lk || (kc = !lk && get32 ids c < !lv) then begin
         largest := c;
         lk := kc;
-        lv := ids.(c)
+        lv := get32 ids c
       end
     done;
     if !largest <> !i then begin
       keys.(!i) <- !lk;
-      ids.(!i) <- !lv;
-      pos.(!lv) <- !i;
+      set32 ids !i !lv;
+      set32 pos !lv !i;
       i := !largest
     end
     else continue_ := false
   done;
   if !i <> i0 then begin
     keys.(!i) <- hk;
-    ids.(!i) <- hv;
-    pos.(hv) <- !i
+    set32 ids !i hv;
+    set32 pos hv !i
   end
 
 (* re-key group [g] in the upper heap to its lower root's key, inserting
    it when absent *)
 let upper_sync t g =
   let k = t.keys.(g * t.width) in
-  let p = t.upos.(g) in
+  let p = get32 t.upos g in
   if p < 0 then begin
     let p = t.usize in
     t.ukey.(p) <- k;
-    t.ugrp.(p) <- g;
-    t.upos.(g) <- p;
+    set32 t.ugrp p g;
+    set32 t.upos g p;
     t.usize <- p + 1;
     upper_sift_up t p
   end
@@ -194,14 +204,14 @@ let upper_sync t g =
 (* take group [g] out of the upper heap, which marks it empty; the last
    group fills its place and sifts whichever way its key says *)
 let upper_remove t g =
-  let p = t.upos.(g) in
-  t.upos.(g) <- -1;
+  let p = get32 t.upos g in
+  set32 t.upos g (-1);
   let last = t.usize - 1 in
   t.usize <- last;
   if p < last then begin
     t.ukey.(p) <- t.ukey.(last);
-    t.ugrp.(p) <- t.ugrp.(last);
-    t.upos.(t.ugrp.(p)) <- p;
+    set32 t.ugrp p (get32 t.ugrp last);
+    set32 t.upos (get32 t.ugrp p) p;
     upper_sift_up t p;
     upper_sift_down t p
   end
@@ -210,7 +220,7 @@ let upper_remove t g =
    down (or stayed); the key is read here, not passed, because a float
    argument would be boxed at the call *)
 let upper_rekey_root t =
-  let k = t.keys.(t.ugrp.(0) * t.width) in
+  let k = t.keys.(get32 t.ugrp 0 * t.width) in
   let old = t.ukey.(0) in
   t.ukey.(0) <- k;
   if k < old then upper_sift_down t 0
@@ -231,7 +241,7 @@ let check_nonempty t = if t.usize = 0 then invalid_arg "Two_level_heap: empty he
 
 let max_elt t =
   check_nonempty t;
-  let base = t.ugrp.(0) * t.width in
+  let base = get32 t.ugrp 0 * t.width in
   base + off t base
 
 let max_key_into t cell =
@@ -242,7 +252,7 @@ let max_key_into t cell =
 let drop_max t =
   check_nonempty t;
   Metrics.incr c_pops;
-  let g = t.ugrp.(0) in
+  let g = get32 t.ugrp 0 in
   let base = g * t.width in
   let n = group_size t g - 1 in
   t.total <- t.total - 1;

@@ -23,9 +23,9 @@
     [\[g·width, g·width + size g)] of one float array of keys and of one
     byte array that holds each slot's entry as its 16-bit offset inside
     the group; each group's size takes two more bytes, and the upper heap
-    is three flat arrays over groups. The heap costs [1.25·width + 3.25]
-    words per group, all allocated by {!create}; no operation allocates
-    afterwards. Floats enter and leave the hot operations through
+    is three flat arrays over groups: a float key, and a 32-bit group id
+    and position. The heap costs [1.25·width + 2.25] words per group, all
+    allocated by {!create}; no operation allocates afterwards. Floats enter and leave the hot operations through
     caller-owned cells, since without flambda a float crossing a call
     boundary is boxed. *)
 
@@ -34,7 +34,8 @@ type t
 val create : groups:int -> width:int -> t
 (** An empty heap for entries [0 .. groups·width − 1]. Raises
     [Invalid_argument] when [width] is below 1 or above 65,536, the most
-    a 16-bit offset addresses. *)
+    a 16-bit offset addresses, or when [groups] is negative or above
+    2^31 − 1, the most a 32-bit group id addresses. *)
 
 val size : t -> int
 (** Total number of stored entries across all groups. *)

@@ -7,10 +7,11 @@ module Simulate = Revmax.Simulate
 module Capacity_oracle = Revmax.Capacity_oracle
 open Helpers
 
-(* insert into a chain with the instance's own q, as a plain strategy's
-   add stores it *)
-let insert_q inst c (z : Triple.t) =
-  Revmax.Chain.insert c z ~qz:(Instance.q inst ~u:z.u ~i:z.i ~time:z.t)
+(* insert into a standalone chain with the instance's own q, as a plain
+   strategy's add stores it; the cell takes the block the insert returns,
+   as a strategy's pointers would *)
+let insert_q ctx inst c (z : Triple.t) =
+  c := Revmax.Chain.insert ctx !c z ~qz:(Instance.q inst ~u:z.u ~i:z.i ~time:z.t)
 
 (* ----- Instance ----- *)
 
@@ -182,37 +183,40 @@ let test_chain_remove_clears_tail () =
   let module Chain = Revmax.Chain in
   let inst = example1_instance 0.4 in
   let z1 = triple 0 0 1 and z2 = triple 0 1 2 and z3 = triple 0 0 3 in
-  let c = Chain.create inst in
-  List.iter (insert_q inst c) [ z1; z2; z3 ];
+  let ctx = Chain.context inst in
+  let c = ref (Chain.create ()) in
+  List.iter (insert_q ctx inst c) [ z1; z2; z3 ];
   (* removing the middle triple shifts z3 left and vacates the old tail *)
-  Chain.remove c z2;
-  Alcotest.(check int) "length after remove" 2 (Chain.length c);
-  Alcotest.(check bool) "removed triple gone" false (Chain.mem c z2);
+  Chain.remove ctx !c z2;
+  Alcotest.(check int) "length after remove" 2 (Chain.length !c);
+  Alcotest.(check bool) "removed triple gone" false (Chain.mem ctx !c z2);
   Alcotest.(check (list string)) "survivors in order" [ "(0, 0, 1)"; "(0, 0, 3)" ]
-    (List.map Triple.to_string (Chain.to_list c));
+    (List.map Triple.to_string (Chain.to_list ctx !c));
   (* re-insert at the old boundary: index 2, exactly the vacated slot *)
-  insert_q inst c z2;
-  let fresh = Chain.create inst in
-  List.iter (insert_q inst fresh) [ z1; z2; z3 ];
+  insert_q ctx inst c z2;
+  let c = !c in
+  let fresh = ref (Chain.create ()) in
+  List.iter (insert_q ctx inst fresh) [ z1; z2; z3 ];
+  let fresh = !fresh in
   Alcotest.(check (list string)) "re-insert restores the chain"
-    (List.map Triple.to_string (Chain.to_list fresh))
-    (List.map Triple.to_string (Chain.to_list c));
+    (List.map Triple.to_string (Chain.to_list ctx fresh))
+    (List.map Triple.to_string (Chain.to_list ctx c));
   List.iter
     (fun with_saturation ->
       check_float ~eps:0.0 "revenue bit-identical to fresh build"
-        (Chain.revenue ~with_saturation fresh)
-        (Chain.revenue ~with_saturation c);
+        (Chain.revenue ctx ~with_saturation fresh)
+        (Chain.revenue ctx ~with_saturation c);
       (* per-triple aggregates agree exactly as well *)
-      Chain.iter fresh (fun z ->
+      Chain.iter ctx fresh (fun z ->
           check_float ~eps:0.0 "prob bit-identical"
-            (Option.get (Chain.prob ~with_saturation fresh z))
-            (Option.get (Chain.prob ~with_saturation c z))))
+            (Option.get (Chain.prob ctx ~with_saturation fresh z))
+            (Option.get (Chain.prob ctx ~with_saturation c z))))
     [ true; false ];
   (* and a probe marginal at the far boundary sees no stale state either *)
   let probe = triple 0 1 3 in
   check_float ~eps:0.0 "marginal bit-identical"
-    (Chain.marginal ~with_saturation:true fresh probe)
-    (Chain.marginal ~with_saturation:true c probe)
+    (Chain.marginal ctx ~with_saturation:true fresh probe)
+    (Chain.marginal ctx ~with_saturation:true c probe)
 
 let test_strategy_chain_order () =
   let inst = example1_instance 0.4 in
@@ -410,23 +414,29 @@ let prop_chain_recompute_is_canonical =
               Hashtbl.replace qz z
                 (Rng.uniform_in rng 0.2 1.0 *. Instance.q inst ~u:z.u ~i:z.i ~time:z.t))
             ascending;
+          let ctx = Chain.context inst in
           let insert c z =
-            if scaled then Chain.insert ~qz:(Hashtbl.find qz z) c z else insert_q inst c z
+            if scaled then c := Chain.insert ctx ~qz:(Hashtbl.find qz z) !c z
+            else insert_q ctx inst c z
           in
-          let canonical = Chain.create inst in
+          let canonical = ref (Chain.create ()) in
           List.iter (insert canonical) ascending;
-          let c = Chain.create inst in
+          let canonical = !canonical in
+          let c = ref (Chain.create ()) in
           Array.iter (insert c) shuffled;
-          Chain.recompute c;
+          let c = !c in
+          Chain.recompute ctx c;
           List.for_all
             (fun z ->
-              match (Chain.aggregates canonical z, Chain.aggregates c z) with
+              match (Chain.aggregates ctx canonical z, Chain.aggregates ctx c z) with
               | Some (m1, c1, p1), Some (m2, c2, p2) -> same m1 m2 && same c1 c2 && same p1 p2
               | _ -> false)
             ascending
           && List.for_all
                (fun with_saturation ->
-                 same (Chain.revenue ~with_saturation canonical) (Chain.revenue ~with_saturation c))
+                 same
+                   (Chain.revenue ctx ~with_saturation canonical)
+                   (Chain.revenue ctx ~with_saturation c))
                [ true; false ])
         [ false; true ])
 
@@ -686,11 +696,11 @@ let test_simulation_exclusive_adoptions () =
   (* within one class a user adopts at most once per simulated world *)
   let inst = example1_instance 0.9 in
   let chain = [ triple 0 0 1; triple 0 1 2; triple 0 0 3 ] in
-  let c = Revmax.Chain.create inst in
-  List.iter (insert_q inst c) chain;
+  let s = Strategy.of_list inst chain in
+  let c = Option.get (Strategy.chain_view s ~u:0 ~cls:0) in
   let rng = Rng.create 5 in
   for _ = 1 to 1000 do
-    match Simulate.simulate_chain inst c rng with
+    match Simulate.simulate_chain s c rng with
     | None -> ()
     | Some z -> if not (List.exists (Triple.equal z) chain) then Alcotest.fail "alien adoption"
   done
@@ -770,46 +780,48 @@ let test_chain_growth_matches_ascending_build () =
   let same what a b =
     if not (Int64.equal (bits a) (bits b)) then Alcotest.failf "%s: %h vs %h" what a b
   in
+  let ctx = Chain.context inst in
   let agree c members =
-    let fresh = Chain.create inst in
-    List.iter (insert_q inst fresh) members;
+    let fresh = ref (Chain.create ()) in
+    List.iter (insert_q ctx inst fresh) members;
+    let fresh = !fresh in
     Alcotest.(check (list string)) "members" (List.map Triple.to_string members)
-      (List.map Triple.to_string (Chain.to_list c));
+      (List.map Triple.to_string (Chain.to_list ctx c));
     List.iter
       (fun with_saturation ->
-        same "revenue" (Chain.revenue ~with_saturation fresh) (Chain.revenue ~with_saturation c))
+        same "revenue" (Chain.revenue ctx ~with_saturation fresh) (Chain.revenue ctx ~with_saturation c))
       [ true; false ];
     List.iter
       (fun z ->
-        match (Chain.aggregates fresh z, Chain.aggregates c z) with
+        match (Chain.aggregates ctx fresh z, Chain.aggregates ctx c z) with
         | Some (m1, c1, p1), Some (m2, c2, p2) ->
             same "memory" m1 m2;
             same "competition" c1 c2;
             same "probability" p1 p2
         | _ -> Alcotest.fail "member lost")
       members;
-    same "marginal" (Chain.marginal ~with_saturation:true fresh (triple 0 3 4))
-      (Chain.marginal ~with_saturation:true c (triple 0 3 4))
+    same "marginal" (Chain.marginal ctx ~with_saturation:true fresh (triple 0 3 4))
+      (Chain.marginal ctx ~with_saturation:true c (triple 0 3 4))
   in
-  let c = Chain.create inst in
+  let c = ref (Chain.create ()) in
   let members = ref [] in
   (* the first time the chain holds 2, 4 and 8 members, drop its second *)
   let drops = ref [ 2; 4; 8 ] in
   List.iter
     (fun z ->
-      insert_q inst c z;
+      insert_q ctx inst c z;
       members := !members @ [ z ];
-      agree c !members;
+      agree !c !members;
       match !drops with
       | n :: rest when List.length !members = n ->
           drops := rest;
           let victim = List.nth !members 1 in
-          Chain.remove c victim;
+          Chain.remove ctx !c victim;
           members := List.filter (fun z' -> not (Triple.equal z' victim)) !members;
-          agree c !members
+          agree !c !members
       | _ -> ())
     ascending;
-  Alcotest.(check int) "length" 13 (Chain.length c)
+  Alcotest.(check int) "length" 13 (Chain.length !c)
 
 (* today's folds over the sorted member list with a [seen] table, kept
    here as the reference the chain walk must equal bit for bit *)
@@ -840,7 +852,7 @@ let reference_revenue_once s rng =
   let inst = Strategy.instance s in
   let acc = ref 0.0 in
   seen_fold s (fun chain ->
-      match Simulate.simulate_chain inst (chain_of s chain) rng with
+      match Simulate.simulate_chain s (chain_of s chain) rng with
       | None -> ()
       | Some z -> acc := !acc +. Instance.price inst ~i:z.i ~time:z.t);
   !acc
@@ -849,7 +861,7 @@ let reference_run_with_stock s rng =
   let inst = Strategy.instance s in
   let would_adopt = ref [] in
   seen_fold s (fun chain ->
-      match Simulate.simulate_chain inst (chain_of s chain) rng with
+      match Simulate.simulate_chain s (chain_of s chain) rng with
       | None -> ()
       | Some z -> would_adopt := z :: !would_adopt);
   let arr = Array.of_list !would_adopt in
@@ -933,6 +945,383 @@ let test_chain_walk_matches_seen_folds () =
       done)
     families
 
+(* ----- the chain block against the two-array chain it replaced ----- *)
+
+(* The chain as it was before it became one float block: a record over a
+   float array of six floats per member (q, price, β, memory, competition,
+   probability) and an int array of the member's item, time and, on
+   slates, slot, both doubling from room for one member, with the oracle
+   cells and the 1/Δt table in a context. Kept here as the reference the
+   block must equal bit for bit. *)
+module Ref_chain = struct
+  type ctx = { inst : Instance.t; cells : float array; inv : float array; ist : int }
+
+  type t = {
+    ctx : ctx;
+    mutable user : int;
+    mutable len : int;
+    mutable f : float array;
+    mutable d : int array;
+  }
+
+  let context inst =
+    {
+      inst;
+      cells = Array.make 6 0.0;
+      inv = Array.init (Instance.horizon inst + 1) (fun d -> if d = 0 then 0.0 else 1.0 /. float_of_int d);
+      ist = (if Instance.is_slate inst then 3 else 2);
+    }
+
+  let fw = 6
+  let fb j = fw * j
+  let oq = 0
+  let oprice = 1
+  let obeta = 2
+  let omem = 3
+  let ocomp = 4
+  let oprob = 5
+  let create_in ctx = { ctx; user = 0; len = 0; f = Array.make (fb 1) 0.0; d = Array.make ctx.ist 0 }
+  let item c j = c.d.(c.ctx.ist * j)
+  let time c j = c.d.((c.ctx.ist * j) + 1)
+  let slot c j = if c.ctx.ist < 3 then 0 else c.d.((3 * j) + 2)
+
+  let index c (z : Triple.t) =
+    let r = ref (-1) in
+    if z.u = c.user then
+      for j = 0 to c.len - 1 do
+        if time c j = z.t && item c j = z.i then r := j
+      done;
+    !r
+
+  let set_prob c j =
+    let f = c.f and b = fb j in
+    f.(b + oprob) <-
+      (if f.(b + oq) <= 0.0 then 0.0
+       else
+         let m = f.(b + omem) in
+         f.(b + oq) *. (if m = 0.0 then 1.0 else f.(b + obeta) ** m) *. f.(b + ocomp))
+
+  let recompute c =
+    let f = c.f and inv = c.ctx.inv in
+    let j = ref 0 and prefix = ref 1.0 in
+    while !j < c.len do
+      let k = ref !j in
+      while !k < c.len && time c !k = time c !j do incr k done;
+      for a = !j to !k - 1 do
+        let m = ref 0.0 in
+        for l = 0 to !j - 1 do
+          m := !m +. inv.(time c a - time c l)
+        done;
+        f.(fb a + omem) <- !m;
+        let g = ref !prefix in
+        for b = !j to !k - 1 do
+          if b <> a then g := !g *. (1.0 -. f.(fb b + oq))
+        done;
+        f.(fb a + ocomp) <- !g;
+        set_prob c a
+      done;
+      for b = !j to !k - 1 do
+        prefix := !prefix *. (1.0 -. f.(fb b + oq))
+      done;
+      j := !k
+    done
+
+  let ensure_capacity c n =
+    let ist = c.ctx.ist in
+    let cap = Array.length c.d / ist in
+    if n > cap then begin
+      let cap = max n (2 * cap) in
+      let f = Array.make (fb cap) 0.0 in
+      Array.blit c.f 0 f 0 (fb c.len);
+      c.f <- f;
+      let d = Array.make (ist * cap) 0 in
+      Array.blit c.d 0 d 0 (ist * c.len);
+      c.d <- d
+    end
+
+  let insert ?slot ~qz c (z : Triple.t) =
+    ensure_capacity c (c.len + 1);
+    let inst = c.ctx.inst and ist = c.ctx.ist and inv = c.ctx.inv in
+    let one_minus_qz = 1.0 -. qz in
+    let a = c.ctx.cells and f = c.f in
+    a.(0) <- 0.0;
+    a.(1) <- 1.0;
+    for j = 0 to c.len - 1 do
+      let tj = time c j and b = fb j in
+      if tj < z.t then begin
+        a.(0) <- a.(0) +. inv.(z.t - tj);
+        a.(1) <- a.(1) *. (1.0 -. f.(b + oq))
+      end
+      else if tj = z.t then begin
+        a.(1) <- a.(1) *. (1.0 -. f.(b + oq));
+        f.(b + ocomp) <- f.(b + ocomp) *. one_minus_qz;
+        set_prob c j
+      end
+      else begin
+        f.(b + omem) <- f.(b + omem) +. inv.(tj - z.t);
+        f.(b + ocomp) <- f.(b + ocomp) *. one_minus_qz;
+        set_prob c j
+      end
+    done;
+    let p = ref c.len in
+    while !p > 0 && not (time c (!p - 1) < z.t || (time c (!p - 1) = z.t && item c (!p - 1) <= z.i)) do
+      decr p
+    done;
+    let p = !p in
+    Array.blit f (fb p) f (fb (p + 1)) (fw * (c.len - p));
+    Array.blit c.d (ist * p) c.d (ist * (p + 1)) (ist * (c.len - p));
+    if c.len = 0 then c.user <- z.u;
+    let b = fb p in
+    f.(b + oq) <- qz;
+    f.(b + oprice) <- Instance.price inst ~i:z.i ~time:z.t;
+    f.(b + obeta) <- Instance.saturation inst z.i;
+    f.(b + omem) <- a.(0);
+    f.(b + ocomp) <- a.(1);
+    c.d.(ist * p) <- z.i;
+    c.d.((ist * p) + 1) <- z.t;
+    if ist > 2 then c.d.((ist * p) + 2) <- Option.value slot ~default:0;
+    c.len <- c.len + 1;
+    set_prob c p
+
+  let remove c z =
+    let j0 = index c z and ist = c.ctx.ist in
+    let last = c.len - 1 in
+    Array.blit c.f (fb (j0 + 1)) c.f (fb j0) (fw * (last - j0));
+    Array.blit c.d (ist * (j0 + 1)) c.d (ist * j0) (ist * (last - j0));
+    c.len <- last;
+    Array.fill c.f (fb last) fw 0.0;
+    Array.fill c.d (ist * last) ist 0;
+    recompute c
+
+  let revenue ~with_saturation c =
+    let f = c.f in
+    let acc = ref 0.0 in
+    for j = 0 to c.len - 1 do
+      let b = fb j in
+      acc :=
+        !acc
+        +. f.(b + oprice)
+           *.
+           if with_saturation then f.(b + oprob)
+           else if f.(b + oq) <= 0.0 then 0.0
+           else f.(b + oq) *. f.(b + ocomp)
+    done;
+    !acc
+
+  let marginal_cells ~with_saturation c ~time:tz ~res =
+    let a = c.ctx.cells and inv = c.ctx.inv and f = c.f and d = c.d and ist = c.ctx.ist in
+    let qz = a.(3) and price = a.(4) and beta = a.(5) in
+    let one_minus_qz = 1.0 -. qz in
+    a.(0) <- 0.0;
+    a.(1) <- 1.0;
+    a.(2) <- 0.0;
+    for j = 0 to c.len - 1 do
+      let tj = d.((ist * j) + 1) and b = fb j in
+      let qj = f.(b + oq) in
+      if tj < tz then begin
+        a.(0) <- a.(0) +. inv.(tz - tj);
+        a.(1) <- a.(1) *. (1.0 -. qj)
+      end
+      else if tj = tz then begin
+        a.(1) <- a.(1) *. (1.0 -. qj);
+        let old_p =
+          if qj <= 0.0 then 0.0 else if with_saturation then f.(b + oprob) else qj *. f.(b + ocomp)
+        in
+        a.(2) <- a.(2) -. (f.(b + oprice) *. old_p *. qz)
+      end
+      else begin
+        let dl =
+          if qj <= 0.0 then 0.0
+          else if with_saturation then begin
+            let m' = f.(b + omem) +. inv.(tj - tz) in
+            let sat = if m' = 0.0 then 1.0 else f.(b + obeta) ** m' in
+            (qj *. sat *. f.(b + ocomp) *. one_minus_qz) -. f.(b + oprob)
+          end
+          else begin
+            let p0 = qj *. f.(b + ocomp) in
+            (p0 *. one_minus_qz) -. p0
+          end
+        in
+        a.(2) <- a.(2) +. (f.(b + oprice) *. dl)
+      end
+    done;
+    let gain =
+      if qz <= 0.0 then 0.0
+      else begin
+        let sat = if with_saturation then (if a.(0) = 0.0 then 1.0 else beta ** a.(0)) else 1.0 in
+        price *. qz *. sat *. a.(1)
+      end
+    in
+    res.(0) <- gain +. a.(2)
+
+  (* the member's stored values in the block's order: time, item, q,
+     price, β, memory, competition, probability, and the slot on slates *)
+  let member c j =
+    let b = fb j in
+    Array.append
+      [| float_of_int (time c j); float_of_int (item c j) |]
+      (Array.append (Array.sub c.f b fw) (if c.ctx.ist > 2 then [| float_of_int (slot c j) |] else [||]))
+end
+
+(* Random insert, remove and recompute steps on one (user, class) chain of
+   a plain or slate instance, with a slot-scaled q̃ and a random slot on
+   slates, applied to a block chain and to the reference. After every
+   step both must agree bit for bit: the length, the user, every member's
+   stored values, the revenue and [marginal_cells] of a random candidate
+   under both saturation settings. *)
+let prop_chain_block_matches_reference =
+  let module Chain = Revmax.Chain in
+  QCheck2.Test.make ~name:"chain block = the two-array chain, bit for bit" ~count:300 seed_gen
+    (fun seed ->
+      let rng = Rng.create seed in
+      let inst =
+        if Rng.bernoulli rng 0.5 then random_instance ~max_users:1 ~max_items:6 ~max_horizon:5 ~max_classes:1 rng
+        else random_slate_instance ~max_users:1 ~max_items:6 ~max_horizon:5 rng
+      in
+      let slate = Instance.is_slate inst and k = Instance.display_limit inst in
+      let ctx = Chain.context inst and rctx = Ref_chain.context inst in
+      let c = ref (Chain.create ()) and r = Ref_chain.create_in rctx in
+      let cls = Instance.class_of inst 0 in
+      let keys =
+        List.concat
+          (List.init (Instance.num_items inst) (fun i ->
+               if Instance.class_of inst i <> cls then []
+               else List.init (Instance.horizon inst) (fun t -> triple 0 i (t + 1))))
+        |> Array.of_list
+      in
+      let members = ref [] in
+      let bits = Int64.bits_of_float in
+      let fail step fmt = QCheck2.Test.fail_reportf ("step %d: " ^^ fmt) step in
+      let check step =
+        if Chain.length !c <> r.Ref_chain.len then fail step "length %d, reference %d" (Chain.length !c) r.len;
+        if r.len > 0 && Chain.user !c <> r.user then fail step "user %d, reference %d" (Chain.user !c) r.user;
+        for j = 0 to r.len - 1 do
+          let got = Chain.member ctx !c j and want = Ref_chain.member r j in
+          if Array.length got <> Array.length want || not (Array.for_all2 (fun a b -> bits a = bits b) got want)
+          then
+            fail step "member %d: [%s], reference [%s]" j
+              (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") got)))
+              (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") want)))
+        done;
+        List.iter
+          (fun with_saturation ->
+            let got = Chain.revenue ctx ~with_saturation !c and want = Ref_chain.revenue ~with_saturation r in
+            if bits got <> bits want then fail step "revenue %h, reference %h" got want;
+            let t = 1 + Rng.int rng (Instance.horizon inst) in
+            let q = Rng.unit_float rng and p = Rng.uniform_in rng 0.5 10.0 and b = Rng.unit_float rng in
+            let cells = Chain.oracle_cells ctx in
+            cells.(3) <- q;
+            cells.(4) <- p;
+            cells.(5) <- b;
+            let res = [| 0.0 |] and rres = [| 0.0 |] in
+            Chain.marginal_cells ctx ~with_saturation !c ~time:t ~res;
+            rctx.cells.(3) <- q;
+            rctx.cells.(4) <- p;
+            rctx.cells.(5) <- b;
+            Ref_chain.marginal_cells ~with_saturation r ~time:t ~res:rres;
+            if bits res.(0) <> bits rres.(0) then
+              fail step "marginal_cells at t = %d: %h, reference %h" t res.(0) rres.(0))
+          [ true; false ]
+      in
+      check 0;
+      for step = 1 to 40 do
+        (match Rng.int rng 5 with
+        | 0 when !members <> [] ->
+            let z = List.nth !members (Rng.int rng (List.length !members)) in
+            Chain.remove ctx !c z;
+            Ref_chain.remove r z;
+            members := List.filter (fun z' -> not (Triple.equal z z')) !members
+        | 1 ->
+            Chain.recompute ctx !c;
+            Ref_chain.recompute r
+        | _ ->
+            let z = keys.(Rng.int rng (Array.length keys)) in
+            if not (List.exists (Triple.equal z) !members) then begin
+              let q = Instance.q inst ~u:0 ~i:z.i ~time:z.t in
+              if slate then begin
+                let slot = 1 + Rng.int rng k in
+                let qz = Instance.slot_factor inst ~slot *. q in
+                c := Chain.insert ctx ~slot ~qz !c z;
+                Ref_chain.insert ~slot ~qz r z
+              end
+              else begin
+                c := Chain.insert ctx ~qz:q !c z;
+                Ref_chain.insert ~qz:q r z
+              end;
+              members := z :: !members
+            end);
+        check step
+      done;
+      true)
+
+(* One (user, class) chain grown through every doubling of its block
+   (room for 1, 2, 4, 8 and 16 members), next to an overflow chain grown
+   the same way: after every add, every pair of the user's row with that
+   class must point at one block holding every member so far, the row's
+   other pairs must not, and the overflow key must read its grown block
+   too. A pair left on an outgrown block would read its old length. *)
+let test_strategy_repoints_grown_chains () =
+  let module Chain = Revmax.Chain in
+  (* user 0: class-0 candidates 0..4 and class-1 candidate 10; user 1:
+     only item 11 (class 1), so user 1's class-0 triples go to the
+     overflow table *)
+  let items = 12 and horizon = 4 in
+  let inst =
+    Instance.create ~num_users:2 ~num_items:items ~horizon ~display_limit:items
+      ~class_of:(Array.init items (fun i -> if i < 10 then 0 else 1))
+      ~capacity:(Array.make items 2)
+      ~saturation:(Array.make items 0.8)
+      ~price:(Array.init items (fun i -> Array.init horizon (fun t -> float_of_int (1 + i + t))))
+      ~adoption:
+        ((1, 11, Array.make horizon 0.3)
+        :: List.map (fun i -> (0, i, Array.init horizon (fun t -> 0.1 +. (0.02 *. float_of_int (i + t))))) [ 0; 1; 2; 3; 4; 10 ])
+      ()
+  in
+  let s = Strategy.create inst in
+  let ctx = Strategy.chain_context s in
+  let show l = String.concat " " (List.map Triple.to_string l) in
+  let sorted l = List.sort (fun (a : Triple.t) b -> compare (a.t, a.i) (b.t, b.i)) l in
+  (* five candidate items and two non-candidates of class 0 at the first
+     two times: 14 members for user 0; ten items at one time for user 1 *)
+  let row = List.concat_map (fun t -> List.map (fun i -> triple 0 i t) [ 0; 1; 2; 3; 4; 6; 7 ]) [ 1; 2 ] in
+  let over = List.init 10 (fun i -> triple 1 i 3) in
+  let lo, hi = Instance.pair_row inst 0 in
+  let added = ref [] and added_over = ref [] in
+  let check what =
+    let want = show (sorted !added) and n = List.length !added in
+    let block = Strategy.pair_chain s lo in
+    for pid = lo to hi - 1 do
+      let c = Strategy.pair_chain s pid in
+      if Instance.class_of inst (Instance.pair_item inst pid) = 0 then begin
+        if c != block then Alcotest.failf "%s: pair %d points at another block" what pid;
+        if Chain.length c <> n || show (Chain.to_list ctx c) <> want then
+          Alcotest.failf "%s: pair %d reads [%s], want [%s]" what pid (show (Chain.to_list ctx c)) want
+      end
+      else if Chain.length c <> 0 then Alcotest.failf "%s: class-1 pair %d joined the chain" what pid
+    done;
+    (match Strategy.chain_view s ~u:0 ~cls:0 with
+    | Some c when c == block -> ()
+    | _ -> Alcotest.failf "%s: chain_view (0, 0) is not the row's block" what);
+    let want = show (sorted !added_over) and n = List.length !added_over in
+    match Strategy.chain_view s ~u:1 ~cls:0 with
+    | None -> if n > 0 then Alcotest.failf "%s: overflow chain lost" what
+    | Some c ->
+        if Chain.length c <> n || show (Chain.to_list ctx c) <> want then
+          Alcotest.failf "%s: overflow chain reads [%s], want [%s]" what (show (Chain.to_list ctx c)) want
+  in
+  List.iteri
+    (fun k z ->
+      Strategy.add s z;
+      added := z :: !added;
+      (match List.nth_opt over k with
+      | Some z' ->
+          Strategy.add s z';
+          added_over := z' :: !added_over
+      | None -> ());
+      check (Printf.sprintf "after %d adds" (k + 1)))
+    row;
+  Alcotest.(check int) "members" 24 (Strategy.size s)
+
 (* ----- pair-indexed chains against a (user, class)-keyed model ----- *)
 
 (* Random add, remove, remove_pair and drain-then-re-add steps on plain,
@@ -984,7 +1373,8 @@ let prop_pair_chains_match_model =
         Hashtbl.replace model k (List.filter (fun (z : Triple.t) -> z.i <> i) (find k))
       in
       let show l = String.concat " " (List.map Triple.to_string l) in
-      let chain_list = function None -> [] | Some c -> Chain.to_list c in
+      let ctx = Strategy.chain_context s in
+      let chain_list = function None -> [] | Some c -> Chain.to_list ctx c in
       let check step =
         let fail fmt = QCheck2.Test.fail_reportf ("%s: " ^^ fmt) step in
         for u = 0 to nu - 1 do
@@ -1032,7 +1422,7 @@ let prop_pair_chains_match_model =
         if Strategy.to_list s <> List.sort Triple.compare all then
           fail "to_list [%s], model [%s]" (show (Strategy.to_list s)) (show (List.sort Triple.compare all));
         let visited = ref [] in
-        Strategy.iter_chains s (fun c -> visited := Chain.to_list c :: !visited);
+        Strategy.iter_chains s (fun c -> visited := Chain.to_list ctx c :: !visited);
         let visited = List.rev !visited in
         let ulo, uhi = Instance.user_range on in
         let rows = ref [] and in_row = Hashtbl.create 16 in
@@ -1095,13 +1485,14 @@ let list_fold_total ~with_saturation s =
   let module Chain = Revmax.Chain in
   let inst = Strategy.instance s in
   let q_of = if Instance.is_slate inst then Some (Strategy.effective_q s) else None in
-  let head c = (Chain.user c, Chain.time c 0, Chain.item c 0) in
+  let ctx = Strategy.chain_context s in
+  let head c = (Chain.user c, Chain.time ctx c 0, Chain.item ctx c 0) in
   let chains = ref [] in
   Strategy.iter_chains s (fun c -> chains := c :: !chains);
   let chains = List.stable_sort (fun a b -> compare (head a) (head b)) (List.rev !chains) in
   ( chains,
     List.fold_left
-      (fun acc c -> acc +. Revenue.chain_revenue ~with_saturation ?q_of inst (Chain.to_list c))
+      (fun acc c -> acc +. Revenue.chain_revenue ~with_saturation ?q_of inst (Chain.to_list ctx c))
       0.0 chains )
 
 (* Random add and remove steps on plain, slate and budgeted instances,
@@ -1188,6 +1579,9 @@ let () =
           Alcotest.test_case "repeat histogram" `Quick test_repeat_histogram;
           QCheck_alcotest.to_alcotest prop_pair_chains_match_model;
           QCheck_alcotest.to_alcotest prop_total_matches_list_fold;
+          QCheck_alcotest.to_alcotest prop_chain_block_matches_reference;
+          Alcotest.test_case "grown chains are repointed: row pairs and overflow" `Quick
+            test_strategy_repoints_grown_chains;
         ] );
       ( "revenue",
         [

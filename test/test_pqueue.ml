@@ -267,6 +267,28 @@ let test_tl_widest_group () =
     (Invalid_argument "Two_level_heap.create: width above 65536") (fun () ->
       ignore (Tl.create ~groups:1 ~width:(width + 1)))
 
+(* Group ids and upper positions take 32 bits: 100,000 one-entry groups
+   (ids well past 16 bits) drain in the flat order, and more groups than
+   a 32-bit id addresses are refused before anything is allocated. *)
+let test_tl_group_ids () =
+  let groups = 100_000 in
+  let h = Tl.create ~groups ~width:1 in
+  let key g = float_of_int ((g * 7919) mod 1009) in
+  List.iter (fun g -> tl_insert h ~key:(key g) g) [ 99_999; 65_536; 70_001; 3; 65_535; 99_998 ];
+  let expected = List.sort model_order (List.map (fun g -> (g, key g)) [ 99_999; 65_536; 70_001; 3; 65_535; 99_998 ]) in
+  let rec drain acc =
+    if Tl.is_empty h then List.rev acc
+    else begin
+      let r = tl_root h in
+      Tl.drop_max h;
+      drain (r :: acc)
+    end
+  in
+  if drain [] <> expected then Alcotest.fail "groups past 16 bits drain out of order";
+  Alcotest.check_raises "2^31 groups"
+    (Invalid_argument "Two_level_heap.create: more than 2^31 - 1 groups") (fun () ->
+      ignore (Tl.create ~groups:0x8000_0000 ~width:1))
+
 (* Once created the arena allocates nothing: a cycle of insert, remove,
    refresh, the greedy's max_key_into sign test and drop_max moves the minor-heap
    counter by exactly what an empty measurement does. Native only —
@@ -332,5 +354,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_tl_model_sign;
           QCheck_alcotest.to_alcotest prop_tl_matches_flat;
           QCheck_alcotest.to_alcotest prop_tl_model_refresh;
+          Alcotest.test_case "32-bit group ids: 100,000 groups, at most 2^31 - 1" `Quick
+            test_tl_group_ids;
         ] );
     ]

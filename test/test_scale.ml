@@ -245,10 +245,11 @@ let wide_shallow users =
   }
 
 (* A plan of mostly one- and two-member chains costs a small constant per
-   selection: a record and two flat arrays per chain (16 words for one
-   member), one chain pointer per pair and one membership bit per
-   (pair, time). Native only: bytecode lays out the same values, but this
-   is a statement about the native planner's heap. *)
+   selection: one float block per chain (11 words for one member, 19 for
+   two), one chain pointer per pair and one membership bit per
+   (pair, time). It reads 11.7 here; the bound leaves a margin of about a
+   tenth. Native only: bytecode lays out the same values, but this is a
+   statement about the native planner's heap. *)
 let test_plan_words_per_selection () =
   if Sys.backend_type = Sys.Native then
     with_temp_pack (fun path ->
@@ -256,8 +257,8 @@ let test_plan_words_per_selection () =
         let inst = Instance.of_mmap path in
         let s, st = Greedy.run inst in
         let per_selection = float_of_int (own_words s) /. float_of_int st.Greedy.selected in
-        if st.Greedy.selected < 10_000 || per_selection > 18.0 then
-          Alcotest.failf "%d selections at %.1f words each (at most 18)" st.Greedy.selected
+        if st.Greedy.selected < 10_000 || per_selection > 13.0 then
+          Alcotest.failf "%d selections at %.1f words each (at most 13)" st.Greedy.selected
             per_selection)
 
 (* The reference check folds every chain straight from its flat arrays,
@@ -314,8 +315,9 @@ let dense_draws ~users ~seed =
 let dense_instance ~users ~seed = dense_draws ~users ~seed ()
 
 (* Set-up costs a small constant per candidate pair (greedy.mli's
-   footprint formula): a user mirror, a flag byte and the heap's 1.25
-   words per (time, slot) entry plus 3.25 per group. *)
+   footprint formula): a 32-bit user mirror, a flag byte and the heap's
+   1.25 words per (time, slot) entry plus 2.25 per group, 7.9 words at
+   T = 4 and 21.6 at T = 15; each bound leaves about a word of margin. *)
 let check_setup_words ~what ~bound inst =
   if Sys.backend_type = Sys.Native then begin
     let per_pair = greedy_setup_words_per_pair inst in
@@ -327,10 +329,39 @@ let check_setup_words ~what ~bound inst =
 let test_setup_words_wide_shallow () =
   with_temp_pack (fun path ->
       Scalability.generate_pack (wide_shallow 3000) ~seed:16 ~path;
-      check_setup_words ~what:"T = 4 pack" ~bound:12.0 (Instance.of_mmap path))
+      check_setup_words ~what:"T = 4 pack" ~bound:9.0 (Instance.of_mmap path))
 
 let test_setup_words_dense () =
-  check_setup_words ~what:"T = 15 dense" ~bound:26.0 (dense_instance ~users:400 ~seed:16)
+  check_setup_words ~what:"T = 15 dense" ~bound:23.0 (dense_instance ~users:400 ~seed:16)
+
+(* A row replan's state is sized by the row, not by the catalogue: the
+   greedy keeps no per-item table, so replanning one user's ten-pair row
+   allocates the same words whether the instance has 200 items or 20,000
+   (the row's items, prices and probabilities are the same in both). *)
+let test_replan_words_flat_in_items () =
+  if Sys.backend_type = Sys.Native then begin
+    let horizon = 4 in
+    let replan_words items =
+      let inst =
+        Instance.create ~num_users:1 ~num_items:items ~horizon ~display_limit:3
+          ~class_of:(Array.init items (fun i -> i mod 5))
+          ~capacity:(Array.make items 1)
+          ~saturation:(Array.init items (fun i -> 0.5 +. (0.04 *. float_of_int (i mod 10))))
+          ~price:(Array.init items (fun i -> Array.init horizon (fun t -> float_of_int (1 + ((i + t) mod 7)))))
+          ~adoption:(List.init 10 (fun i -> (0, i, Array.init horizon (fun t -> 0.05 *. float_of_int (1 + i + t)))))
+          ()
+      in
+      let s = Strategy.create inst in
+      let words f = snd (Revmax_prelude.Util.allocated_words f) in
+      ignore (words ignore);
+      let w = words (fun () -> ignore (Greedy.plan_rows s ~users:(0, 1))) in
+      if Strategy.size s = 0 then Alcotest.fail "the replan selected nothing";
+      w
+    in
+    let small = replan_words 200 and large = replan_words 20_000 in
+    if small <> large then
+      Alcotest.failf "a one-user replan allocates %.0f words at 200 items and %.0f at 20,000" small large
+  end
 
 (* [Instance.create] writes the candidate pairs into off-heap arrays: on
    the OCaml heap it allocates only per-user row offsets and per-item
@@ -396,16 +427,18 @@ let () =
         ] );
       ( "footprint",
         [
-          Alcotest.test_case "a plan costs at most 18 words per selection" `Quick
+          Alcotest.test_case "a plan costs at most 13 words per selection" `Quick
             test_plan_words_per_selection;
           Alcotest.test_case "a view's strategy is sized by the view" `Quick
             test_view_strategy_is_view_sized;
-          Alcotest.test_case "greedy set-up costs at most 12 words per candidate pair at T = 4"
+          Alcotest.test_case "greedy set-up costs at most 9 words per candidate pair at T = 4"
             `Quick test_setup_words_wide_shallow;
-          Alcotest.test_case "greedy set-up costs at most 26 words per candidate pair at T = 15"
+          Alcotest.test_case "greedy set-up costs at most 23 words per candidate pair at T = 15"
             `Quick test_setup_words_dense;
           Alcotest.test_case "Instance.create allocates at most 2 words per candidate pair"
             `Quick test_create_words_per_pair;
           Alcotest.test_case "Revenue.total allocates at most 1,000 words" `Quick test_total_words;
+          Alcotest.test_case "a one-user replan allocates the same words at 200 and at 20,000 items"
+            `Quick test_replan_words_flat_in_items;
         ] );
     ]
