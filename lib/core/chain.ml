@@ -15,9 +15,7 @@
      slot   the member's 1-based slot, on slate instances only
 
    so [w] is 8, or 9 on slates. Ints stored as floats are exact (ids and
-   times are far below 2^53). No chain total is cached: [revenue] sums
-   p_j·prob_j (with saturation) or p_j·q_j·comp_j (the β = 1 variant used
-   by GlobalNo planning) over the members when asked. The oracle cells,
+   times are far below 2^53). No chain total is cached. The oracle cells,
    the 1/Δt table and [w] are per-strategy constants, held once in the
    [ctx] every function takes.
 
@@ -34,8 +32,8 @@
    scratch — removal only happens on the cold paths (brute force,
    hardness, local search) and a division-free rebuild stays exact even
    when some q = 1 makes the competition product unrecoverable by
-   division. [marginal] computes an insertion's revenue delta in O(L)
-   without mutating anything — the hot path of every greedy. *)
+   division. [marginal_cells] computes an insertion's revenue delta in
+   O(L) without mutating anything — the hot path of every greedy. *)
 
 module Metrics = Revmax_prelude.Metrics
 
@@ -111,11 +109,6 @@ let to_list ctx c =
     acc := triple ctx c j :: !acc
   done;
   !acc
-
-let iter ctx c f =
-  for j = 0 to length c - 1 do
-    f (triple ctx c j)
-  done
 
 (* index of the (time, item) member, or -1 *)
 let find ctx c ~i ~t =
@@ -275,29 +268,6 @@ let remove ctx c (z : Triple.t) =
   Array.fill c (fb ctx last) ctx.w 0.0;
   recompute ctx c
 
-(* summed in member order from 0.0, the order every insert and rebuild
-   leaves the members in *)
-let revenue ctx ~with_saturation c =
-  let acc = ref 0.0 in
-  for j = 0 to length c - 1 do
-    let b = fb ctx j in
-    acc :=
-      !acc
-      +. c.(b + oprice)
-         *.
-         if with_saturation then c.(b + oprob)
-         else if c.(b + oq) <= 0.0 then 0.0
-         else c.(b + oq) *. c.(b + ocomp)
-  done;
-  !acc
-
-let aggregates ctx c z =
-  let j = index ctx c z in
-  if j < 0 then None
-  else
-    let b = fb ctx j in
-    Some (c.(b + omem), c.(b + ocomp), c.(b + oprob))
-
 let prob ctx ~with_saturation c z =
   let j = index ctx c z in
   if j < 0 then None
@@ -379,22 +349,3 @@ let marginal_cells ctx ~with_saturation c ~time:tz ~res =
     end
   in
   res.(0) <- gain +. a.(2)
-
-(* boxed-float façade over [marginal_cells] — one implementation, so the
-   two entry points cannot drift apart numerically. [res] reuses the
-   cells: slot 0 (the mz accumulator) is dead by the time the result is
-   stored. *)
-let marginal_flat ctx ~with_saturation c ~time ~qz ~price ~beta =
-  let a = ctx.cells in
-  a.(3) <- qz;
-  a.(4) <- price;
-  a.(5) <- beta;
-  marginal_cells ctx ~with_saturation c ~time ~res:a;
-  a.(0)
-
-let marginal ctx ~with_saturation c (z : Triple.t) =
-  let inst = ctx.inst in
-  marginal_flat ctx ~with_saturation c ~time:z.t
-    ~qz:(Instance.q inst ~u:z.u ~i:z.i ~time:z.t)
-    ~price:(Instance.price inst ~i:z.i ~time:z.t)
-    ~beta:(Instance.saturation inst z.i)

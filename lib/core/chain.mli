@@ -8,7 +8,7 @@
     dynamic adoption probability (Definition 1). From these,
     {!Revenue.marginal_incremental} is O(L) per candidate instead of the
     O(L²) full re-evaluation of the naive oracle. The chain's revenue is
-    not cached: {!revenue} sums it over the members when asked.
+    not cached.
 
     Triples are ordered by {!Triple.chain_before} (time ascending, ties by
     item id); at most one triple per (time, item) may be present.
@@ -42,7 +42,7 @@ type ctx
 (** Per-strategy constants: the instance, the oracle cells, the 1/Δt
     table and the member width. Chains of one context share its cells,
     so they must not be used from two domains at once unless every use
-    is a read of the members or of {!revenue}. *)
+    is a read of the members. *)
 
 val context : Instance.t -> ctx
 
@@ -80,9 +80,6 @@ val member : ctx -> t -> int -> float array
 
 val to_list : ctx -> t -> Triple.t list
 (** Triples in chain order (freshly allocated). *)
-
-val iter : ctx -> t -> (Triple.t -> unit) -> unit
-(** Visit the members in chain order as freshly built triples. *)
 
 val mem : ctx -> t -> Triple.t -> bool
 (** O(log L). *)
@@ -125,16 +122,6 @@ val recompute : ctx -> t -> unit
     chain in. Callers that mutate a strategy in place use it to keep
     outputs identical to a copy-based path. *)
 
-val revenue : ctx -> with_saturation:bool -> t -> float
-(** The chain's revenue [Σ p_j · prob_j] ([prob_j = q_j · comp_j] without
-    saturation), summed over the members' cached aggregates in chain
-    order, O(L). *)
-
-val aggregates : ctx -> t -> Triple.t -> (float * float * float) option
-(** A member's cached memory [M], competition product and dynamic
-    adoption probability (with saturation); [None] if the triple is not
-    in the chain. O(log L). For tests and diagnostics. *)
-
 val prob : ctx -> with_saturation:bool -> t -> Triple.t -> float option
 (** Cached dynamic adoption probability of a member triple; [None] if the
     triple is not in the chain. O(log L). *)
@@ -145,14 +132,6 @@ val saturation_factor : float -> float -> float
     This is the single shared definition used by both the incremental chain
     aggregates and {!Revenue.dynamic_probability} — the two evaluators
     cannot drift. *)
-
-val marginal : ctx -> with_saturation:bool -> t -> Triple.t -> float
-(** Revenue delta of inserting the (absent) triple, computed in O(L) from
-    the cached aggregates without mutating the chain: the triple's own gain
-    (its memory and competition are accumulated in the same pass) minus the
-    saturation/competition losses it inflicts on same-time and later
-    triples. Agrees with the naive [Rev(chain ∪ {z}) − Rev(chain)] up to
-    floating-point rounding. *)
 
 val oracle_cells : ctx -> float array
 (** The context's preallocated unboxed oracle cells. Slots 3, 4 and 5
@@ -165,21 +144,17 @@ val oracle_cells : ctx -> float array
     and as overwritten by any {!insert}, {!remove} or {!recompute}. *)
 
 val marginal_cells : ctx -> with_saturation:bool -> t -> time:int -> res:float array -> unit
-(** Zero-allocation kernel of {!marginal}: reads the candidate's [qz],
-    [price] and [beta] from {!oracle_cells} slots 3..5 and stores the
-    marginal into [res.(0)]. Every argument is an immediate or a pointer —
-    without flambda a float argument or result of a non-inlined call is
-    boxed on the minor heap, and this is the one function the steady-state
-    selection loop runs per cycle, so the floats travel through
-    preallocated cells instead. The O(L) scan allocates nothing.
-    Bit-identical to {!marginal} when handed the same instance facts. *)
-
-val marginal_flat :
-  ctx -> with_saturation:bool -> t -> time:int -> qz:float -> price:float -> beta:float -> float
-(** Boxed-float façade over {!marginal_cells} (same single implementation,
-    so the entry points cannot drift numerically): the candidate is
-    described by its time step plus the three instance facts [q(u,i,t)],
-    [p(i,t)] and the item's saturation base, so callers that hoist those
-    lookups pay no hashtable probe and no option/tuple allocation per
-    call. On native code the only heap traffic is the boxed float
-    result. *)
+(** The chain's one oracle entry: the revenue delta of inserting an
+    absent candidate at [time], computed in O(L) from the cached
+    aggregates without mutating the chain — the candidate's own gain
+    (its memory and competition are accumulated in the same pass) minus
+    the saturation and competition losses it inflicts on same-time and
+    later members. Agrees with the naive [Rev(chain ∪ {z}) − Rev(chain)]
+    up to floating-point rounding. The candidate's [qz], [price] and
+    [beta] are read from {!oracle_cells} slots 3..5 and the marginal is
+    stored into [res.(0)] ([res] may be the cells themselves). Every
+    argument is an immediate or a pointer — without flambda a float
+    argument or result of a non-inlined call is boxed on the minor heap,
+    and this is the one function the steady-state selection loop runs
+    per cycle, so the floats travel through preallocated cells instead.
+    The O(L) scan allocates nothing. *)

@@ -27,8 +27,11 @@ let brute_force_anytime ?(max_ground = 18) ?budget inst =
     | _ -> false
   in
   (* depth-first over include/exclude decisions; [acc] is Rev of current S,
-     maintained incrementally through marginals. An exhausted budget prunes
-     the remaining subtree; the incumbent is always a valid strategy. *)
+     maintained incrementally through marginals on plain instances and
+     read from [Revenue.total] after each slate add, so a slate incumbent's
+     value is exactly [Revenue.total] of its strategy. An exhausted budget
+     prunes the remaining subtree; the incumbent is always a valid
+     strategy. *)
   let rec go idx acc =
     incr nodes;
     if acc > !best_value then begin
@@ -59,9 +62,8 @@ let brute_force_anytime ?(max_ground = 18) ?budget inst =
           for slot = 1 to Instance.display_limit inst do
             if (not (Strategy.slot_occupied s z ~slot)) && not (out_of_budget ()) then begin
               (match budget with Some b -> Budget.spend b 1 | None -> ());
-              let before = Revenue.total_incremental s in
               Strategy.add ~slot s z;
-              go (idx + 1) (acc +. (Revenue.total_incremental s -. before));
+              go (idx + 1) (Revenue.total s);
               Strategy.remove s z
             end
           done

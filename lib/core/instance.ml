@@ -475,8 +475,6 @@ let with_prices t price =
 
 (* ----- user-sharded views ----- *)
 
-type split_policy = [ `Proportional | `Water_filling ]
-
 let user_range t = (t.u_lo, t.u_hi)
 
 let view_triple_count t ~u_lo ~u_hi =
@@ -490,88 +488,32 @@ let view_triple_count t ~u_lo ~u_hi =
   done;
   !n
 
-(* Proportional split of one item's capacity across shard user counts:
-   floor shares first, then the leftover units go to the shards of largest
-   fractional remainder (ties to the lower shard index) — fully
-   deterministic, and the shares always sum to the capacity. *)
-let proportional_shares ~capacity ~user_counts ~num_users =
-  let shards = Array.length user_counts in
-  if num_users = 0 then
-    (* all weights are zero, so largest-remainder degenerates; keep the
-       exact-sum contract with an even split, remainder to the lower shard
-       indices. (The old [Array.make shards capacity] handed every shard
-       the full capacity — the shares summed to shards·q_i, not q_i.) *)
-    Array.init shards (fun s ->
-        (capacity / shards) + if s < capacity mod shards then 1 else 0)
-  else begin
-    let shares = Array.map (fun n_s -> capacity * n_s / num_users) user_counts in
-    let leftover = capacity - Array.fold_left ( + ) 0 shares in
-    let order = Array.init shards (fun s -> s) in
-    (* descending remainder, ascending shard index on ties *)
-    Array.sort
-      (fun a b ->
-        let ra = capacity * user_counts.(a) mod num_users
-        and rb = capacity * user_counts.(b) mod num_users in
-        if ra <> rb then compare rb ra else compare a b)
-      order;
-    for idx = 0 to min leftover shards - 1 do
-      let s = order.(idx) in
-      shares.(s) <- shares.(s) + 1
-    done;
-    shares
-  end
-
-let shard ?(policy = `Water_filling) ~shards t =
+let shard ~shards t =
   if shards < 1 then invalid_arg "Instance.shard: need at least one shard";
   if t.u_lo <> 0 || t.u_hi <> t.num_users then
     invalid_arg "Instance.shard: cannot re-shard a shard view";
   let n = t.num_users in
   let base = n / shards and extra = n mod shards in
-  let bounds =
-    Array.init shards (fun s ->
-        let lo = (s * base) + min s extra in
-        let hi = lo + base + if s < extra then 1 else 0 in
-        (lo, hi))
-  in
-  let user_counts = Array.map (fun (lo, hi) -> hi - lo) bounds in
-  let budget_of_item =
-    match policy with
-    | `Water_filling ->
-        (* optimistic: a shard may use an item up to min(q_i, shard users)
-           — capacity counts distinct users, so no shard can exceed its
-           user count anyway; global over-subscription is possible and is
-           resolved by Shard_greedy's reconciliation round *)
-        fun i -> Array.map (fun n_s -> min t.capacity.(i) n_s) user_counts
-    | `Proportional ->
-        (* conservative: shard budgets sum to exactly q_i, so the merged
-           strategy can never over-subscribe (capacity may strand in
-           shards that cannot use it) *)
-        fun i -> proportional_shares ~capacity:t.capacity.(i) ~user_counts ~num_users:n
-  in
-  let budgets = Array.init t.num_items budget_of_item in
-  (* the global quantity budget splits like an item capacity: water-filling
-     hands each shard min(cap, its own selection ceiling) and lets the
-     merge-time trim resolve over-subscription; proportional shares sum
-     to exactly the cap and never need a trim *)
-  let quantity_budgets =
-    if t.max_total = max_int then Array.make shards max_int
-    else
-      match policy with
-      | `Water_filling ->
-          Array.map
-            (fun n_s -> min t.max_total (n_s * t.horizon * t.display_limit))
-            user_counts
-      | `Proportional -> proportional_shares ~capacity:t.max_total ~user_counts ~num_users:n
-  in
   Array.init shards (fun s ->
-      let u_lo, u_hi = bounds.(s) in
+      let u_lo = (s * base) + min s extra in
+      let u_hi = u_lo + base + if s < extra then 1 else 0 in
+      let n_s = u_hi - u_lo in
       {
         t with
-        capacity = Array.init t.num_items (fun i -> budgets.(i).(s));
+        (* water-filling: a shard may use an item up to min(q_i, its user
+           count) — capacity counts distinct users, so no shard can need
+           more; global over-subscription is resolved by Shard_greedy's
+           reconciliation round *)
+        capacity = Array.map (fun q -> min q n_s) t.capacity;
         num_candidate_triples = view_triple_count t ~u_lo ~u_hi;
         u_lo;
         u_hi;
-        max_total = quantity_budgets.(s);
+        (* the quantity budget splits the same way: min(cap, the shard's
+           selection ceiling), with the merge-time trim resolving
+           over-subscription *)
+        max_total =
+          (if t.max_total = max_int then max_int
+           else min t.max_total (n_s * t.horizon * t.display_limit));
       })
 
 (* ----- the pack file: an out-of-core instance representation -----

@@ -336,46 +336,29 @@ val with_prices : t -> float array array -> t
     budget}; planning on the views is embarrassingly parallel and only
     capacity needs global reconciliation (see {!Shard_greedy}). *)
 
-type split_policy = [ `Proportional | `Water_filling ]
-(** How the global capacities [q_i] are divided into per-shard budgets:
-
-    - [`Water_filling] (the default): every shard may use an item up to
-      [min q_i (shard user count)] — optimistic, since capacity counts
-      distinct users and a shard can never need more than its user count.
-      Budgets may over-subscribe [q_i] globally; {!Shard_greedy}'s
-      reconciliation round resolves the contention.
-    - [`Proportional]: [q_i] is split proportionally to shard user counts
-      with deterministic largest-remainder rounding, so budgets sum to
-      exactly [q_i] and the merged plan can never over-subscribe — at the
-      cost of stranding capacity in shards that cannot use it. *)
-
-val proportional_shares : capacity:int -> user_counts:int array -> num_users:int -> int array
-(** The largest-remainder split behind [`Proportional]: floor shares
-    first, then the leftover units go to the shards of largest fractional
-    remainder, ties broken towards the lower shard index. Shares always
-    sum to exactly [capacity]; with [num_users = 0] the split degenerates
-    to an even division with the remainder on the lower shard indices.
-    Exposed for tests and capacity diagnostics. *)
-
-val shard : ?policy:split_policy -> shards:int -> t -> t array
+val shard : shards:int -> t -> t array
 (** [shard ~shards t] partitions the users into [shards] contiguous,
     near-equal views (earlier shards take the remainder). Views are
     zero-copy — they share every underlying array of [t] except the
-    capacity vector, which holds the shard's budget under [policy] — and
-    keep {e global} user ids, so strategies planned on a view merge into
-    the parent instance without renaming. [iter_candidate_triples] and
+    capacity vector, which holds the shard's budget — and keep {e global}
+    user ids, so strategies planned on a view merge into the parent
+    instance without renaming. [iter_candidate_triples] and
     [num_candidate_triples] reflect only the view's users; point lookups
     ([q], [price], [candidates], …) remain valid for any user id.
 
-    A quantity budget splits across views like an item capacity:
-    [`Water_filling] hands each shard [min max_total (its selection
-    ceiling)] — over-subscription is resolved by the planner's merge-time
-    trim — while [`Proportional] shares sum to exactly the cap. Slate
-    multipliers are global and shared by every view.
+    Budgets are {e water-filled}: every shard may use an item up to
+    [min q_i (shard user count)] — optimistic, since capacity counts
+    distinct users and a shard can never need more than its user count.
+    Budgets may over-subscribe [q_i] globally; {!Shard_greedy}'s
+    reconciliation round resolves the contention. A quantity budget
+    splits the same way: each shard gets [min max_total (its selection
+    ceiling)], and the planner's merge-time trim resolves
+    over-subscription. Slate multipliers are global and shared by every
+    view.
 
     With [shards = 1] the single view's behaviour is indistinguishable
-    from [t] under both policies. Raises [Invalid_argument] when
-    [shards < 1] or [t] is itself a shard view. *)
+    from [t]. Raises [Invalid_argument] when [shards < 1] or [t] is
+    itself a shard view. *)
 
 val user_range : t -> int * int
 (** The view's user range [(lo, hi)) — [(0, num_users)] for a full

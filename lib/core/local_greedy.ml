@@ -153,9 +153,10 @@ let rl_greedy ?with_saturation ?(permutations = 20) ?allowed ?base ?budget ?jobs
       (match (inner_budget, budget) with
       | None, Some b -> Budget.spend b (st.marginal_evaluations + st.selected)
       | _ -> ());
-      (* permutations are compared under the true model; the cached chain
-         revenues make this O(#chains) instead of a full re-evaluation *)
-      Some (s, st, Revenue.total_incremental s)
+      (* permutations are compared by the objective every caller reads,
+         Rev(S): one O(Σ L²) walk over the chains per permutation, small
+         beside the greedy run that built them *)
+      Some (s, st, Revenue.total s)
     end
   in
   let order_array = Array.of_list !orders in

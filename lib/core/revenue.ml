@@ -59,7 +59,7 @@ let strategy_q_of s =
   else None
 
 (* [chain_revenue] over each chain's [Chain.to_list], summed over the
-   chains in [Strategy.iter_chains_in_order], without building a triple
+   chains in [Strategy.iter_chains], without building a triple
    or a list: each chain is folded from its members' items, times and
    slots, with q (q̃ on slates), price and β read from the instance, by
    the same float operations in the same order. The memory and
@@ -76,7 +76,7 @@ let total ?(with_saturation = true) s =
   let a = Array.make 6 0.0 in
   (* the chain's q per member, reused from chain to chain *)
   let qbuf = ref (Array.make 8 0.0) in
-  Strategy.iter_chains_in_order s (fun c ->
+  Strategy.iter_chains s (fun c ->
       let u = Chain.user c and len = Chain.length c in
       if Array.length !qbuf < len then qbuf := Array.make (2 * len) 0.0;
       let q = !qbuf in
@@ -130,33 +130,28 @@ let marginal ?with_saturation s z =
     -. chain_revenue ?with_saturation ?q_of inst chain
   end
 
+(* q̃ (plain [Instance.q] on plain instances), price and β go into the
+   chain's oracle cells, as [Greedy] stores them, and the marginal comes
+   back through the cells' slot 0 *)
 let marginal_incremental ?(with_saturation = true) s (z : Triple.t) =
   if Strategy.mem s z then 0.0
   else begin
     Metrics.incr c_marginal_incremental;
     let inst = Strategy.instance s in
-    let slate = Instance.is_slate inst and ctx = Strategy.chain_context s in
+    let q = Strategy.effective_q s z in
     match Strategy.chain_view_of_triple s z with
     | Some c ->
         Metrics.incr c_marginal_cached;
-        if not slate then Chain.marginal ctx ~with_saturation c z
-        else
-          (* candidate scored at its would-be slot's effective q̃; chain
-             members already carry theirs in the cached aggregates *)
-          Chain.marginal_flat ctx ~with_saturation c ~time:z.t ~qz:(Strategy.effective_q s z)
-            ~price:(Instance.price inst ~i:z.i ~time:z.t)
-            ~beta:(Instance.saturation inst z.i)
+        let ctx = Strategy.chain_context s in
+        let a = Chain.oracle_cells ctx in
+        a.(3) <- q;
+        a.(4) <- Instance.price inst ~i:z.i ~time:z.t;
+        a.(5) <- Instance.saturation inst z.i;
+        Chain.marginal_cells ctx ~with_saturation c ~time:z.t ~res:a;
+        a.(0)
     | None ->
         (* empty chain: the marginal reduces to p·q (no memory, no
            competition), exactly Algorithm 1's initialization value *)
         Metrics.incr c_marginal_empty;
-        let q =
-          if slate then Strategy.effective_q s z else Instance.q inst ~u:z.u ~i:z.i ~time:z.t
-        in
         if q <= 0.0 then 0.0 else Instance.price inst ~i:z.i ~time:z.t *. q
   end
-
-let total_incremental ?(with_saturation = true) s =
-  let acc = ref 0.0 and ctx = Strategy.chain_context s in
-  Strategy.iter_chains s (fun c -> acc := !acc +. Chain.revenue ctx ~with_saturation c);
-  !acc

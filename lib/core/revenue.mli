@@ -4,11 +4,11 @@
 
     Because a triple's dynamic adoption probability depends only on the
     same-user same-class triples at earlier-or-equal times, [Rev] decomposes
-    over (user, class) chains; all functions below work on such chains. The
-    hot path of every greedy algorithm is [marginal_incremental], which
-    reads the chain's cached aggregates (see {!Chain}) and answers in O(m)
-    for a chain of m ≤ kT triples; the naive [marginal] re-scores both
-    chains in O(m²) and is kept as the reference oracle.
+    over (user, class) chains; all functions below work on such chains.
+    [marginal_incremental] reads the chain's cached aggregates through
+    {!Chain.marginal_cells}, the kernel G-Greedy calls directly, and
+    answers in O(m) for a chain of m ≤ kT triples; the naive [marginal]
+    re-scores both chains in O(m²) and is kept as the reference oracle.
 
     All functions take [?with_saturation] (default [true]); [false] computes
     the β = 1 variant used by the GlobalNo baseline, which plans as though
@@ -43,7 +43,7 @@ val total : ?with_saturation:bool -> Strategy.t -> float
 (** [Rev(S)] (Definition 2). On slate instances the strategy's slot
     assignments determine each member's effective probability, so [total]
     is automatically slate-aware. Chains are summed in
-    {!Strategy.iter_chains_in_order}, each by the naive fold of
+    {!Strategy.iter_chains}, each by the naive fold of
     {!chain_revenue} over its members, with q (the slot-scaled q̃ on
     slates), price and β read from the instance rather than from the
     chain's cached aggregates: the result depends only on the members and
@@ -72,11 +72,7 @@ val marginal_incremental : ?with_saturation:bool -> Strategy.t -> Triple.t -> fl
     relative) computed in O(L) from the chain's cached aggregates: the
     candidate's saturation/competition effects are spliced into the cached
     memory and competition products instead of re-scoring both chains. The
-    hot path of G-Greedy, SL/RL-Greedy, rolling and the exact solvers. *)
-
-val total_incremental : ?with_saturation:bool -> Strategy.t -> float
-(** [Rev(S)] from the chains' cached aggregates ({!Chain.revenue}), one
-    walk over the strategy's view pairs and O(|S|) over the members —
-    agrees with {!total} up to floating-point rounding. The sum follows
-    {!Strategy.iter_chains}, pair order, so its last bits depend on the
-    rows and the members only. *)
+    candidate's q̃ ({!Strategy.effective_q}, plain [Instance.q] on plain
+    instances), price and β go through {!Chain.marginal_cells}, the
+    kernel {!Greedy} calls. The hot path of SL/RL-Greedy, rolling and the
+    exact solvers. *)

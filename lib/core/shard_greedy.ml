@@ -42,7 +42,6 @@ let set_default_shards n = default := Some (max 1 n)
 
 type stats = {
   shards : int;
-  policy : Instance.split_policy;
   per_shard_selected : int array;
   marginal_evaluations : int;
   pops : int;
@@ -56,36 +55,34 @@ type stats = {
 (* The revenue the strategy loses when user [u] gives up item [i] entirely
    (every triple of the pair, at all times): the delta of the one affected
    (user, class) chain, scored by the reference chain evaluator. Removing
-   the pair also
-   changes the memory/competition of the chain's surviving triples, which
-   is exactly what re-scoring both variants of the chain accounts for. *)
-let removal_loss ~with_saturation inst s ~u ~i =
+   the pair also changes the memory/competition of the chain's surviving
+   triples, which is exactly what re-scoring both variants of the chain
+   accounts for. *)
+let removal_loss inst s ~u ~i =
   let cls = Instance.class_of inst i in
   let chain = Strategy.chain s ~u ~cls in
   let keep = List.filter (fun (z : Triple.t) -> z.i <> i) chain in
   let q_of = if Instance.is_slate inst then Some (Strategy.effective_q s) else None in
-  Revenue.chain_revenue ~with_saturation ?q_of inst chain
-  -. Revenue.chain_revenue ~with_saturation ?q_of inst keep
+  Revenue.chain_revenue ?q_of inst chain -. Revenue.chain_revenue ?q_of inst keep
 
 (* The quantity-trim ranking key: the revenue lost when one triple leaves
    the strategy — the delta of its own (user, class) chain. *)
-let triple_removal_loss ~with_saturation inst s (z : Triple.t) =
+let triple_removal_loss inst s (z : Triple.t) =
   let chain = Strategy.chain_of_triple s z in
   let keep = List.filter (fun z' -> not (Triple.equal z' z)) chain in
   let q_of = if Instance.is_slate inst then Some (Strategy.effective_q s) else None in
-  Revenue.chain_revenue ~with_saturation ?q_of inst chain
-  -. Revenue.chain_revenue ~with_saturation ?q_of inst keep
+  Revenue.chain_revenue ?q_of inst chain -. Revenue.chain_revenue ?q_of inst keep
 
-let solve ?(policy = `Water_filling) ?shards ?jobs ?(with_saturation = true) ?budget inst =
+let solve ?shards ?jobs ?budget inst =
   let shards = match shards with Some n -> max 1 n | None -> default_shards () in
   Metrics.span "shard_greedy.solve" @@ fun () ->
-  let views = Instance.shard ~policy ~shards inst in
+  let views = Instance.shard ~shards inst in
   (* each shard plans against its own deterministic slice of the budget;
      the charges flow back into the caller's budget afterwards *)
   let parts = Option.map (fun b -> Budget.split b shards) budget in
   let results =
     Pool.parallel_init ?jobs shards ~f:(fun idx ->
-        Greedy.run ~with_saturation ?budget:(Option.map (fun a -> a.(idx)) parts) views.(idx))
+        Greedy.run ?budget:(Option.map (fun a -> a.(idx)) parts) views.(idx))
   in
   (match (budget, parts) with Some b, Some a -> Budget.absorb b a | _ -> ());
   (* deterministic merge in shard order; shards partition the users, so no
@@ -106,15 +103,14 @@ let solve ?(policy = `Water_filling) ?shards ?jobs ?(with_saturation = true) ?bu
       truncated := !truncated || st.truncated)
     results;
   let rounds = ref 0 and released_pairs = ref 0 and replanned = ref 0 in
-  (* Capacity reconciliation. Under `Proportional the merge respects every
-     q_i by construction and the loop exits immediately; under
-     `Water_filling items may be over-subscribed. Each round releases, per
-     over-subscribed item, the holders of globally lowest removal loss
-     (ties to the lower user id) until the item is back at q_i, then the
-     released users re-plan locally — one constrained greedy pass over the
-     merged strategy, whose can_add checks the true global capacities. A
-     re-plan can never over-subscribe, so the fixed point is reached after
-     at most one release round; the loop form keeps the invariant obvious
+  (* Capacity reconciliation. The water-filled budgets overlap, so items
+     may be over-subscribed. Each round releases, per over-subscribed
+     item, the holders of globally lowest removal loss (ties to the lower
+     user id) until the item is back at q_i, then the released users
+     re-plan locally — one constrained greedy pass over the merged
+     strategy, whose can_add checks the true global capacities. A re-plan
+     can never over-subscribe, so the fixed point is reached after at
+     most one release round; the loop form keeps the invariant obvious
      and guards the proof obligation at run time. *)
   let merged = ref s in
   let rec reconcile () =
@@ -138,7 +134,7 @@ let solve ?(policy = `Water_filling) ?shards ?jobs ?(with_saturation = true) ?bu
           let excess = List.length holders - Instance.capacity inst i in
           let ranked =
             List.sort compare
-              (List.map (fun u -> (removal_loss ~with_saturation inst cur ~u ~i, u)) holders)
+              (List.map (fun u -> (removal_loss inst cur ~u ~i, u)) holders)
           in
           List.iteri
             (fun rank (_, u) ->
@@ -155,9 +151,7 @@ let solve ?(policy = `Water_filling) ?shards ?jobs ?(with_saturation = true) ?bu
          display slots and the true capacities are all checked w.r.t. the
          merged state, so the pass cannot reintroduce a violation *)
       let s', (st : Greedy.stats) =
-        Greedy.run ~with_saturation
-          ~allowed:(fun z -> Hashtbl.mem losers z.u)
-          ~base:!merged ?budget inst
+        Greedy.run ~allowed:(fun z -> Hashtbl.mem losers z.u) ~base:!merged ?budget inst
       in
       merged := s';
       evals := !evals + st.marginal_evaluations;
@@ -168,12 +162,11 @@ let solve ?(policy = `Water_filling) ?shards ?jobs ?(with_saturation = true) ?bu
     end
   in
   reconcile ();
-  (* Quantity reconciliation, after capacities are settled. `Water_filling
-     hands every shard an optimistic [min cap shard-universe] budget, so
-     the merged size may exceed the global cap ([`Proportional] shares sum
-     to the cap exactly and can never trigger this). Release the triple of
-     globally lowest removal loss (ties to the smaller triple) one at a
-     time — each removal changes its chain's aggregates, so the ranking is
+  (* Quantity reconciliation, after capacities are settled. Every shard
+     gets an optimistic [min cap shard-universe] budget, so the merged
+     size may exceed the global cap. Release the triple of globally
+     lowest removal loss (ties to the smaller triple) one at a time —
+     each removal changes its chain's aggregates, so the ranking is
      recomputed per step — until the strategy is back under the cap.
      Removals cannot violate any other constraint, so the result stays
      valid. *)
@@ -186,7 +179,7 @@ let solve ?(policy = `Water_filling) ?shards ?jobs ?(with_saturation = true) ?bu
         let best =
           List.fold_left
             (fun acc z ->
-              let l = triple_removal_loss ~with_saturation inst cur z in
+              let l = triple_removal_loss inst cur z in
               match acc with Some (l0, _) when l0 <= l -> acc | _ -> Some (l, z))
             None (Strategy.to_list cur)
         in
@@ -210,7 +203,6 @@ let solve ?(policy = `Water_filling) ?shards ?jobs ?(with_saturation = true) ?bu
   ( !merged,
     {
       shards;
-      policy;
       per_shard_selected;
       marginal_evaluations = !evals;
       pops = !pops;

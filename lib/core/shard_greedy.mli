@@ -7,14 +7,13 @@
     [solve] exploits that structure in three deterministic phases:
 
     + {b Shard-local greedy.} {!Instance.shard} cuts the users into
-      contiguous zero-copy views, each carrying a capacity budget from the
-      chosen {!Instance.split_policy}; {!Greedy.run} plans every view
-      independently on the {!Revmax_prelude.Pool} (results are identical
-      for every [jobs] value).
+      contiguous zero-copy views, each carrying a water-filled capacity
+      budget; {!Greedy.run} plans every view independently on the
+      {!Revmax_prelude.Pool} (results are identical for every [jobs]
+      value).
     + {b Merge.} Shard strategies are united in shard order. Shards
       partition the users, so display slots cannot overflow; only items
-      may end up over-subscribed (and only under [`Water_filling], whose
-      optimistic budgets overlap).
+      may end up over-subscribed, since the optimistic budgets overlap.
     + {b Capacity reconciliation.} While any item exceeds its global
       [q_i], the over-subscribed items release the (user, item) pairs of
       globally lowest removal loss (the chain-revenue delta of dropping
@@ -25,15 +24,14 @@
       constraints. A re-plan can never over-subscribe, so the fixed point
       is reached after at most one release round.
     + {b Quantity reconciliation.} On instances with a global
-      [Instance.max_total] budget, [`Water_filling] hands every shard an
-      optimistic [min cap shard-universe] quota, so the merged size may
-      exceed the cap ([`Proportional] shares sum to the cap exactly and
-      never trigger this phase). After capacities settle, the triple of
-      globally lowest removal loss (the chain-revenue delta of dropping
-      that one triple; ties to the smaller triple)
-      is released, one at a time with the ranking recomputed per step,
-      until the strategy is back under the cap. Removals cannot violate
-      any other constraint, so the result stays valid.
+      [Instance.max_total] budget, every shard gets an optimistic
+      [min cap shard-universe] quota, so the merged size may exceed the
+      cap. After capacities settle, the triple of globally lowest removal
+      loss (the chain-revenue delta of dropping that one triple; ties to
+      the smaller triple) is released, one at a time with the ranking
+      recomputed per step, until the strategy is back under the cap.
+      Removals cannot violate any other constraint, so the result stays
+      valid.
 
     On slate instances every phase is slot-aware: the merge preserves each
     shard's slot assignments (shards own whole (user, time) displays, so
@@ -48,12 +46,11 @@
       {!Greedy.run} (the single view is indistinguishable from the
       instance, the merge is the identity, and reconciliation never
       fires);
-    - for a fixed (instance, policy, shards) the output is deterministic,
+    - for a fixed (instance, shards) the output is deterministic,
       independent of [jobs]. *)
 
 type stats = {
   shards : int;  (** number of user shards planned *)
-  policy : Instance.split_policy;
   per_shard_selected : int array;  (** triples selected by each shard's greedy *)
   marginal_evaluations : int;  (** summed over shards and re-planning *)
   pops : int;  (** heap roots examined, summed *)
@@ -65,16 +62,10 @@ type stats = {
 }
 
 val solve :
-  ?policy:Instance.split_policy ->
-  ?shards:int ->
-  ?jobs:int ->
-  ?with_saturation:bool ->
-  ?budget:Revmax_prelude.Budget.t ->
-  Instance.t ->
-  Strategy.t * stats
+  ?shards:int -> ?jobs:int -> ?budget:Revmax_prelude.Budget.t -> Instance.t -> Strategy.t * stats
 (** [solve inst] plans with [shards] user shards (default
-    {!default_shards}) under [policy] (default [`Water_filling]) on up to
-    [jobs] domains (default {!Revmax_prelude.Pool.default_jobs}).
+    {!default_shards}) on up to [jobs] domains (default
+    {!Revmax_prelude.Pool.default_jobs}).
 
     [budget] is {!Revmax_prelude.Budget.split} across the shards
     (deterministic shares, shared deadline) and re-assembled afterwards;
@@ -83,7 +74,7 @@ val solve :
     the merge and reconciliation preserve validity — with
     [truncated = true] in the statistics. *)
 
-val removal_loss : with_saturation:bool -> Instance.t -> Strategy.t -> u:int -> i:int -> float
+val removal_loss : Instance.t -> Strategy.t -> u:int -> i:int -> float
 (** The reconciliation ranking key: the revenue lost when user [u] gives
     up item [i] entirely — the chain-revenue delta of the one affected
     (user, class) chain. The serving layer ranks its releases by the same

@@ -31,9 +31,14 @@ let simulate_chain s c rng =
       let sat = if m = 0.0 then 1.0 else Instance.saturation inst z.i ** m in
       if Rng.bernoulli rng sat then Some z else None
 
-(* [chains] in [Strategy.chains_in_order], the order a fold over the
-   sorted member list first met them: the order worlds draw their coins
-   in. A world only reads them. *)
+(* The chains in [Strategy.iter_chains]'s order, the order a fold over
+   the sorted member list first met them, collected once: the order
+   worlds draw their coins in. A world only reads them. *)
+let chains s =
+  let acc = ref [] in
+  Strategy.iter_chains s (fun c -> acc := c :: !acc);
+  Array.of_list (List.rev !acc)
+
 let world_revenue s chains rng =
   Metrics.incr c_worlds;
   let inst = Strategy.instance s in
@@ -46,13 +51,13 @@ let world_revenue s chains rng =
     chains;
   !acc
 
-let revenue_once s rng = world_revenue s (Strategy.chains_in_order s) rng
+let revenue_once s rng = world_revenue s (chains s) rng
 
 (* the chain order is computed once and only read by the worlds, so
    worlds can be simulated on parallel domains; per-world streams come
    from Mc's splitting, keeping the estimate bit-identical across jobs. *)
 let estimate_revenue ?jobs s ~samples rng =
-  let chains = Strategy.chains_in_order s in
+  let chains = chains s in
   Mc.estimate ?jobs ~samples rng (fun rng -> world_revenue s chains rng)
 
 type sales_report = { revenue : float; adoptions : Triple.t list; stockouts : int }
@@ -67,7 +72,7 @@ let run_with_stock s rng =
       match simulate_chain s c rng with
       | None -> ()
       | Some z -> would_adopt := z :: !would_adopt)
-    (Strategy.chains_in_order s);
+    (chains s);
   let arr = Array.of_list !would_adopt in
   Rng.shuffle rng arr (* random order within a time step *);
   let ordered = Array.to_list arr |> List.stable_sort (fun (a : Triple.t) b -> compare a.t b.t) in

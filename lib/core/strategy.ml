@@ -352,9 +352,13 @@ let visit_first t ~mark f ~u ~pid =
 
 let class_mark t = Array.make (max 1 (Instance.num_classes t.inst)) (-1)
 
-(* the visits are full applications: a partial application of
-   [visit_first] would allocate a closure on every pair it is called on *)
-let iter_chains t f =
+(* Every non-empty chain once, in pair order: the view's rows, each
+   chain at its row's first pair of that class, then the overflow
+   chains. Only [to_list] and [recompute_chains] walk it; their results
+   do not depend on the visit order. The visits are full applications:
+   a partial application of [visit_first] would allocate a closure on
+   every pair it is called on. *)
+let iter_pair_chains t f =
   let mark = class_mark t in
   Instance.iter_candidate_pairs t.inst (fun ~u ~pid -> visit_first t ~mark f ~u ~pid);
   Hashtbl.iter (fun _ c -> if Chain.length c > 0 then f c) t.chain_overflow
@@ -372,7 +376,7 @@ let iter_user_chains t ~u f =
 let to_list t =
   let ni = Instance.num_items t.inst and stride = display_stride t in
   let acc = ref [] in
-  iter_chains t (fun c ->
+  iter_pair_chains t (fun c ->
       for j = 0 to Chain.length c - 1 do
         acc := ((((Chain.user c * stride) + Chain.time t.ctx c j) * ni) + Chain.item t.ctx c j) :: !acc
       done);
@@ -437,7 +441,7 @@ let chain_context t = t.ctx
 
 let recompute_chains ?u t =
   let f = Chain.recompute t.ctx in
-  match u with None -> iter_chains t f | Some u -> iter_user_chains t ~u f
+  match u with None -> iter_pair_chains t f | Some u -> iter_user_chains t ~u f
 
 (* A chain's first member is its least (time, item), so ordering chains by
    (user, first time, first item) is the order in which a fold over the
@@ -465,12 +469,12 @@ let sort_heads ctx buf n =
   done
 
 (* The view's rows in user order, each user's chains (found at the first
-   pair of each class, as in [iter_chains], plus the user's overflow
+   pair of each class, as in [iter_pair_chains], plus the user's overflow
    chains) sorted by head in a buffer reused from user to user. The
    overflow chains, sorted once (the table is empty on planner paths),
    are merged in by user, so users without a view row take their place
    too. *)
-let iter_chains_in_order t f =
+let iter_chains t f =
   let over =
     Hashtbl.fold (fun _ c acc -> if Chain.length c > 0 then c :: acc else acc) t.chain_overflow []
     |> List.sort (by_head t.ctx) |> ref
@@ -509,26 +513,9 @@ let iter_chains_in_order t f =
         if !cur >= 0 then flush ();
         cur := u
       end;
-      let cls = pair_class t pid in
-      if mark.(cls) <> u then begin
-        mark.(cls) <- u;
-        let c = t.chains.(pid - t.plo) in
-        if Chain.length c > 0 then push c
-      end);
+      visit_first t ~mark push ~u ~pid);
   if !cur >= 0 then flush ();
   take max_int
-
-(* counted first, so the array is the only allocation that grows with
-   the chains *)
-let chains_in_order t =
-  let n = ref 0 in
-  iter_chains t (fun _ -> incr n);
-  let a = Array.make !n t.empty in
-  let k = ref 0 in
-  iter_chains_in_order t (fun c ->
-      a.(!k) <- c;
-      incr k);
-  a
 
 let item_user_count t i = t.item_distinct.(i)
 

@@ -26,16 +26,11 @@
     through small overflow tables, which stay empty on every planner
     path.
 
-    {b Orders.} {!iter_chains} visits the view's rows in pair order, each
-    non-empty chain at its row's first pair of that class, then the
-    overflow chains. The order depends only on the rows and the members,
-    not on the order the chains were first added in.
-    {!Revenue.total_incremental} sums chain revenues in that order, so
-    RL-Greedy's first-maximum tie-break and [Exact]'s slate branch read a
-    sum whose last bits depend on it. {!iter_chains_in_order} visits the
-    same chains users ascending, then each user's by its first
-    (time, item): the order in which a fold over {!to_list} first meets
-    each chain. {!Revenue.total} and {!Simulate} walk that order. *)
+    {b Orders.} {!iter_chains} visits the chains users ascending, then
+    each user's by its first (time, item): the order in which a fold over
+    {!to_list} first meets each chain. It depends only on the members,
+    not on the order the chains were first added in. {!Revenue.total}
+    sums in it and {!Simulate} draws its worlds' coins in it. *)
 
 type t
 
@@ -190,25 +185,13 @@ val chain_size : t -> u:int -> cls:int -> int
     hold the pair id read [Chain.length (pair_chain t pid)] instead. *)
 
 val iter_chains : t -> (Chain.t -> unit) -> unit
-(** Visit every non-empty chain once, in pair order (see {b Orders}
-    above): O(view pairs + overflow chains), and what
-    {!Revenue.total_incremental}'s float sum follows. The callback must
-    not modify the strategy. *)
-
-val iter_chains_in_order : t -> (Chain.t -> unit) -> unit
-(** Visit every non-empty chain once, users ascending, then each user's
-    chains by their first (time, item): the order in which a fold over
-    {!to_list} meets each chain for the first time. One pass over the
-    view's pairs; each user's chains are sorted in a buffer reused from
-    user to user, so the visit allocates O(classes + the most chains of
-    one user) words, plus the overflow chains' (see {b Footprint}). It
-    reads the strategy and writes nothing else, so several domains may
-    walk one strategy at once. The callback must not modify the
-    strategy. *)
-
-val chains_in_order : t -> Chain.t array
-(** The chains of {!iter_chains_in_order}, in its order, as a fresh
-    array. *)
+(** Visit every non-empty chain once, in the order of {b Orders} above.
+    One pass over the view's pairs; each user's chains are sorted in a
+    buffer reused from user to user, so the visit allocates
+    O(classes + the most chains of one user) words, plus the overflow
+    chains' (see {b Footprint}). It reads the strategy and writes
+    nothing else, so several domains may walk one strategy at once. The
+    callback must not modify the strategy. *)
 
 (** {1 Constraint bookkeeping} *)
 

@@ -157,10 +157,7 @@ let reconcile_item st i =
   if excess > 0 then begin
     let holders = Strategy.item_holders s i in
     let ranked =
-      List.sort compare
-        (List.map
-           (fun u -> (Shard_greedy.removal_loss ~with_saturation:true st.inst s ~u ~i, u))
-           holders)
+      List.sort compare (List.map (fun u -> (Shard_greedy.removal_loss st.inst s ~u ~i, u)) holders)
     in
     let released =
       List.filteri (fun rank _ -> rank < excess) ranked |> List.map snd |> List.sort compare
@@ -557,6 +554,10 @@ module Wire = struct
     Bytes.blit payload 0 framed 4 n;
     write_all fd framed
 
+  (* The payload buffer grows with what arrives: it starts at no more
+     than 4 KiB and never grows past twice the bytes received, so a
+     header that claims more than the peer sends costs about what was
+     sent, not what was claimed. *)
   let read_frame fd =
     let hdr = Bytes.create 4 in
     if not (read_exact fd hdr 0 4) then None
@@ -564,8 +565,18 @@ module Wire = struct
       let n = Int32.to_int (Bytes.get_int32_le hdr 0) in
       if n < 1 || n > max_frame then None
       else
-        let payload = Bytes.create n in
-        if read_exact fd payload 0 n then Some payload else None
+        (* [buf] is full up to [off]: fill the rest, then double it *)
+        let rec fill buf off =
+          let len = Bytes.length buf in
+          if not (read_exact fd buf off (len - off)) then None
+          else if len = n then Some buf
+          else begin
+            let b = Bytes.create (min n (2 * len)) in
+            Bytes.blit buf 0 b 0 len;
+            fill b len
+          end
+        in
+        fill (Bytes.create (min n 4096)) 0
 
   (* little builder: tag byte + i32/i64/f64 fields *)
   let buf_i32 b v = Buffer.add_int32_le b (Int32.of_int v)

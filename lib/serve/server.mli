@@ -157,7 +157,11 @@ module Wire : sig
 
   val write_frame : Unix.file_descr -> Bytes.t -> unit
   val read_frame : Unix.file_descr -> Bytes.t option
-  (** [None] on EOF (including EOF mid-frame). *)
+  (** [None] on EOF (including EOF mid-frame) and on a claimed length
+      outside [1 .. 16 MiB]. The payload buffer starts at no more than
+      4 KiB and doubles as bytes arrive, never past twice the bytes
+      received, so a header that claims more than follows allocates
+      little. *)
 
   val encode_request : request -> Bytes.t
   val decode_request : Bytes.t -> (request, string) result

@@ -13,6 +13,30 @@ open Helpers
 let insert_q ctx inst c (z : Triple.t) =
   c := Revmax.Chain.insert ctx !c z ~qz:(Instance.q inst ~u:z.u ~i:z.i ~time:z.t)
 
+(* whether two chains hold the same members with the same stored floats,
+   bit for bit: every cached aggregate of every member *)
+let same_members ctx a b =
+  let module Chain = Revmax.Chain in
+  let bits = Int64.bits_of_float in
+  let same x y = Int64.equal (bits x) (bits y) in
+  Chain.length a = Chain.length b
+  && List.for_all
+       (fun j -> Array.for_all2 same (Chain.member ctx a j) (Chain.member ctx b j))
+       (List.init (Chain.length a) Fun.id)
+
+let check_same_members what ctx a b =
+  if not (same_members ctx a b) then Alcotest.failf "%s: the chains' members differ" what
+
+(* the marginal of inserting [z] into [c] through the chain's one oracle
+   entry, with the instance's own q, price and β *)
+let chain_marginal ctx inst c (z : Triple.t) =
+  let cells = Revmax.Chain.oracle_cells ctx and res = [| 0.0 |] in
+  cells.(3) <- Instance.q inst ~u:z.u ~i:z.i ~time:z.t;
+  cells.(4) <- Instance.price inst ~i:z.i ~time:z.t;
+  cells.(5) <- Instance.saturation inst z.i;
+  Revmax.Chain.marginal_cells ctx ~with_saturation:true c ~time:z.t ~res;
+  res.(0)
+
 (* ----- Instance ----- *)
 
 let test_instance_accessors () =
@@ -159,19 +183,19 @@ let test_strategy_remove_exactly_one () =
   Alcotest.(check (list string)) "chain keeps the others" [ "(0, 0, 1)"; "(0, 0, 3)" ]
     (List.map Triple.to_string (Strategy.chain s ~u:0 ~cls:0));
   Alcotest.(check int) "chain size" 2 (Strategy.chain_size s ~u:0 ~cls:0);
-  let fresh = Strategy.of_list inst [ triple 0 0 1; triple 0 0 3 ] in
-  check_float ~eps:1e-12 "caches match a fresh build" (Revenue.total_incremental fresh)
-    (Revenue.total_incremental s);
+  let ctx = Strategy.chain_context s in
+  let chain_of s = Option.get (Strategy.chain_view s ~u:0 ~cls:0) in
+  check_same_members "caches match a fresh build" ctx
+    (chain_of (Strategy.of_list inst [ triple 0 0 1; triple 0 0 3 ]))
+    (chain_of s);
   (* draining the chain removes its entry entirely *)
   Strategy.remove s (triple 0 0 1);
   Strategy.remove s (triple 0 0 3);
   Alcotest.(check int) "drained chain gone" 0 (Strategy.chain_size s ~u:0 ~cls:0);
-  check_float ~eps:1e-12 "empty revenue" 0.0 (Revenue.total_incremental s);
-  (* re-adding after the churn reproduces a fresh strategy's revenue *)
+  check_float ~eps:0.0 "empty revenue" 0.0 (Revenue.total s);
+  (* re-adding after the churn reproduces a fresh strategy's chain *)
   Strategy.add s (triple 0 1 2);
-  check_float ~eps:1e-12 "rebuilds cleanly"
-    (Revenue.total (Strategy.of_list inst [ triple 0 1 2 ]))
-    (Revenue.total_incremental s)
+  check_same_members "rebuilds cleanly" ctx (chain_of (Strategy.of_list inst [ triple 0 1 2 ])) (chain_of s)
 
 (* regression for the uncleared vacated tail slot: after [Chain.remove]
    shifts the suffix left, the old boundary slot beyond [len] must be reset
@@ -201,22 +225,12 @@ let test_chain_remove_clears_tail () =
   Alcotest.(check (list string)) "re-insert restores the chain"
     (List.map Triple.to_string (Chain.to_list ctx fresh))
     (List.map Triple.to_string (Chain.to_list ctx c));
-  List.iter
-    (fun with_saturation ->
-      check_float ~eps:0.0 "revenue bit-identical to fresh build"
-        (Chain.revenue ctx ~with_saturation fresh)
-        (Chain.revenue ctx ~with_saturation c);
-      (* per-triple aggregates agree exactly as well *)
-      Chain.iter ctx fresh (fun z ->
-          check_float ~eps:0.0 "prob bit-identical"
-            (Option.get (Chain.prob ctx ~with_saturation fresh z))
-            (Option.get (Chain.prob ctx ~with_saturation c z))))
-    [ true; false ];
+  (* every member's cached aggregates agree exactly *)
+  check_same_members "re-insert matches a fresh build" ctx fresh c;
   (* and a probe marginal at the far boundary sees no stale state either *)
   let probe = triple 0 1 3 in
-  check_float ~eps:0.0 "marginal bit-identical"
-    (Chain.marginal ctx ~with_saturation:true fresh probe)
-    (Chain.marginal ctx ~with_saturation:true c probe)
+  check_float ~eps:0.0 "marginal bit-identical" (chain_marginal ctx inst fresh probe)
+    (chain_marginal ctx inst c probe)
 
 let test_strategy_chain_order () =
   let inst = example1_instance 0.4 in
@@ -402,8 +416,6 @@ let prop_chain_recompute_is_canonical =
       let ascending = List.sort (fun (a : Triple.t) b -> compare (a.t, a.i) (b.t, b.i)) !members in
       let shuffled = Array.of_list ascending in
       Rng.shuffle rng shuffled;
-      let bits = Int64.bits_of_float in
-      let same a b = Int64.equal (bits a) (bits b) in
       List.for_all
         (fun scaled ->
           (* a slate strategy stores a slot-scaled q̃ per member; the same
@@ -426,18 +438,7 @@ let prop_chain_recompute_is_canonical =
           Array.iter (insert c) shuffled;
           let c = !c in
           Chain.recompute ctx c;
-          List.for_all
-            (fun z ->
-              match (Chain.aggregates ctx canonical z, Chain.aggregates ctx c z) with
-              | Some (m1, c1, p1), Some (m2, c2, p2) -> same m1 m2 && same c1 c2 && same p1 p2
-              | _ -> false)
-            ascending
-          && List.for_all
-               (fun with_saturation ->
-                 same
-                   (Chain.revenue ctx ~with_saturation canonical)
-                   (Chain.revenue ctx ~with_saturation c))
-               [ true; false ])
+          same_members ctx canonical c)
         [ false; true ])
 
 let prop_marginal_identity =
@@ -481,15 +482,28 @@ let prop_incremental_marginal_matches_naive =
             [ true; false ])
         (candidate_triples inst))
 
-let prop_incremental_total_matches_naive =
-  QCheck2.Test.make ~name:"total_incremental ≈ naive total" ~count:150 seed_gen (fun seed ->
+(* Definition 2 read triple by triple: Rev(S) is the sum of p(z)·qS(z) over
+   the members, each qS from the naive per-triple oracle, in both
+   saturation modes *)
+let prop_total_matches_naive_sum =
+  QCheck2.Test.make ~name:"Rev(S) ≈ naive sum of p·qS over triples" ~count:150 seed_gen
+    (fun seed ->
       let rng = Rng.create seed in
       let inst = random_instance rng in
       let s = random_valid_strategy inst rng in
-      Helpers.float_eq ~eps:1e-9 (Revenue.total s) (Revenue.total_incremental s)
-      && Helpers.float_eq ~eps:1e-9
-           (Revenue.total ~with_saturation:false s)
-           (Revenue.total_incremental ~with_saturation:false s))
+      List.for_all
+        (fun with_saturation ->
+          let naive =
+            List.fold_left
+              (fun acc (z : Triple.t) ->
+                acc
+                +. Instance.price inst ~i:z.i ~time:z.t
+                   *. Revenue.dynamic_probability ~with_saturation inst
+                        ~chain:(Strategy.chain_of_triple s z) z)
+              0.0 (Strategy.to_list s)
+          in
+          Helpers.float_eq ~eps:1e-9 (Revenue.total ~with_saturation s) naive)
+        [ true; false ])
 
 (* cached chain aggregates stay consistent under arbitrary add/remove churn *)
 let prop_chain_caches_survive_churn =
@@ -506,8 +520,20 @@ let prop_chain_caches_survive_churn =
         let z = all.(Rng.int rng (Array.length all)) in
         if Strategy.mem s z then Strategy.remove s z
         else if Strategy.can_add s z then Strategy.add s z;
-        if not (Helpers.float_eq ~eps:1e-9 (Revenue.total s) (Revenue.total_incremental s))
-        then ok := false
+        (* every member's cached probability against the naive one *)
+        List.iter
+          (fun (z : Triple.t) ->
+            let chain = Strategy.chain_of_triple s z in
+            List.iter
+              (fun with_saturation ->
+                if
+                  not
+                    (Helpers.float_eq ~eps:1e-9
+                       (Revenue.dynamic_probability ~with_saturation inst ~chain z)
+                       (Revenue.dynamic_probability_in ~with_saturation s z))
+                then ok := false)
+              [ true; false ])
+          (Strategy.to_list s)
       done;
       !ok)
 
@@ -787,21 +813,8 @@ let test_chain_growth_matches_ascending_build () =
     let fresh = !fresh in
     Alcotest.(check (list string)) "members" (List.map Triple.to_string members)
       (List.map Triple.to_string (Chain.to_list ctx c));
-    List.iter
-      (fun with_saturation ->
-        same "revenue" (Chain.revenue ctx ~with_saturation fresh) (Chain.revenue ctx ~with_saturation c))
-      [ true; false ];
-    List.iter
-      (fun z ->
-        match (Chain.aggregates ctx fresh z, Chain.aggregates ctx c z) with
-        | Some (m1, c1, p1), Some (m2, c2, p2) ->
-            same "memory" m1 m2;
-            same "competition" c1 c2;
-            same "probability" p1 p2
-        | _ -> Alcotest.fail "member lost")
-      members;
-    same "marginal" (Chain.marginal ctx ~with_saturation:true fresh (triple 0 3 4))
-      (Chain.marginal ctx ~with_saturation:true c (triple 0 3 4))
+    check_same_members "members' floats" ctx fresh c;
+    same "marginal" (chain_marginal ctx inst fresh (triple 0 3 4)) (chain_marginal ctx inst c (triple 0 3 4))
   in
   let c = ref (Chain.create ()) in
   let members = ref [] in
@@ -1093,21 +1106,6 @@ module Ref_chain = struct
     Array.fill c.d (ist * last) ist 0;
     recompute c
 
-  let revenue ~with_saturation c =
-    let f = c.f in
-    let acc = ref 0.0 in
-    for j = 0 to c.len - 1 do
-      let b = fb j in
-      acc :=
-        !acc
-        +. f.(b + oprice)
-           *.
-           if with_saturation then f.(b + oprob)
-           else if f.(b + oq) <= 0.0 then 0.0
-           else f.(b + oq) *. f.(b + ocomp)
-    done;
-    !acc
-
   let marginal_cells ~with_saturation c ~time:tz ~res =
     let a = c.ctx.cells and inv = c.ctx.inv and f = c.f and d = c.d and ist = c.ctx.ist in
     let qz = a.(3) and price = a.(4) and beta = a.(5) in
@@ -1167,8 +1165,8 @@ end
    a plain or slate instance, with a slot-scaled q̃ and a random slot on
    slates, applied to a block chain and to the reference. After every
    step both must agree bit for bit: the length, the user, every member's
-   stored values, the revenue and [marginal_cells] of a random candidate
-   under both saturation settings. *)
+   stored values and [marginal_cells] of a random candidate under both
+   saturation settings. *)
 let prop_chain_block_matches_reference =
   let module Chain = Revmax.Chain in
   QCheck2.Test.make ~name:"chain block = the two-array chain, bit for bit" ~count:300 seed_gen
@@ -1205,8 +1203,6 @@ let prop_chain_block_matches_reference =
         done;
         List.iter
           (fun with_saturation ->
-            let got = Chain.revenue ctx ~with_saturation !c and want = Ref_chain.revenue ~with_saturation r in
-            if bits got <> bits want then fail step "revenue %h, reference %h" got want;
             let t = 1 + Rng.int rng (Instance.horizon inst) in
             let q = Rng.unit_float rng and p = Rng.uniform_in rng 0.5 10.0 and b = Rng.unit_float rng in
             let cells = Chain.oracle_cells ctx in
@@ -1329,8 +1325,7 @@ let test_strategy_repoints_grown_chains () =
    holds out-of-view members too), with non-candidate triples mixed in.
    The model keeps every member under its (user, class) key, in chain
    order; after every step each accessor must read what the model says,
-   and [iter_chains] must visit each non-empty chain once: the view's rows
-   in pair order first, then the rest. *)
+   and [iter_chains] must visit each non-empty chain exactly once. *)
 let prop_pair_chains_match_model =
   let module Chain = Revmax.Chain in
   QCheck2.Test.make ~name:"pair-indexed chains = a (user, class)-keyed model" ~count:300 seed_gen
@@ -1423,28 +1418,9 @@ let prop_pair_chains_match_model =
           fail "to_list [%s], model [%s]" (show (Strategy.to_list s)) (show (List.sort Triple.compare all));
         let visited = ref [] in
         Strategy.iter_chains s (fun c -> visited := Chain.to_list ctx c :: !visited);
-        let visited = List.rev !visited in
-        let ulo, uhi = Instance.user_range on in
-        let rows = ref [] and in_row = Hashtbl.create 16 in
-        for u = ulo to uhi - 1 do
-          let lo, hi = Instance.pair_row on u in
-          for pid = lo to hi - 1 do
-            let c = cls (Instance.pair_item on pid) in
-            if not (Hashtbl.mem in_row ((u * nc) + c)) then begin
-              Hashtbl.add in_row ((u * nc) + c) ();
-              match find ((u * nc) + c) with [] -> () | l -> rows := l :: !rows
-            end
-          done
-        done;
-        let rows = List.rev !rows in
-        let rest =
-          Hashtbl.fold (fun k l acc -> if l <> [] && not (Hashtbl.mem in_row k) then l :: acc else acc) model []
-        in
-        let n = List.length rows in
-        if List.filteri (fun k _ -> k < n) visited <> rows then
-          fail "iter_chains does not visit the view's rows in pair order";
-        if List.sort compare (List.filteri (fun k _ -> k >= n) visited) <> List.sort compare rest then
-          fail "iter_chains does not visit the other chains exactly once"
+        let chains = Hashtbl.fold (fun _ l acc -> if l <> [] then l :: acc else acc) model [] in
+        if List.sort compare !visited <> List.sort compare chains then
+          fail "iter_chains does not visit each non-empty chain exactly once"
       in
       let cands = Array.of_list (candidate_triples inst) in
       let pick () =
@@ -1476,32 +1452,13 @@ let prop_pair_chains_match_model =
 
 (* ----- Revenue.total against the list fold it replaced ----- *)
 
-(* The fold [Revenue.total] replaced, kept here as its reference: every
-   non-empty chain, sorted by user and then by its first (time, item),
-   each summed by the list-based [chain_revenue] over [Chain.to_list]
-   with the strategy's own q (the slot-scaled q̃ on slates). Returns the
-   chains in that order with the sum. *)
-let list_fold_total ~with_saturation s =
-  let module Chain = Revmax.Chain in
-  let inst = Strategy.instance s in
-  let q_of = if Instance.is_slate inst then Some (Strategy.effective_q s) else None in
-  let ctx = Strategy.chain_context s in
-  let head c = (Chain.user c, Chain.time ctx c 0, Chain.item ctx c 0) in
-  let chains = ref [] in
-  Strategy.iter_chains s (fun c -> chains := c :: !chains);
-  let chains = List.stable_sort (fun a b -> compare (head a) (head b)) (List.rev !chains) in
-  ( chains,
-    List.fold_left
-      (fun acc c -> acc +. Revenue.chain_revenue ~with_saturation ?q_of inst (Chain.to_list ctx c))
-      0.0 chains )
-
 (* Random add and remove steps on plain, slate and budgeted instances,
    half the time on a shard view, with out-of-view and non-candidate
    triples mixed in (so overflow chains, and users without a view row,
    occur). After every step [Revenue.total] must equal the reference
-   fold bit for bit under both saturation settings, and
-   [Strategy.iter_chains_in_order] and [chains_in_order] must meet the
-   chains in the reference's order. *)
+   fold over the sorted member list bit for bit under both saturation
+   settings, and [Strategy.iter_chains] must meet the chains in that
+   fold's order. *)
 let prop_total_matches_list_fold =
   QCheck2.Test.make ~name:"Revenue.total = the list fold it replaced, bit for bit" ~count:300
     seed_gen (fun seed ->
@@ -1528,16 +1485,14 @@ let prop_total_matches_list_fold =
       in
       let check step =
         let fail fmt = QCheck2.Test.fail_reportf ("step %d: " ^^ fmt) step in
-        let expected, _ = list_fold_total ~with_saturation:true s in
-        let visited = ref [] in
-        Strategy.iter_chains_in_order s (fun c -> visited := c :: !visited);
-        if not (List.equal ( == ) (List.rev !visited) expected) then
-          fail "iter_chains_in_order meets the chains out of the reference order";
-        if not (List.equal ( == ) (Array.to_list (Strategy.chains_in_order s)) expected) then
-          fail "chains_in_order differs from the reference order";
+        let expected = ref [] and visited = ref [] in
+        seen_fold s (fun chain -> expected := chain_of s chain :: !expected);
+        Strategy.iter_chains s (fun c -> visited := c :: !visited);
+        if not (List.equal ( == ) !visited !expected) then
+          fail "iter_chains meets the chains out of the reference order";
         List.iter
           (fun with_saturation ->
-            let _, want = list_fold_total ~with_saturation s in
+            let want = reference_total ~with_saturation s in
             let got = Revenue.total ~with_saturation s in
             if Int64.bits_of_float got <> Int64.bits_of_float want then
               fail "with_saturation=%b: total %h, reference %h" with_saturation got want)
@@ -1598,7 +1553,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_marginal_identity;
           QCheck_alcotest.to_alcotest prop_incremental_marginal_matches_naive;
-          QCheck_alcotest.to_alcotest prop_incremental_total_matches_naive;
+          QCheck_alcotest.to_alcotest prop_total_matches_naive_sum;
           QCheck_alcotest.to_alcotest prop_chain_caches_survive_churn;
           QCheck_alcotest.to_alcotest prop_probabilities_in_unit_interval;
           QCheck_alcotest.to_alcotest prop_lemma1_probability_non_increasing;

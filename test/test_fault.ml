@@ -924,6 +924,104 @@ let test_fuzz_journal_pinned () =
       | exception e -> Alcotest.failf "input %d: %s" input (Printexc.to_string e))
     [ 751146; 373349; 419374; 428233 ]
 
+(* Serve frames, the last decoder of untrusted bytes: a length prefix
+   read by [Server.Wire.read_frame], then [decode_request]. *)
+
+(* one framed encoding of a request of any of the six kinds (and any of
+   the four event kinds), its fields drawn at random, negative ones
+   included *)
+let frame_base rng =
+  let field () = Rng.int rng 2000 - 1000 in
+  let req =
+    match Rng.int rng 9 with
+    | 0 -> Server.Wire.Topk { u = field (); time = field (); k = field () }
+    | 1 -> Server.Wire.Event (Journal.Adopt { u = field (); i = field (); t = field () })
+    | 2 -> Server.Wire.Event (Journal.Click { u = field (); i = field (); t = field () })
+    | 3 -> Server.Wire.Event (Journal.Cap { i = field (); delta = field () })
+    | 4 -> Server.Wire.Event Journal.Repair
+    | 5 -> Server.Wire.Stats
+    | 6 -> Server.Wire.Snapshot
+    | 7 -> Server.Wire.Dump
+    | _ -> Server.Wire.Shutdown
+  in
+  let payload = Server.Wire.encode_request req in
+  let n = Bytes.length payload in
+  let b = Bytes.create (4 + n) in
+  set_u32 b 0 n;
+  Bytes.blit payload 0 b 4 n;
+  b
+
+(* one mutation of a serve frame: a byte flip, a truncation, a slice of
+   another frame spliced in, or a length overwritten near 0, around the
+   16 MiB cap (2^24 ± 1), around 2^31 or with a small negative int32 *)
+let mutate_frame rng b =
+  let n = Bytes.length b in
+  match Rng.int rng 4 with
+  | 0 when n > 0 ->
+      let pos = Rng.int rng n in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 + Rng.int rng 255)));
+      b
+  | 1 -> Bytes.sub b 0 (Rng.int rng (n + 1))
+  | 2 ->
+      let src = frame_base rng in
+      let off = Rng.int rng (Bytes.length src) in
+      let len = Rng.int rng (Bytes.length src - off + 1) and at = Rng.int rng (n + 1) in
+      Bytes.concat Bytes.empty [ Bytes.sub b 0 at; Bytes.sub src off len; Bytes.sub b at (n - at) ]
+  | _ when n >= 4 ->
+      set_u32 b 0
+        (match Rng.int rng 5 with
+        | 0 -> Rng.int rng 3
+        | 1 -> (1 lsl 24) - 1 + Rng.int rng 3
+        | 2 -> 0x7FFFFFFF - Rng.int rng 4
+        | 3 -> 0x80000000 + Rng.int rng 4
+        | _ -> 0xFFFFFFFF - Rng.int rng 16);
+      b
+  | _ -> b
+
+(* Each input, unmutated or after up to three mutations, is read from a
+   file through [read_frame] and [decode_request]. It ends in no frame,
+   in [Error _], or in a request whose encoding is the payload; no
+   exception escapes, and the two calls allocate at most 8 words per
+   input byte plus 1,024. *)
+let prop_fuzz_frames =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"fuzzed serve frames: no frame, an error or a request that re-encodes"
+       ~count:400 (QCheck2.Gen.int_range 0 1_000_000) (fun seed ->
+         let rng = Rng.create seed in
+         let bytes = ref (frame_base rng) in
+         for _ = 1 to Rng.int rng 4 do
+           bytes := mutate_frame rng !bytes
+         done;
+         let path = Filename.temp_file "revmax-fuzz" ".frame" in
+         Fun.protect
+           ~finally:(fun () -> Sys.remove path)
+           (fun () ->
+             Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc !bytes);
+             let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+             let r, words =
+               Fun.protect
+                 ~finally:(fun () -> Unix.close fd)
+                 (fun () ->
+                   Util.allocated_words (fun () ->
+                       try
+                         Ok
+                           (Option.map
+                              (fun p -> (p, Server.Wire.decode_request p))
+                              (Server.Wire.read_frame fd))
+                       with e -> Error e))
+             in
+             let cap = (8.0 *. float_of_int (Bytes.length !bytes)) +. 1024.0 in
+             if words > cap then
+               QCheck2.Test.fail_reportf "%d input bytes allocated %.0f words (cap %.0f)"
+                 (Bytes.length !bytes) words cap;
+             match r with
+             | Ok (None | Some (_, Error _)) -> true
+             | Ok (Some (p, Ok req)) ->
+                 if not (Bytes.equal (Server.Wire.encode_request req) p) then
+                   QCheck2.Test.fail_reportf "decoded a request whose encoding is not its payload";
+                 true
+             | Error e -> QCheck2.Test.fail_reportf "exception escaped: %s" (Printexc.to_string e))))
+
 (* ------------------------------------------------------------------ *)
 (* Harness faults: Runner.guarded                                      *)
 (* ------------------------------------------------------------------ *)
@@ -1311,6 +1409,7 @@ let () =
           prop_fuzz_journal;
           Alcotest.test_case "fuzzed journals: inputs that once forged a record" `Quick
             test_fuzz_journal_pinned;
+          prop_fuzz_frames;
         ] );
       ( "runner",
         [

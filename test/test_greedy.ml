@@ -358,7 +358,7 @@ let prop_rlg_at_least_slg =
       let inst = random_instance rng in
       let slg, _ = Local_greedy.sl_greedy inst in
       let rlg, _ = Local_greedy.rl_greedy ~permutations:6 inst rng in
-      Revenue.total rlg >= Revenue.total slg -. 1e-9)
+      Revenue.total rlg >= Revenue.total slg)
 
 let test_order_validation () =
   let inst = example4_instance () in

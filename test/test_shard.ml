@@ -1,4 +1,4 @@
-(* User-sharded planning: Instance.shard views, split policies,
+(* User-sharded planning: Instance.shard views, the water-filling split,
    Shard_greedy's proof obligations (validity at every shard count,
    bit-identity at shards=1, jobs- and determinism-invariance), and the
    Budget split/absorb arithmetic the shard fan-out relies on. *)
@@ -52,7 +52,7 @@ let test_shard_partitions_users () =
 let test_shard_water_filling_budgets () =
   let rng = Rng.create 5 in
   let inst = random_instance ~max_users:9 rng in
-  let views = Instance.shard ~policy:`Water_filling ~shards:3 inst in
+  let views = Instance.shard ~shards:3 inst in
   Array.iter
     (fun v ->
       let lo, hi = Instance.user_range v in
@@ -63,22 +63,6 @@ let test_shard_water_filling_budgets () =
           (Instance.capacity v i)
       done)
     views
-
-let test_shard_proportional_budgets_sum () =
-  for seed = 0 to 39 do
-    let rng = Rng.create seed in
-    let inst = random_instance ~max_users:9 rng in
-    List.iter
-      (fun shards ->
-        let views = Instance.shard ~policy:`Proportional ~shards inst in
-        for i = 0 to Instance.num_items inst - 1 do
-          let total = Array.fold_left (fun acc v -> acc + Instance.capacity v i) 0 views in
-          if total <> Instance.capacity inst i then
-            Alcotest.failf "seed %d shards %d item %d: budgets sum to %d, q_i = %d" seed shards i
-              total (Instance.capacity inst i)
-        done)
-      [ 1; 2; 3; 8 ]
-  done
 
 let test_shard_views_are_zero_copy_slices () =
   let rng = Rng.create 11 in
@@ -113,87 +97,56 @@ let test_shard_rejects_bad_arguments () =
     (Invalid_argument "Instance.shard: cannot re-shard a shard view") (fun () ->
       ignore (Instance.shard ~shards:1 view))
 
-(* ----- proportional_shares: largest-remainder arithmetic ----- *)
+(* ----- the water-filling split ----- *)
 
-let test_proportional_shares_frozen_vectors () =
-  let check name expected ~capacity ~user_counts ~num_users =
-    Alcotest.(check (list int))
-      name expected
-      (Array.to_list (Instance.proportional_shares ~capacity ~user_counts ~num_users))
-  in
-  (* floors [2;2;1;1] sum to 6; the single leftover goes to the largest
-     remainder (shard 2, remainder 4, beating shard 3 on the index tie) *)
-  check "leftover to largest remainder" [ 2; 2; 2; 1 ] ~capacity:7
-    ~user_counts:[| 3; 3; 2; 2 |] ~num_users:10;
-  (* q_i < shards: all floors are 0 and the one unit lands on the largest
-     remainder — shard 0 here (remainder 3 ties shard 1, lower index wins) *)
-  check "capacity smaller than shard count" [ 1; 0; 0; 0 ] ~capacity:1
-    ~user_counts:[| 3; 3; 2; 2 |] ~num_users:10;
-  (* all remainders tie (every shard has remainder 4): leftover walks the
-     shard indices in ascending order *)
-  check "all remainders tie" [ 2; 2; 1; 1 ] ~capacity:6 ~user_counts:[| 2; 2; 2; 2 |]
-    ~num_users:8;
-  (* num_users = 0 degenerates to an even split, remainder to the lower
-     indices — the pre-fix code handed every shard the full capacity *)
-  check "zero users still sums to capacity" [ 2; 2; 1 ] ~capacity:5 ~user_counts:[| 0; 0; 0 |]
-    ~num_users:0;
-  check "zero users, zero capacity" [ 0; 0 ] ~capacity:0 ~user_counts:[| 0; 0 |] ~num_users:0;
-  (* exact division: no leftover, pure floors *)
-  check "exact division" [ 4; 2; 2 ] ~capacity:8 ~user_counts:[| 4; 2; 2 |] ~num_users:8
+let test_water_filling_covers_capacity () =
+  (* Σ_shards min(q_i, n_s) >= min(q_i, n): the shards together can always
+     fill an item's global capacity, and no shard is granted more than q_i;
+     over-subscription is left to reconciliation *)
+  for seed = 0 to 39 do
+    let rng = Rng.create seed in
+    let inst = random_instance ~max_users:9 rng in
+    let n = Instance.num_users inst in
+    List.iter
+      (fun shards ->
+        let views = Instance.shard ~shards inst in
+        for i = 0 to Instance.num_items inst - 1 do
+          let q = Instance.capacity inst i in
+          let total = Array.fold_left (fun acc v -> acc + Instance.capacity v i) 0 views in
+          if total < min q n then
+            Alcotest.failf "seed %d shards %d item %d: budgets sum to %d < min(q_i, n) = %d" seed
+              shards i total (min q n);
+          Array.iter
+            (fun v ->
+              if Instance.capacity v i > q then
+                Alcotest.failf "seed %d shards %d item %d: a shard budget exceeds q_i" seed shards i)
+            views
+        done)
+      [ 1; 2; 3; 8 ]
+  done
 
-let shares_gen =
-  QCheck2.Gen.(
-    let* shards = int_range 1 8 in
-    let* user_counts = array_size (return shards) (int_range 0 50) in
-    let* capacity = int_range 0 200 in
-    return (capacity, user_counts))
-
-let prop_proportional_shares_sum_exactly =
-  QCheck2.Test.make ~name:"proportional shares sum exactly to capacity" ~count:500 shares_gen
-    (fun (capacity, user_counts) ->
-      let num_users = Array.fold_left ( + ) 0 user_counts in
-      let shares = Instance.proportional_shares ~capacity ~user_counts ~num_users in
-      Array.length shares = Array.length user_counts
-      && Array.for_all (fun s -> s >= 0) shares
-      && Array.fold_left ( + ) 0 shares = capacity)
-
-let prop_proportional_shares_deterministic =
-  QCheck2.Test.make ~name:"proportional shares are deterministic (stable tie order)" ~count:500
-    shares_gen (fun (capacity, user_counts) ->
-      let num_users = Array.fold_left ( + ) 0 user_counts in
-      let a = Instance.proportional_shares ~capacity ~user_counts ~num_users in
-      let b = Instance.proportional_shares ~capacity ~user_counts ~num_users in
-      a = b)
-
-let prop_proportional_shares_off_floor_by_at_most_one =
-  (* largest-remainder never moves a shard more than one unit off its floor *)
-  QCheck2.Test.make ~name:"shares are floor or floor+1" ~count:500 shares_gen
-    (fun (capacity, user_counts) ->
-      let num_users = Array.fold_left ( + ) 0 user_counts in
-      if num_users = 0 then QCheck2.assume_fail ()
-      else
-        let shares = Instance.proportional_shares ~capacity ~user_counts ~num_users in
-        Array.for_all2
-          (fun s n_s ->
-            let floor = capacity * n_s / num_users in
-            s = floor || s = floor + 1)
-          shares user_counts)
-
-let test_shard_zero_user_instance_budgets_sum () =
-  (* end-to-end: a zero-user instance sharded proportionally must still
-     carry budgets that sum to q_i across the views *)
+let test_water_filling_zero_user_instance () =
+  (* a zero-user instance shards into empty views with zero budgets, and
+     the sharded planner returns the empty strategy without reconciling *)
   let inst =
     Instance.create ~num_users:0 ~num_items:2 ~horizon:1 ~display_limit:1 ~class_of:[| 0; 1 |]
       ~capacity:[| 5; 3 |] ~saturation:[| 0.5; 0.5 |]
       ~price:[| [| 1.0 |]; [| 1.0 |] |]
       ~adoption:[] ()
   in
-  let views = Instance.shard ~policy:`Proportional ~shards:4 inst in
-  for i = 0 to 1 do
-    let total = Array.fold_left (fun acc v -> acc + Instance.capacity v i) 0 views in
-    Alcotest.(check int) (Printf.sprintf "item %d budgets sum to q_i" i)
-      (Instance.capacity inst i) total
-  done
+  let views = Instance.shard ~shards:4 inst in
+  Array.iter
+    (fun v ->
+      let lo, hi = Instance.user_range v in
+      Alcotest.(check int) "empty range" lo hi;
+      for i = 0 to 1 do
+        Alcotest.(check int) (Printf.sprintf "item %d budget" i) 0 (Instance.capacity v i)
+      done)
+    views;
+  let s, st = Shard_greedy.solve ~shards:4 inst in
+  Alcotest.(check int) "empty strategy" 0 (Strategy.size s);
+  Alcotest.(check bool) "valid" true (Strategy.is_valid s);
+  Alcotest.(check int) "no reconciliation" 0 st.Shard_greedy.reconciliation_rounds
 
 (* ----- Budget.split / absorb ----- *)
 
@@ -329,13 +282,10 @@ let prop_one_shard_is_plain_greedy =
       let rng = Rng.create seed in
       let inst = contended_instance rng in
       let s_plain, _ = Greedy.run inst in
-      List.for_all
-        (fun policy ->
-          let s_sh, st = Shard_greedy.solve ~policy ~shards:1 inst in
-          sorted s_sh = sorted s_plain
-          && st.Shard_greedy.reconciliation_rounds = 0
-          && st.Shard_greedy.released_pairs = 0)
-        [ `Water_filling; `Proportional ])
+      let s_sh, st = Shard_greedy.solve ~shards:1 inst in
+      sorted s_sh = sorted s_plain
+      && st.Shard_greedy.reconciliation_rounds = 0
+      && st.Shard_greedy.released_pairs = 0)
 
 (* the same single-shard identity on the constraint-variant families: a
    slate or a global quantity budget must not open a gap between the
@@ -347,26 +297,12 @@ let prop_one_shard_is_plain_greedy_on_variants =
       List.for_all
         (fun inst ->
           let s_plain, _ = Greedy.run inst in
-          List.for_all
-            (fun policy ->
-              let s_sh, _ = Shard_greedy.solve ~policy ~shards:1 inst in
-              sorted s_sh = sorted s_plain)
-            [ `Water_filling; `Proportional ])
+          let s_sh, _ = Shard_greedy.solve ~shards:1 inst in
+          sorted s_sh = sorted s_plain)
         [
           random_slate_instance ~max_users:8 ~max_items:4 ~max_horizon:3 rng;
           random_budgeted_instance ~max_users:8 ~max_items:4 ~max_horizon:3 rng;
         ])
-
-let prop_proportional_never_reconciles =
-  QCheck2.Test.make ~name:"proportional split never needs reconciliation" ~count:60 seed_gen
-    (fun seed ->
-      let rng = Rng.create seed in
-      let inst = contended_instance rng in
-      List.for_all
-        (fun shards ->
-          let s, st = Shard_greedy.solve ~policy:`Proportional ~shards inst in
-          Strategy.is_valid s && st.Shard_greedy.reconciliation_rounds = 0)
-        [ 2; 4 ])
 
 let test_sharded_deterministic_and_jobs_invariant () =
   for seed = 0 to 29 do
@@ -442,21 +378,14 @@ let () =
             test_shard_partitions_users;
           Alcotest.test_case "water-filling budgets are min(q_i, users)" `Quick
             test_shard_water_filling_budgets;
-          Alcotest.test_case "proportional budgets sum exactly to q_i" `Quick
-            test_shard_proportional_budgets_sum;
           Alcotest.test_case "views slice the global candidate set" `Quick
             test_shard_views_are_zero_copy_slices;
           Alcotest.test_case "invalid arguments rejected" `Quick test_shard_rejects_bad_arguments;
         ] );
-      ( "proportional-shares",
+      ( "water-filling-split",
         [
-          Alcotest.test_case "frozen regression vectors" `Quick
-            test_proportional_shares_frozen_vectors;
-          QCheck_alcotest.to_alcotest prop_proportional_shares_sum_exactly;
-          QCheck_alcotest.to_alcotest prop_proportional_shares_deterministic;
-          QCheck_alcotest.to_alcotest prop_proportional_shares_off_floor_by_at_most_one;
-          Alcotest.test_case "zero-user instance budgets still sum" `Quick
-            test_shard_zero_user_instance_budgets_sum;
+          Alcotest.test_case "budgets cover every q_i" `Quick test_water_filling_covers_capacity;
+          Alcotest.test_case "zero-user instance" `Quick test_water_filling_zero_user_instance;
         ] );
       ( "budget-split",
         [
@@ -475,7 +404,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_sharded_respects_capacities;
           QCheck_alcotest.to_alcotest prop_one_shard_is_plain_greedy;
           QCheck_alcotest.to_alcotest prop_one_shard_is_plain_greedy_on_variants;
-          QCheck_alcotest.to_alcotest prop_proportional_never_reconciles;
           Alcotest.test_case "deterministic and jobs-invariant" `Quick
             test_sharded_deterministic_and_jobs_invariant;
           Alcotest.test_case "reconciliation fixed point in <= 1 round" `Quick

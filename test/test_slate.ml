@@ -187,6 +187,21 @@ let prop_decay_never_raises_optimum =
         snd (Exact.brute_force slate) <= snd (Exact.brute_force inst) +. 1e-9
       end)
 
+(* Brute force's slate branch scores each state by [Revenue.total], so
+   the value it returns is exactly the revenue of the strategy it
+   returns, bit for bit, whatever slots the search gave its members. *)
+let prop_exact_value_is_total =
+  QCheck2.Test.make ~name:"Exact on slate instances: value = Revenue.total of its strategy, bit for bit"
+    ~count:300 seed_gen (fun seed ->
+      let inst = Helpers.random_slate_instance ~max_users:3 ~max_items:3 ~max_horizon:2 (Rng.create seed) in
+      if Instance.num_candidate_triples inst > 12 then QCheck2.assume_fail ()
+      else
+        let s, v = Exact.brute_force inst in
+        let total = Revenue.total s in
+        if Int64.bits_of_float v <> Int64.bits_of_float total then
+          QCheck2.Test.fail_reportf "value %h, Revenue.total %h" v total;
+        true)
+
 (* position_curve contract: slot 1 = 1.0, non-increasing, within [0,1] —
    i.e. always admissible for Instance.with_slate *)
 let test_position_curve_admissible () =
@@ -338,6 +353,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_slate_slots_injective_and_scaled;
           QCheck_alcotest.to_alcotest prop_decay_never_raises_optimum;
+          QCheck_alcotest.to_alcotest prop_exact_value_is_total;
           Alcotest.test_case "decay can raise greedy revenue" `Quick
             test_decay_can_raise_greedy_revenue;
           Alcotest.test_case "position_curve admissible" `Quick test_position_curve_admissible;
